@@ -9,6 +9,16 @@ dependency-free.
     subject to  A_ub @ x <= b_ub
                 A_eq @ x == b_eq
                 lo <= x <= hi   (lo finite, hi may be None)
+
+The kernel is numpy: each pivot is one rank-1 update of the tableau, and the
+entering column and the ratio test are found with array operations.  The
+pivot sequence is still Bland's rule, step for step: the lowest-index column
+with a negative reduced cost enters, and the leaving row is the minimum
+ratio with ties (within the tolerance) going to the lowest basis index,
+scanned row by row in index order.  Every tableau entry gets the same
+floating-point multiply and subtract as in a row-by-row Gauss-Jordan
+elimination, so the pivots and the optimum are bit-for-bit those of the
+scalar algorithm.
 """
 
 from __future__ import annotations
@@ -41,48 +51,37 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     if bounds is None:
         bounds = [(0.0, None)] * n
-    lo = np.array([b[0] if b[0] is not None else 0.0 for b in bounds])
-    hi = [b[1] for b in bounds]
+    lo = np.array([b[0] if b[0] is not None else 0.0 for b in bounds], dtype=float)
+    hi = np.array([b[1] if b[1] is not None else np.inf for b in bounds], dtype=float)
 
     # shift to x' = x - lo >= 0; finite upper bounds become <= rows
     b_ub = b_ub - A_ub @ lo
     b_eq = b_eq - A_eq @ lo
-    extra_rows = []
-    extra_rhs = []
-    for j, h in enumerate(hi):
-        if h is not None and np.isfinite(h):
-            row = np.zeros(n)
-            row[j] = 1.0
-            extra_rows.append(row)
-            extra_rhs.append(h - lo[j])
-    if extra_rows:
-        A_ub = np.vstack([A_ub, np.array(extra_rows)])
-        b_ub = np.concatenate([b_ub, np.array(extra_rhs)])
-
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
+    capped = np.flatnonzero(np.isfinite(hi))
+    m_cap = capped.size
+    m_ub, m_eq = A_ub.shape[0] + m_cap, A_eq.shape[0]
     m = m_ub + m_eq
-
-    # standard form: A x' + slack = b, with b >= 0 after sign flips
-    A = np.zeros((m, n + m_ub))
-    A[:m_ub, :n] = A_ub
-    A[:m_ub, n:n + m_ub] = np.eye(m_ub)
-    A[m_ub:, :n] = A_eq
-    b = np.concatenate([b_ub, b_eq])
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] = -b[neg]
-
     n_total = n + m_ub
-    # artificial variables for all rows (simple and robust); slack columns that
+
+    # standard form A x' + slack = b with b >= 0 after sign flips; every row
+    # gets an artificial variable (simple and robust); slack columns that
     # survived the sign flip could seed the basis, but phase 1 drives the
     # artificials out regardless.
     tableau = np.zeros((m + 1, n_total + m + 1))
-    tableau[:m, :n_total] = A
+    tableau[:m_ub - m_cap, :n] = A_ub
+    tableau[np.arange(m_ub - m_cap, m_ub), capped] = 1.0
+    tableau[np.arange(m_ub), np.arange(n, n_total)] = 1.0
+    tableau[m_ub:m, :n] = A_eq
+    b = np.concatenate([b_ub, hi[capped] - lo[capped], b_eq])
+    neg = b < 0
+    tableau[:m, :n_total][neg] *= -1.0
+    b[neg] = -b[neg]
     tableau[:m, n_total:n_total + m] = np.eye(m)
     tableau[:m, -1] = b
     basis = list(range(n_total, n_total + m))
 
-    # phase 1 objective: minimize sum of artificials
+    # phase 1 objective: minimize sum of artificials.  The rows are
+    # subtracted one at a time: a column sum would round differently.
     tableau[m, n_total:n_total + m] = 1.0
     for r in range(m):
         tableau[m] -= tableau[r]
@@ -91,25 +90,23 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     if status == UNBOUNDED or tableau[m, -1] < -1e-7:
         return LpResult(INFEASIBLE, None, None)
 
-    # drive remaining artificials out of the basis
+    # drive remaining artificials out of the basis; a row with no nonzero
+    # structural entry is redundant and keeps its artificial
     for r in range(m):
         if basis[r] >= n_total:
-            piv = None
-            for j in range(n_total):
-                if abs(tableau[r, j]) > _TOL:
-                    piv = j
-                    break
-            if piv is None:
-                continue  # redundant row
-            _pivot(tableau, basis, r, piv)
+            nonzero = np.abs(tableau[r, :n_total]) > _TOL
+            piv = int(nonzero.argmax())
+            if nonzero[piv]:
+                _pivot(tableau, basis, r, piv)
 
-    # phase 2
-    tableau[m, :] = 0.0
+    # phase 2 on the structural and slack columns only; the artificial
+    # columns are retired
+    tableau = np.delete(tableau, np.s_[n_total:n_total + m], axis=1)
+    tableau[m] = 0.0
     tableau[m, :n] = c
-    for r in range(m):
-        if basis[r] < n_total:
-            tableau[m] -= c_at(c, basis[r], n) * tableau[r]
-    tableau[:, n_total:n_total + m] = 0.0  # retire artificial columns
+    for r in range(m):  # a basic column with zero cost contributes nothing
+        if basis[r] < n and c[basis[r]] != 0.0:
+            tableau[m] -= c[basis[r]] * tableau[r]
 
     status = _iterate(tableau, basis, n_total, max_iter)
     if status == UNBOUNDED:
@@ -123,41 +120,39 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     return LpResult(OPTIMAL, xs, float(c @ xs))
 
 
-def c_at(c: np.ndarray, j: int, n: int) -> float:
-    return c[j] if j < n else 0.0
-
-
 def _iterate(tableau: np.ndarray, basis: list, n_cols: int, max_iter: int) -> str:
     m = tableau.shape[0] - 1
     for _ in range(max_iter):
         # Bland: entering = lowest-index column with negative reduced cost
-        enter = -1
-        for j in range(n_cols):
-            if tableau[m, j] < -_TOL:
-                enter = j
-                break
-        if enter < 0:
+        negative = tableau[m, :n_cols] < -_TOL
+        enter = int(negative.argmax())
+        if not negative[enter]:
             return OPTIMAL
-        # leaving: min ratio, ties by lowest basis variable index (Bland)
+        # leaving: min ratio, ties by lowest basis variable index (Bland).
+        # The scan stays sequential: a vectorized minimum would break
+        # tolerance ties differently.
+        column = tableau[:m, enter]
+        rows = (column > _TOL).nonzero()[0]
+        if rows.size == 0:
+            return UNBOUNDED
+        ratios = (tableau[rows, -1] / column[rows]).tolist()
         best_ratio = None
         leave = -1
-        for r in range(m):
-            a = tableau[r, enter]
-            if a > _TOL:
-                ratio = tableau[r, -1] / a
-                if (best_ratio is None or ratio < best_ratio - _TOL
-                        or (abs(ratio - best_ratio) <= _TOL and basis[r] < basis[leave])):
-                    best_ratio = ratio
-                    leave = r
-        if leave < 0:
-            return UNBOUNDED
+        for r, ratio in zip(rows.tolist(), ratios):
+            if (best_ratio is None or ratio < best_ratio - _TOL
+                    or (abs(ratio - best_ratio) <= _TOL and basis[r] < basis[leave])):
+                best_ratio = ratio
+                leave = r
         _pivot(tableau, basis, leave, enter)
     raise RuntimeError("simplex iteration limit exceeded")
 
 
 def _pivot(tableau: np.ndarray, basis: list, row: int, col: int) -> None:
+    """Gauss-Jordan step as one rank-1 update.  Each entry gets the same
+    multiply and subtract as in a row-by-row elimination; rows whose factor
+    is zero change at most in the sign of a zero."""
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row]
     basis[row] = col

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph import ExpandedGraph
 from .instance import Instance, TW_PICKUP
 from .lp import solve_lp
@@ -31,6 +33,28 @@ class ScheduleResult:
     solution: Solution | None = None
     # timing-only lower bound value when scheduling partial chains
     bound: float = math.inf
+
+
+class _Rows:
+    """Constraint rows gathered as (row, column, coefficient) triplets and
+    scattered into one dense matrix."""
+
+    def __init__(self):
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+        self.rhs: list[float] = []
+
+    def add(self, coeffs: dict, rhs: float) -> None:
+        self.rows.extend([len(self.rhs)] * len(coeffs))
+        self.cols.extend(coeffs)
+        self.vals.extend(coeffs.values())
+        self.rhs.append(rhs)
+
+    def matrix(self, n: int) -> np.ndarray:
+        out = np.zeros((len(self.rhs), n))
+        out[self.rows, self.cols] = self.vals
+        return out
 
 
 def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
@@ -72,9 +96,10 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             if chain.index(p) > chain.index(d):
                 return f"request {r} delivered before pickup", None
         else:
-            if not inst.selective:
+            # in a partial routing, a request not accepted yet is undecided
+            if not partial and not inst.selective:
                 return f"request {r} cannot be rejected in non-selective mode", None
-            if req.force_accept:
+            if not partial and req.force_accept:
                 return f"request {r} is must-serve but rejected", None
             if p in seen or d in seen:
                 return f"request {r} rejected but routed", None
@@ -168,15 +193,8 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             var("Tk", k, 0.0, min(inst.agents[k].max_duration, horizon))
     i_t_total = var("T", None, 0.0, horizon)
 
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-
-    def row_ub(coeffs, rhs):
-        a_ub.append(coeffs)
-        b_ub.append(rhs)
-
-    def row_eq(coeffs, rhs):
-        a_eq.append(coeffs)
-        b_eq.append(rhs)
+    ub_rows, eq_rows = _Rows(), _Rows()
+    row_ub, row_eq = ub_rows.add, eq_rows.add
 
     def xi_triplet(node):
         return [index[("xi", (node, s))] for s in (1, 2, 3)]
@@ -302,18 +320,9 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         c[index[("Dr", r)]] = lam * inst.weights.zeta
 
     n = len(cols)
-
-    def dense(rows):
-        out = []
-        for coeffs in rows:
-            line = [0.0] * n
-            for idx, coef in coeffs.items():
-                line[idx] = coef
-            out.append(line)
-        return out
-
     bounds = [(lb, ub) for (_, _, lb, ub) in cols]
-    res = solve_lp(c, dense(a_ub), b_ub, dense(a_eq), b_eq, bounds)
+    res = solve_lp(c, ub_rows.matrix(n), ub_rows.rhs, eq_rows.matrix(n), eq_rows.rhs,
+                   bounds)
     if res.status != "optimal":
         return ScheduleResult(feasible=False, reason=f"timing LP {res.status}")
 

@@ -179,10 +179,6 @@ class _Search:
                 prev = node
         return True
 
-    def _station_choices(self, n_gaps):
-        """Per-gap choice lists: None or a station id."""
-        return [None] + list(range(self.inst.n_stations))
-
     def _slot_orders(self, gaps, gap_ids):
         """Duplicate-slot permutations for one station's visits.  Two visits
         by the same agent must take slots in route order; only cross-agent
@@ -203,7 +199,7 @@ class _Search:
                 out.append(perm)
         return out
 
-    def evaluate_leaf(self, chains, accepted, cutoff=math.inf):
+    def evaluate_leaf(self, chains, accepted):
         """Best complete schedule for fixed chains: enumerate depots, charging
         stops, and duplicate orderings."""
         inst, g = self.inst, self.graph
@@ -227,7 +223,7 @@ class _Search:
                     if g.metric and any(fs < combo_key for fs in feasible_sets):
                         continue  # strict superset of a cheaper feasible combo
                     found = self._eval_combo(chains, accepted, hub_opts, gaps,
-                                             per_station, cutoff)
+                                             per_station)
                     if found is None:
                         continue
                     feasible_sets.append(combo_key)
@@ -235,7 +231,7 @@ class _Search:
                         best = found
         return best
 
-    def _eval_combo(self, chains, accepted, hub_opts, gaps, per_station, cutoff):
+    def _eval_combo(self, chains, accepted, hub_opts, gaps, per_station):
         """Try one charging-stop placement with every duplicate ordering and
         depot choice; returns the best feasible schedule or None."""
         inst, g = self.inst, self.graph
@@ -265,9 +261,6 @@ class _Search:
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                 if res.feasible and (best is None or res.objective < best.objective - _EPS):
                     best = res
-        if best is not None and best.objective >= cutoff:
-            # still report it so domination pruning can use the feasibility
-            return best
         return best
 
     # -- tree walk -----------------------------------------------------------
@@ -301,7 +294,7 @@ class _Search:
         self._tick()
         if depth == len(self.order):
             self.leaves += 1
-            res = self.evaluate_leaf(chains, accepted, cutoff=self.best_obj)
+            res = self.evaluate_leaf(chains, accepted)
             if res is not None and res.objective < self.best_obj - _EPS:
                 self.best = res
                 self.best_obj = res.objective

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emdarp.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from emdarp.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _iterate, _pivot, solve_lp
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -43,6 +43,44 @@ def test_degenerate_does_not_cycle():
     assert res.objective == pytest.approx(-0.05)
 
 
+def _pivot_by_rows(tableau, row, col):
+    """Row-by-row Gauss-Jordan step: the reference for the rank-1 update."""
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+
+
+def test_pivot_matches_row_by_row_elimination():
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 12)), int(rng.integers(2, 20))
+        # sparse, like the scheduling tableaux: most rows skip the update
+        tableau = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
+        row, col = int(rng.integers(m)), int(rng.integers(n))
+        tableau[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        expected = tableau.copy()
+        _pivot_by_rows(expected, row, col)
+        basis = list(range(m))
+        _pivot(tableau, basis, row, col)
+        assert np.array_equal(tableau, expected), seed
+        assert basis[row] == col
+
+
+def test_ratio_ties_go_to_the_lowest_basis_index():
+    # column 0 enters; row 0 has the smaller ratio, but only by less than
+    # the tolerance, so the row whose basic variable has the lower index
+    # (row 1, basic variable 1) leaves
+    tableau = np.array([
+        [1.0, 0.0, 1.0, 1.0 - 5e-10],
+        [1.0, 1.0, 0.0, 1.0],
+        [-1.0, 0.0, 0.0, 0.0],
+    ])
+    basis = [2, 1]
+    assert _iterate(tableau, basis, 3, 10) == OPTIMAL
+    assert basis == [2, 0]
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_random_against_scipy(seed):
     rng = np.random.default_rng(seed)
@@ -71,3 +109,48 @@ def test_random_against_scipy(seed):
     else:
         assert ours.status == OPTIMAL
         assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
+def _check_against_scipy(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    ours = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    # HiGHS's presolve calls some unbounded LPs infeasible: settle
+    # feasibility with a zero objective, then solve without presolve
+    def linprog(cost, **options):
+        return scipy_opt.linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                 bounds=bounds, method="highs", options=options)
+    if linprog(np.zeros(len(c))).status == 2:
+        expected = INFEASIBLE
+    else:
+        ref = linprog(c, presolve=False)
+        expected = {0: OPTIMAL, 3: UNBOUNDED}[ref.status]
+    assert ours.status == expected
+    if expected == OPTIMAL:
+        assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+        x = ours.x
+        assert np.all(A_ub @ x <= b_ub + 1e-7)
+        assert np.allclose(A_eq @ x, b_eq, atol=1e-7)
+        for xj, (lo, hi) in zip(x, bounds):
+            assert xj >= lo - 1e-7 and (hi is None or xj <= hi + 1e-7)
+    return expected
+
+
+def test_degenerate_integer_lps_against_scipy():
+    # small integer data with many zero right-hand sides: ratio-test ties
+    # (equal ratios, settled by the lowest basis index) are common, and the
+    # draws include infeasible and unbounded LPs
+    statuses = []
+    for seed in range(300):
+        rng = np.random.default_rng(10_000 + seed)
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 8))
+        meq = int(rng.integers(0, 3))
+        c = rng.integers(-3, 4, size=n).astype(float)
+        A_ub = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b_ub = rng.integers(0, 3, size=m).astype(float) * (rng.random(m) < 0.6)
+        A_eq = rng.integers(-2, 3, size=(meq, n)).astype(float)
+        b_eq = rng.integers(-2, 3, size=meq).astype(float)
+        bounds = [(float(rng.choice([0.0, -1.0])),
+                   [None, 1.0, 2.0, 3.0][int(rng.integers(0, 4))]) for _ in range(n)]
+        statuses.append(_check_against_scipy(c, A_ub, b_ub, A_eq, b_eq, bounds))
+    for status in (OPTIMAL, INFEASIBLE, UNBOUNDED):
+        assert statuses.count(status) >= 10, statuses.count(status)

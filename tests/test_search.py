@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from emdarp.generate import GenConfig, generate, generate_document
 from emdarp.graph import expand_graph
+from emdarp.instance import instance_from_dict
 from emdarp.model import build_model
 from emdarp.scheduling import schedule_routes
 from emdarp.search import (
@@ -101,6 +103,32 @@ def test_nonselective_overload_is_infeasible():
     assert res.solution is None
     oracle = exhaustive_oracle(inst)
     assert oracle.status == "infeasible"
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_nonselective_matches_oracle(seed):
+    # requests a partial routing has not placed yet are undecided, not
+    # rejected, so the partial-chain bound stays finite above the leaves
+    inst = generate(GenConfig(seed=seed, n_requests=3, n_agents=2, selective=False))
+    bb = branch_and_bound(inst)
+    oracle = exhaustive_oracle(inst)
+    assert bb.status == oracle.status == "optimal"
+    assert bb.objective == pytest.approx(oracle.objective, abs=1e-6)
+    assert bb.solution.accepted == [True, True, True]
+
+
+def test_undecided_must_serve_request_is_not_rejected():
+    # the must-serve request comes last in the branching order, so every
+    # partial routing above it leaves it undecided
+    doc = generate_document(GenConfig(seed=3, n_requests=3, n_agents=1))
+    doc["requests"][1]["force_accept"] = True
+    inst = instance_from_dict(doc)
+    assert request_order(inst)[-1] == 1
+    bb = branch_and_bound(inst)
+    oracle = exhaustive_oracle(inst)
+    assert bb.status == oracle.status == "optimal"
+    assert bb.objective == pytest.approx(oracle.objective, abs=1e-6)
+    assert bb.solution.accepted == oracle.solution.accepted
 
 
 def test_forced_charging_stop():

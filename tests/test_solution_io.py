@@ -1,4 +1,4 @@
-import shutil
+import shlex
 import sys
 
 import pytest
@@ -152,12 +152,11 @@ def test_run_external_requires_configuration(monkeypatch):
         run_external(model, command="solver-without-placeholders")
 
 
-@pytest.mark.skipif(shutil.which("python3") is None, reason="needs python3")
 def test_run_external_with_bundled_tool():
     pytest.importorskip("scipy")
     inst = make_instance()
     model = build_model(inst)
-    cmd = f"{sys.executable} -m emdarp.tools.solve_mps {{model}} {{solution}}"
+    cmd = f"{shlex.quote(sys.executable)} -m emdarp.tools.solve_mps {{model}} {{solution}}"
     parsed = run_external(model, command=cmd, timeout=120)
     assert parsed.status == "optimal"
     sol = decode_solution(model, parsed.values, objective=parsed.objective,

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import shlex
 import sys
 
 import pytest
@@ -191,7 +192,7 @@ def test_external_solution_validates():
     pytest.importorskip("scipy")
     inst = make_instance(n_requests=2)
     model = build_model(inst)
-    cmd = f"{sys.executable} -m emdarp.tools.solve_mps {{model}} {{solution}}"
+    cmd = f"{shlex.quote(sys.executable)} -m emdarp.tools.solve_mps {{model}} {{solution}}"
     parsed = run_external(model, command=cmd, timeout=300)
     assert parsed.status == "optimal"
     sol = decode_solution(model, parsed.values, objective=parsed.objective,
