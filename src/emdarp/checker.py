@@ -55,14 +55,13 @@ class ValidationReport:
 def charge_curve(soc_arrival: float, total_time: float, battery):
     """State of charge after plugging in for total_time, plus per-segment times.
 
-    Charging fills the fast segment up to 0.85, then the middle segment up to
-    0.95, then trickles to 1.0; any time left over past a full battery is idle.
+    Charging fills each segment up to its ceiling at its rate, fastest
+    first; any time left over past a full battery is idle.
     """
     soc = soc_arrival
     times = []
     remaining = total_time
-    for rate, ceiling in ((battery.beta1, 0.85), (battery.beta2, 0.95),
-                          (battery.beta3, 1.0)):
+    for rate, ceiling in zip(battery.rates, battery.CEILINGS):
         span = max(0.0, ceiling - soc)
         t = min(remaining, span / rate) if rate > 0 else 0.0
         times.append(t)
@@ -288,12 +287,12 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
                      agent.soc_target, "departure floor")
                 a.le("38", (k, g.label(rec.node)), rec.soc_departure, 1.0)
                 a.le("41", (k, g.label(rec.node), "b"),
-                     rec.soc_arrival + b.beta1 * xi1, 0.85, "fast segment ceiling")
+                     rec.soc_arrival + b.beta1 * xi1, b.CEILINGS[0], "fast segment ceiling")
                 a.le("41", (k, g.label(rec.node), "d"),
-                     rec.soc_arrival + b.beta1 * xi1 + b.beta2 * xi2, 0.95,
+                     rec.soc_arrival + b.beta1 * xi1 + b.beta2 * xi2, b.CEILINGS[1],
                      "middle segment ceiling")
-                a.le("41", (k, g.label(rec.node), "e"), b.beta2 * xi2, 0.1)
-                a.le("41", (k, g.label(rec.node), "f"), b.beta3 * xi3, 0.05)
+                a.le("41", (k, g.label(rec.node), "e"), b.beta2 * xi2, b.WIDTHS[1])
+                a.le("41", (k, g.label(rec.node), "f"), b.beta3 * xi3, b.WIDTHS[2])
                 a.ge("41", (k, g.label(rec.node), "nonneg"), min(xi1, xi2, xi3), 0.0)
                 prev_soc = rec.soc_departure
             elif g.is_hub(rec.node):

@@ -2,9 +2,10 @@
 
 Subcommands: validate, build, solve, check, gen, plot.  Exit codes follow a
 fixed convention: 0 success, 1 validation failure, 2 proven infeasible,
-3 resource limit reached, 4 I/O or configuration problem.  Every subcommand
-writes only to the output paths given on the command line; `--format json`
-switches the report printed on stdout from human tables to JSON.
+3 resource limit reached, 4 I/O, usage or configuration problem.  Every
+subcommand writes only to the output paths given on the command line;
+`--format json` switches the report printed on stdout from human tables to
+JSON.
 """
 
 from __future__ import annotations
@@ -56,11 +57,30 @@ def _load(path: str):
         raise _Exit(EXIT_VALIDATION, f"instance rejected: {exc}")
 
 
+def _load_solution(path: str) -> Solution:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return Solution.from_dict(json.load(fh))
+    except OSError as exc:
+        raise _Exit(EXIT_CONFIG, f"cannot read solution: {exc}")
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise _Exit(EXIT_CONFIG, f"solution file malformed: {exc}")
+
+
 class _Exit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
         self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with the configuration exit code; argparse's
+    own code 2 would read as "proven infeasible"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _Exit(EXIT_CONFIG, f"{self.prog}: error: {message}")
 
 
 def cmd_validate(args) -> int:
@@ -109,12 +129,6 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _solve_builtin(inst, args):
-    config = SearchConfig(node_limit=args.node_limit,
-                          time_limit=args.time_limit)
-    return branch_and_bound(inst, config=config)
-
-
 def _solve_external(inst, args):
     model = build_model(inst)
     try:
@@ -137,7 +151,8 @@ def _solve_external(inst, args):
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
     if args.engine == "builtin":
-        result = _solve_builtin(inst, args)
+        result = branch_and_bound(inst, config=SearchConfig(
+            node_limit=args.node_limit, time_limit=args.time_limit))
         sol, status = result.solution, result.status
     else:
         sol, status = _solve_external(inst, args)
@@ -183,15 +198,8 @@ def format_routes(sol: Solution) -> str:
 
 def cmd_check(args) -> int:
     inst = _load(args.instance)
-    graph = expand_graph(inst)
-    try:
-        with open(args.solution, encoding="utf-8") as fh:
-            sol = Solution.from_dict(json.load(fh))
-    except OSError as exc:
-        raise _Exit(EXIT_CONFIG, f"cannot read solution: {exc}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise _Exit(EXIT_CONFIG, f"solution file malformed: {exc}")
-    report = validate(inst, graph, sol, tol=args.tol)
+    report = validate(inst, expand_graph(inst), _load_solution(args.solution),
+                      tol=args.tol)
     doc = report.to_dict()
     lines = [f"checked: {'clean' if report.ok else 'VIOLATIONS'}",
              f"objective recomputed: {report.objective_recomputed:.6f} "
@@ -227,18 +235,9 @@ def cmd_gen(args) -> int:
 
 def cmd_plot(args) -> int:
     inst = _load(args.instance)
-    graph = expand_graph(inst)
-    sol = None
-    if args.solution:
-        try:
-            with open(args.solution, encoding="utf-8") as fh:
-                sol = Solution.from_dict(json.load(fh))
-        except OSError as exc:
-            raise _Exit(EXIT_CONFIG, f"cannot read solution: {exc}")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise _Exit(EXIT_CONFIG, f"solution file malformed: {exc}")
+    sol = _load_solution(args.solution) if args.solution else None
     try:
-        write_svg(inst, graph, args.out, sol)
+        write_svg(inst, expand_graph(inst), args.out, sol)
     except OSError as exc:
         raise _Exit(EXIT_CONFIG, f"cannot write SVG: {exc}")
     _emit(args, {"out": args.out}, f"wrote {args.out}")
@@ -246,7 +245,7 @@ def cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="emdarp",
         description="Model, solve, and inspect electric dial-a-ride instances.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -274,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a plain-text route plan")
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; the builtin search is "
-                        "single-threaded")
     p.add_argument("--solver-cmd", default=None,
                    help="external solver command template with {model} and "
                         "{solution} placeholders (default: $EMDARP_SOLVER_CMD)")
@@ -321,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _Exit as exc:
         sys.stderr.write(exc.message + "\n")

@@ -123,6 +123,20 @@ class ExpandedGraph:
     def cost(self, i: int, j: int) -> float:
         return self.cost_matrix[i][j]
 
+    def time_cost(self, i: int, j: int) -> float:
+        """Travel time of an arc; none for an open route's leg into a depot."""
+        if self.instance.open_vrp and j in self.hf:
+            return 0.0
+        return self.cost_matrix[i][j]
+
+    def energy_cost(self, i: int, j: int) -> float:
+        """Arc cost that discharges the battery; an open route's leg into a
+        depot counts only with open_vrp_soc_to_hub."""
+        inst = self.instance
+        if inst.open_vrp and not inst.open_vrp_soc_to_hub and j in self.hf:
+            return 0.0
+        return self.cost_matrix[i][j]
+
     def admissible(self, i: int, j: int, k: int | None = None) -> bool:
         if i in self.h0:
             if k is not None and i != self.start_node(k):

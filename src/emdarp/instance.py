@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 
 class InstanceError(ValueError):
@@ -75,12 +76,32 @@ class Agent:
 
 @dataclass(frozen=True)
 class BatteryModel:
+    """Linear discharge; charging at rate beta1, beta2, beta3 up to the
+    state of charge in CEILINGS.  WIDTHS are literals: ``0.95 - 0.85`` is not
+    ``0.1`` in floating point, and every model row and bound uses ``0.1``."""
+
     alpha0: float
     alpha1: float
     alpha2: float
     beta1: float
     beta2: float
     beta3: float
+
+    WIDTHS: ClassVar[tuple[float, float, float]] = (0.85, 0.1, 0.05)
+    CEILINGS: ClassVar[tuple[float, float, float]] = (0.85, 0.95, 1.0)
+
+    @property
+    def rates(self) -> tuple[float, float, float]:
+        return (self.beta1, self.beta2, self.beta3)
+
+    @property
+    def caps(self) -> tuple[float, float, float]:
+        """Longest useful charging time in each segment (width / rate)."""
+        return tuple(w / r for w, r in zip(self.WIDTHS, self.rates))
+
+    def gained(self, xi) -> float:
+        """Charge acquired from per-segment charging times *xi*."""
+        return sum(r * t for r, t in zip(self.rates, xi))
 
 
 @dataclass(frozen=True)

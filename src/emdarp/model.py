@@ -60,6 +60,7 @@ class VariableCatalog:
     def __init__(self):
         self.variables: dict[str, Variable] = {}
         self.x_arcs: dict[tuple[int, int, int], str] = {}  # (k, i, j) -> name
+        self.x_into: dict[tuple[int, int], list[str]] = {}  # (k, j) -> names, x_arcs order
 
     def add(self, name: str, lb: float, ub: float, integer: bool = False) -> str:
         if name in self.variables:
@@ -191,7 +192,7 @@ def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
         + sum(r.service_time for r in inst.requests)
         + sum(a.station_service_time for a in inst.agents) * n_f
         + (2 * inst.n_requests + n_f + 1) * max_c
-        + n_f * (0.85 / b.beta1 + 0.1 / b.beta2 + 1.0 / b.beta3)
+        + n_f * (b.caps[0] + b.caps[1] + b.CEILINGS[2] / b.beta3)
     )
     if not math.isfinite(horizon) or horizon > 1e15:
         raise OverflowError(f"time horizon {horizon} exceeds the representable range")
@@ -212,6 +213,7 @@ def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> Variable
         for (i, j) in graph.arcs_for_agent(k):
             name = cat.add(V.x(k, i, j), 0.0, 1.0, integer=True)
             cat.x_arcs[(k, i, j)] = name
+            cat.x_into.setdefault((k, j), []).append(name)
     for r in range(inst.n_requests):
         cat.add(V.y(r), 0.0, 1.0, integer=True)
     for i in list(graph.lp) + list(graph.ld) + list(graph.f):
@@ -234,22 +236,12 @@ def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> Variable
         for i in list(graph.lp) + list(graph.ld) + list(graph.f) + list(graph.hf):
             cat.add(V.phi(i, k), 0.0, 1.0)
     for i in graph.f:
-        cat.add(V.xi(i, 1), 0.0, 0.85 / b.beta1)
-        cat.add(V.xi(i, 2), 0.0, 0.1 / b.beta2)
-        cat.add(V.xi(i, 3), 0.0, 0.05 / b.beta3)
+        for seg, cap in enumerate(b.caps, start=1):
+            cat.add(V.xi(i, seg), 0.0, cap)
     for i in graph.f:
         cat.add(V.z(i, 1), 0.0, 1.0, integer=True)
         cat.add(V.z(i, 2), 0.0, 1.0, integer=True)
     return cat
-
-
-def _entries_to(graph: ExpandedGraph, cat: VariableCatalog, j: int, k: int) -> list[str]:
-    """x variable names of agent k's admissible arcs into node j."""
-    names = []
-    for (kk, i, jj), name in cat.x_arcs.items():
-        if kk == k and jj == j:
-            names.append(name)
-    return names
 
 
 def build_objective(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog,
@@ -293,13 +285,13 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
         p, d = graph.pickup_node(r), graph.delivery_node(r)
         coeffs = {V.y(r): 1.0}
         for k in range(inst.n_agents):
-            for name in _entries_to(graph, cat, p, k):
+            for name in cat.x_into.get((k, p), ()):
                 coeffs[name] = -1.0
         rows.append(Constraint("7", (r,), coeffs, EQ, 0.0))
 
         coeffs = {V.y(r): 1.0}
         for k in range(inst.n_agents):
-            for name in _entries_to(graph, cat, d, k):
+            for name in cat.x_into.get((k, d), ()):
                 coeffs[name] = -1.0
         rows.append(Constraint("8", (r,), coeffs, EQ, 0.0))
 
@@ -307,9 +299,9 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
         p, d = graph.pickup_node(r), graph.delivery_node(r)
         for k in range(inst.n_agents):
             coeffs: dict[str, float] = {}
-            for name in _entries_to(graph, cat, p, k):
+            for name in cat.x_into.get((k, p), ()):
                 coeffs[name] = 1.0
-            for name in _entries_to(graph, cat, d, k):
+            for name in cat.x_into.get((k, d), ()):
                 coeffs[name] = coeffs.get(name, 0.0) - 1.0
             rows.append(Constraint("9", (r, k), coeffs, EQ, 0.0))
 
@@ -336,7 +328,7 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
     for k in range(inst.n_agents):
         for h in graph.lp:
             coeffs: dict[str, float] = {}
-            for name in _entries_to(graph, cat, h, k):
+            for name in cat.x_into.get((k, h), ()):
                 coeffs[name] = 1.0
             for j in list(graph.lp) + list(graph.ld):
                 if graph.admissible(h, j):
@@ -344,7 +336,7 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
             rows.append(Constraint("12", (h, k), coeffs, EQ, 0.0))
         for h in graph.ld:
             coeffs = {}
-            for name in _entries_to(graph, cat, h, k):
+            for name in cat.x_into.get((k, h), ()):
                 coeffs[name] = 1.0
             for j in range(graph.n_nodes):
                 if graph.admissible(h, j):
@@ -352,7 +344,7 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
             rows.append(Constraint("13", (h, k), coeffs, EQ, 0.0))
         for h in graph.f:
             coeffs = {}
-            for name in _entries_to(graph, cat, h, k):
+            for name in cat.x_into.get((k, h), ()):
                 coeffs[name] = 1.0
             for j in range(graph.n_nodes):
                 if graph.admissible(h, j):
@@ -365,18 +357,6 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
             coeffs = {V.x(k, i, hub): 1.0 for i in list(graph.ld) + list(graph.f)}
             rows.append(Constraint("hub", (k,), coeffs, EQ, 1.0))
     return rows
-
-
-def _hub_time_cost(inst: Instance, graph: ExpandedGraph, i: int, j: int) -> float:
-    """Arc time cost toward a final depot as seen by duration rows (zero when open)."""
-    return 0.0 if inst.open_vrp else graph.cost(i, j)
-
-
-def _hub_soc_cost(inst: Instance, graph: ExpandedGraph, i: int, j: int) -> float:
-    """Arc cost toward a final depot as seen by the SoC rows."""
-    if inst.open_vrp and not inst.open_vrp_soc_to_hub:
-        return 0.0
-    return graph.cost(i, j)
 
 
 def build_timing(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog,
@@ -452,13 +432,13 @@ def build_timing(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog,
             s_i = inst.requests[graph.gamma(i)].service_time
             coeffs = {V.t(i): 1.0, V.Tk(k): -1.0}
             for j in graph.hf:
-                coeffs[V.x(k, i, j)] = _hub_time_cost(inst, graph, i, j) + M
+                coeffs[V.x(k, i, j)] = graph.time_cost(i, j) + M
             rows.append(Constraint("22", (i, k), coeffs, LE, M - s_i))
         for i in graph.f:
             coeffs = {V.t(i): 1.0, V.Tk(k): -1.0,
                       V.xi(i, 1): 1.0, V.xi(i, 2): 1.0, V.xi(i, 3): 1.0}
             for j in graph.hf:
-                coeffs[V.x(k, i, j)] = _hub_time_cost(inst, graph, i, j) + M
+                coeffs[V.x(k, i, j)] = graph.time_cost(i, j) + M
             rows.append(Constraint("23", (i, k), coeffs, LE, M - agent.station_service_time))
 
     for k in range(inst.n_agents):
@@ -511,6 +491,7 @@ def build_energy(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> 
     b = inst.battery
     loc = list(graph.lp) + list(graph.ld)
 
+    (w1, w2, w3), (c1, c2, _) = b.WIDTHS, b.CEILINGS
     for k, agent in enumerate(inst.agents):
         v = graph.start_node(k)
         for j in graph.lp:
@@ -530,7 +511,7 @@ def build_energy(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> 
 
         for i in graph.ld:
             for j in list(graph.f) + list(graph.hf):
-                c = _hub_soc_cost(inst, graph, i, j) if j in graph.hf else graph.cost(i, j)
+                c = graph.energy_cost(i, j)
                 coeffs = {V.phi(j, k): 1.0, V.phi(i, k): -1.0, V.x(k, i, j): 1.0}
                 rows.append(Constraint("36", (i, j, k), coeffs, LE, 1.0 - b.alpha0 * c))
 
@@ -549,7 +530,7 @@ def build_energy(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> 
 
         for i in graph.f:
             for j in list(graph.lp) + list(graph.hf):
-                c = _hub_soc_cost(inst, graph, i, j) if j in graph.hf else graph.cost(i, j)
+                c = graph.energy_cost(i, j)
                 coeffs = {V.phi(j, k): 1.0, V.phi(i, k): -1.0,
                           V.xi(i, 1): -b.beta1, V.xi(i, 2): -b.beta2, V.xi(i, 3): -b.beta3,
                           V.x(k, i, j): 1.0}
@@ -561,23 +542,23 @@ def build_energy(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> 
 
         for j in graph.f:
             enter = {V.x(k, i, j): 1.0 for i in graph.ld}
-            rows.append(Constraint("41", (j, k), {V.phi(j, k): 1.0, **enter}, LE, 1.85, "a"))
+            rows.append(Constraint("41", (j, k), {V.phi(j, k): 1.0, **enter}, LE, 1.0 + c1, "a"))
             rows.append(Constraint("41", (j, k),
-                                   {V.phi(j, k): 1.0, V.xi(j, 1): b.beta1, **enter}, LE, 1.85, "b"))
-            coeffs = {V.phi(j, k): -1.0, V.z(j, 1): 0.85, V.xi(j, 1): -b.beta1, **enter}
+                                   {V.phi(j, k): 1.0, V.xi(j, 1): b.beta1, **enter}, LE, 1.0 + c1, "b"))
+            coeffs = {V.phi(j, k): -1.0, V.z(j, 1): w1, V.xi(j, 1): -b.beta1, **enter}
             rows.append(Constraint("41", (j, k), coeffs, LE, 1.0, "c"))
             rows.append(Constraint("41", (j, k),
                                    {V.phi(j, k): 1.0, V.xi(j, 1): b.beta1, V.xi(j, 2): b.beta2,
-                                    **enter}, LE, 1.95, "d-up"))
-            coeffs = {V.phi(j, k): -1.0, V.z(j, 2): 0.1, V.z(j, 1): 0.85,
+                                    **enter}, LE, 1.0 + c2, "d-up"))
+            coeffs = {V.phi(j, k): -1.0, V.z(j, 2): w2, V.z(j, 1): w1,
                       V.xi(j, 1): -b.beta1, V.xi(j, 2): -b.beta2, **enter}
             rows.append(Constraint("41", (j, k), coeffs, LE, 1.0, "d-lo"))
 
     for j in graph.f:
         enter_all = {V.x(k, i, j): 1.0 for k in range(inst.n_agents) for i in graph.ld}
-        rows.append(Constraint("41", (j,), {V.xi(j, 2): b.beta2, V.z(j, 1): -0.1, **enter_all},
+        rows.append(Constraint("41", (j,), {V.xi(j, 2): b.beta2, V.z(j, 1): -w2, **enter_all},
                                LE, 1.0, "e"))
-        rows.append(Constraint("41", (j,), {V.xi(j, 3): b.beta3, V.z(j, 2): -0.05, **enter_all},
+        rows.append(Constraint("41", (j,), {V.xi(j, 3): b.beta3, V.z(j, 2): -w3, **enter_all},
                                LE, 1.0, "f"))
         rows.append(Constraint("42", (j,), {V.z(j, 2): 1.0, V.z(j, 1): -1.0}, LE, 0.0))
     return rows

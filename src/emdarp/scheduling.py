@@ -31,8 +31,6 @@ class ScheduleResult:
     reason: str = ""
     objective: float = math.inf
     solution: Solution | None = None
-    # timing-only lower bound value when scheduling partial chains
-    bound: float = math.inf
 
 
 class _Rows:
@@ -180,9 +178,8 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     use_soc = not partial
     for node, k in visited_by.items():
         if graph.is_station(node):
-            var("xi", (node, 1), 0.0, 0.85 / b.beta1)
-            var("xi", (node, 2), 0.0, 0.1 / b.beta2)
-            var("xi", (node, 3), 0.0, 0.05 / b.beta3)
+            for seg, cap in enumerate(b.caps, start=1):
+                var("xi", (node, seg), 0.0, cap)
     if use_soc:
         for k, chain in enumerate(chains):
             for node in chain:
@@ -210,9 +207,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         prev_t = None
         for node in chain:
             hub = graph.is_hub(node)
-            cost = graph.cost(prev, node)
-            if hub and inst.open_vrp:
-                cost = 0.0
+            cost = graph.time_cost(prev, node)
             target = index[("Tk", k)] if hub else index[("t", node)]
             if prev_t is None:
                 # leave the start position after the initial delay
@@ -238,8 +233,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                 if graph.is_station(last):
                     for idx in xi_triplet(last):
                         coeffs[idx] = 1.0
-                if not inst.open_vrp and inst.final_depots:
-                    rhs -= min(graph.cost(last, h) for h in graph.hf)
+                rhs -= min((graph.time_cost(last, h) for h in graph.hf), default=0.0)
                 row_ub(coeffs, rhs)
         if chain:
             row_ub({index[("Tk", k)]: 1.0, i_t_total: -1.0}, 0.0)
@@ -280,9 +274,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             prev_phi = None
             for node in chain:
                 hub = graph.is_hub(node)
-                cost = graph.cost(prev, node)
-                if hub and inst.open_vrp and not inst.open_vrp_soc_to_hub:
-                    cost = 0.0
+                cost = graph.energy_cost(prev, node)
                 cur = index[("phi", ("hub", k) if hub else node)]
                 if prev_phi is None:
                     row_ub({cur: 1.0}, agent.soc_init - b.alpha0 * cost)
@@ -293,14 +285,14 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                         drop += (b.alpha1 * u1 + b.alpha2 * u2) * cost
                     coeffs = {cur: 1.0, prev_phi: -1.0}
                     if graph.is_station(prev):
-                        for idx, beta in zip(xi_triplet(prev), (b.beta1, b.beta2, b.beta3)):
+                        for idx, beta in zip(xi_triplet(prev), b.rates):
                             coeffs[idx] = -beta
                     row_ub(coeffs, -drop)
                 if hub:
                     break
                 if graph.is_station(node):
                     ix1, ix2, ix3 = xi_triplet(node)
-                    row_ub({cur: 1.0, ix1: b.beta1}, 0.85)
+                    row_ub({cur: 1.0, ix1: b.beta1}, b.CEILINGS[0])
                     floor = {cur: -1.0, ix1: -b.beta1, ix2: -b.beta2, ix3: -b.beta3}
                     row_ub(floor, -agent.soc_target)
                     row_ub({cur: 1.0, ix1: b.beta1, ix2: b.beta2, ix3: b.beta3}, 1.0)
@@ -330,21 +322,21 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                            for r, req in enumerate(inst.requests) if not accepted[r])
     objective = res.objective + rejected_penalty
     if partial:
-        return ScheduleResult(feasible=True, objective=objective, bound=objective)
+        return ScheduleResult(feasible=True, objective=objective)
 
     sol = _assemble(inst, graph, chains, accepted, loads, index, res.x, objective)
-    return ScheduleResult(feasible=True, objective=objective, solution=sol,
-                          bound=objective)
+    return ScheduleResult(feasible=True, objective=objective, solution=sol)
 
 
 def canonical_charge(soc_arrival: float, gained: float, battery):
     """Split a charge amount over the three segments, fastest first.
 
     Returns (xi1, xi2, xi3, z1, z2) with durations in time units."""
-    a1 = min(gained, max(0.0, 0.85 - soc_arrival))
-    a2 = min(gained - a1, 0.1)
+    room = max(0.0, battery.CEILINGS[0] - soc_arrival)
+    a1 = min(gained, room)
+    a2 = min(gained - a1, battery.WIDTHS[1])
     a3 = gained - a1 - a2
-    z1 = 1 if gained > max(0.0, 0.85 - soc_arrival) + 1e-12 else 0
+    z1 = 1 if gained > room + 1e-12 else 0
     z2 = 1 if a3 > 1e-12 else 0
     return (a1 / battery.beta1, a2 / battery.beta2, a3 / battery.beta3, z1, z2)
 
@@ -361,8 +353,7 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
                 # makespan when the agent is not makespan-binding; report
                 # the floor (actual arrival) instead
                 if visits:
-                    leg = 0.0 if inst.open_vrp else graph.cost(visits[-1].node, node)
-                    tk = visits[-1].departure + leg
+                    tk = visits[-1].departure + graph.time_cost(visits[-1].node, node)
                 else:
                     tk = x[index[("Tk", k)]]
                 phi = x[index[("phi", ("hub", k))]]
@@ -373,9 +364,7 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
             arrive = x[index[("t", node)]]
             phi = x[index[("phi", node)]]
             if graph.is_station(node):
-                gained = sum(beta * x[idx] for idx, beta in
-                             zip((index[("xi", (node, s))] for s in (1, 2, 3)),
-                                 (b.beta1, b.beta2, b.beta3)))
+                gained = b.gained([x[index[("xi", (node, s))]] for s in (1, 2, 3)])
                 xi1, xi2, xi3, _, _ = canonical_charge(phi, gained, b)
                 visits.append(VisitRecord(
                     node=node, label=graph.label(node), arrival=arrive,

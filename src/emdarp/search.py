@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
@@ -31,7 +31,6 @@ _EPS = 1e-9
 class SearchConfig:
     node_limit: int | None = None
     time_limit: float | None = None
-    deterministic: bool = True  # kept for API symmetry; search is single-threaded
 
 
 @dataclass
@@ -94,9 +93,9 @@ class _Search:
 
     # -- lower bound ----------------------------------------------------------
 
-    def _penalty(self, accepted, depth):
+    def _penalty(self, accepted, requests):
         return sum(self.inst.requests[r].priority * self.inst.weights.eta
-                   for r in self.order[:depth] if not accepted[r])
+                   for r in requests if not accepted[r])
 
     def _bound(self, chains, accepted, depth):
         """Lower bound for the subtree; math.inf means provably infeasible."""
@@ -105,18 +104,15 @@ class _Search:
                                   partial=True, big_m=self.big_m)
             if not res.feasible:
                 return math.inf
-            extra = sum(self.inst.requests[r].priority * self.inst.weights.eta
-                        for r in self.order[:depth]
-                        if not accepted[r]) - sum(
-                self.inst.requests[r].priority * self.inst.weights.eta
-                for r in range(self.inst.n_requests) if not accepted[r])
-            return res.bound + extra
+            # of the LP's rejection penalties, keep those of decided requests
+            return res.objective + (self._penalty(accepted, self.order[:depth])
+                                    - self._penalty(accepted, range(self.inst.n_requests)))
         # non-metric: only the combinatorial screen and sunk penalties are safe
         from .scheduling import check_routes
         reason, _ = check_routes(self.inst, self.graph, chains, accepted, partial=True)
         if reason is not None:
             return math.inf
-        return self._penalty(accepted, depth)
+        return self._penalty(accepted, self.order[:depth])
 
     # -- leaf evaluation --------------------------------------------------------
 
@@ -160,9 +156,7 @@ class _Search:
             u1 = u2 = 0.0
             prev = g.start_node(k)
             for node in chain:
-                cost = g.cost(prev, node)
-                if g.is_hub(node) and inst.open_vrp and not inst.open_vrp_soc_to_hub:
-                    cost = 0.0
+                cost = g.energy_cost(prev, node)
                 rate = b.alpha0
                 if not g.is_station(prev) and not g.is_hub(prev) and prev != g.start_node(k):
                     rate += b.alpha1 * u1 + b.alpha2 * u2
@@ -199,10 +193,11 @@ class _Search:
                 out.append(perm)
         return out
 
-    def evaluate_leaf(self, chains, accepted):
+    def evaluate_leaf(self, chains, accepted, inst: Instance | None = None):
         """Best complete schedule for fixed chains: enumerate depots, charging
-        stops, and duplicate orderings."""
-        inst, g = self.inst, self.graph
+        stops, and duplicate orderings.  The schedule meets the acceptance
+        rules of *inst*, by default the instance searched."""
+        inst, g = inst or self.inst, self.graph
         hub_opts = self._hub_options(chains)
         if hub_opts is None:
             return None
@@ -222,7 +217,7 @@ class _Search:
                     combo_key = frozenset(zip(gap_subset, stations))
                     if g.metric and any(fs < combo_key for fs in feasible_sets):
                         continue  # strict superset of a cheaper feasible combo
-                    found = self._eval_combo(chains, accepted, hub_opts, gaps,
+                    found = self._eval_combo(inst, chains, accepted, hub_opts, gaps,
                                              per_station)
                     if found is None:
                         continue
@@ -231,10 +226,10 @@ class _Search:
                         best = found
         return best
 
-    def _eval_combo(self, chains, accepted, hub_opts, gaps, per_station):
+    def _eval_combo(self, inst, chains, accepted, hub_opts, gaps, per_station):
         """Try one charging-stop placement with every duplicate ordering and
         depot choice; returns the best feasible schedule or None."""
-        inst, g = self.inst, self.graph
+        g = self.graph
         best = None
         dup_orders = [self._slot_orders(gaps, v) for v in per_station.values()]
         stations = list(per_station)
@@ -285,7 +280,7 @@ class _Search:
         solution = None
         if self.best is not None:
             solution = self.best.solution
-            solution.status = status if status in ("optimal", "feasible") else "feasible"
+            solution.status = status
         return SearchResult(status=status, solution=solution, objective=objective,
                             best_bound=bound, gap=gap, nodes=self.nodes,
                             leaves=self.leaves)
@@ -339,12 +334,20 @@ class _Search:
         way (undecided requests treated as rejected) is itself a feasible
         incumbent, which is what gives the tree search teeth: once a mostly
         accepting incumbent exists, any rejection branch is dominated by its
-        penalty and dies immediately."""
+        penalty and dies immediately.  A plan that leaves out a mandatory
+        request (must-serve, or any in a non-selective instance) is scored on a
+        copy of the instance that lets every request be rejected, and is no
+        incumbent."""
         inst = self.inst
         chains = [[] for _ in range(inst.n_agents)]
         accepted = [False] * inst.n_requests
-
-        if inst.selective and not any(r.force_accept for r in inst.requests):
+        mandatory = [r for r, req in enumerate(inst.requests)
+                     if not inst.selective or req.force_accept]
+        scoring = inst
+        if mandatory:
+            scoring = replace(inst, selective=True, requests=tuple(
+                replace(req, force_accept=False) for req in inst.requests))
+        else:
             res = self.evaluate_leaf(chains, accepted)
             if res is not None and res.objective < self.best_obj - _EPS:
                 self.best = res
@@ -365,17 +368,17 @@ class _Search:
             moves.sort(key=lambda m: (m[0], m[1]))
             chosen = None
             for _, _, cand in moves[:self._GREEDY_MOVES]:
-                res = self.evaluate_leaf(cand, acc)
+                res = self.evaluate_leaf(cand, acc, scoring)
                 if res is not None and (chosen is None
                                         or res.objective < chosen[0] - _EPS):
                     chosen = (res.objective, cand, res)
             if chosen is not None:
                 chains = chosen[1]
                 accepted = acc
-                if chosen[0] < self.best_obj - _EPS:
+                if chosen[0] < self.best_obj - _EPS and all(acc[q] for q in mandatory):
                     self.best = chosen[2]
                     self.best_obj = chosen[0]
-            elif not inst.selective or inst.requests[r].force_accept:
+            elif r in mandatory:
                 return  # a mandatory request has no greedy placement
 
 

@@ -77,9 +77,6 @@ class Solution:
     engine: str = ""
     gap: float | None = None
 
-    def plan_for(self, agent: int) -> RoutePlan:
-        return self.plans[agent]
-
     def to_dict(self) -> dict:
         doc = asdict(self)
         for plan in doc["plans"]:
@@ -259,13 +256,10 @@ def _visit_from_values(model: MilpModel, values: dict, node: int, k: int) -> Vis
     soc = values.get(V.phi(node, k), 0.0)
     if g.is_station(node):
         xi = tuple(values.get(V.xi(node, s), 0.0) for s in (1, 2, 3))
-        b = inst.battery
-        gained = b.beta1 * xi[0] + b.beta2 * xi[1] + b.beta3 * xi[2]
-        agent = inst.agents[k]
         return VisitRecord(
             node=node, label=g.label(node), arrival=arrival,
-            departure=arrival + agent.station_service_time + sum(xi),
-            soc_arrival=soc, soc_departure=soc + gained, charge_times=xi)
+            departure=arrival + inst.agents[k].station_service_time + sum(xi),
+            soc_arrival=soc, soc_departure=soc + inst.battery.gained(xi), charge_times=xi)
     service = inst.requests[g.gamma(node)].service_time
     return VisitRecord(
         node=node, label=g.label(node), arrival=arrival,

@@ -313,8 +313,8 @@ def test_criterion_9_determinism():
     mps_b = format_mps(build_model(inst))
     assert mps_a == mps_b
 
-    sol_a = branch_and_bound(inst, config=SearchConfig(deterministic=True))
-    sol_b = branch_and_bound(inst, config=SearchConfig(deterministic=True))
+    sol_a = branch_and_bound(inst)
+    sol_b = branch_and_bound(inst)
     assert sol_a.status == sol_b.status == "optimal"
     dump_a = json.dumps(sol_a.solution.to_dict(), sort_keys=True)
     dump_b = json.dumps(sol_b.solution.to_dict(), sort_keys=True)

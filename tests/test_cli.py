@@ -194,3 +194,16 @@ def test_plot_produces_valid_svg(tmp_path, capsys):
     code, _ = run(capsys, "plot", str(tmp_path / "inst.json"),
                   "--out", str(tmp_path / "bare.svg"))
     assert code == 0
+
+
+def test_usage_error_is_config_error(tmp_path, capsys):
+    # argparse exits with 2, which here would mean "proven infeasible"
+    path = write_doc(tmp_path)
+    code, out = run(capsys, "solve", path, "--out", str(tmp_path / "s.json"), "--threads", "2")
+    assert code == 4
+    assert "--threads" in out.err
+    code, out = run(capsys, "solve")
+    assert code == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0

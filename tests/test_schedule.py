@@ -191,7 +191,7 @@ def test_partial_bound_is_lower_bound():
     res_full = schedule_routes(inst, g, full, [True, True])
     res_part = schedule_routes(inst, g, part, [True, True], partial=True)
     assert res_full.feasible and res_part.feasible
-    assert res_part.bound <= res_full.objective + 1e-9
+    assert res_part.objective <= res_full.objective + 1e-9
 
 
 def test_max_duration_enforced():

@@ -8,8 +8,9 @@ from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict
 from emdarp.model import build_model
 from emdarp.scheduling import schedule_routes
+from emdarp.checker import validate
 from emdarp.search import (
-    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _insertions,
+    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _insertions, _Search,
 )
 from emdarp.solution import encode_plan
 
@@ -117,6 +118,21 @@ def test_nonselective_matches_oracle(seed):
     assert bb.solution.accepted == [True, True, True]
 
 
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_greedy_incumbent_on_nonselective(seed):
+    # a greedy plan that still leaves requests out is scored, not discarded;
+    # it becomes the incumbent once every request is placed
+    inst = generate(GenConfig(seed=seed, n_requests=3, n_agents=2, selective=False))
+    g = expand_graph(inst)
+    search = _Search(inst, g, SearchConfig())
+    search._greedy_incumbent()
+    assert math.isfinite(search.best_obj)
+    sol = search.best.solution
+    assert sol.accepted == [True, True, True]
+    assert validate(inst, g, sol).ok
+    assert search.best_obj >= exhaustive_oracle(inst, g).objective - 1e-6
+
+
 def test_undecided_must_serve_request_is_not_rejected():
     # the must-serve request comes last in the branching order, so every
     # partial routing above it leaves it undecided
@@ -214,3 +230,23 @@ def test_deterministic_runs():
     assert a.objective == b.objective
     assert [p.nodes for p in a.solution.plans] == [p.nodes for p in b.solution.plans]
     assert (a.nodes, a.leaves) == (b.nodes, b.leaves)
+
+
+@pytest.mark.parametrize("cfg", [
+    GenConfig(seed=1000 + s, n_requests=2 + s % 2, n_agents=1 + s // 2 % 2, n_stations=1,
+              duplicate_visits=s % 2, preset="high-discharge", open_vrp=True,
+              selective=bool(s % 5), area=2000.0 + 500.0 * (s % 3))
+    for s in (0, 9, 11, 24, 27, 35)
+], ids=lambda cfg: f"s{cfg.seed}")
+def test_open_routes_without_depot_energy_match_oracle(cfg):
+    # without open_vrp_soc_to_hub the last leg of an open route draws no
+    # energy; on each of these instances that moves the optimum
+    doc = generate_document(cfg)
+    doc["config"]["open_vrp_soc_to_hub"] = False
+    inst = instance_from_dict(doc)
+    g = expand_graph(inst)
+    bb = branch_and_bound(inst, g)
+    oracle = exhaustive_oracle(inst, g)
+    assert bb.status == oracle.status == "optimal"
+    assert bb.objective == pytest.approx(oracle.objective, abs=1e-6)
+    assert validate(inst, g, bb.solution).ok
