@@ -17,13 +17,12 @@ import sys
 from .checker import validate
 from .generate import GenConfig, generate
 from .graph import expand_graph
-from .instance import (InstanceError, ParseError, ValidationError,
-                       load_instance, save_instance)
+from .instance import InstanceError, load_instance, save_instance
 from .model import build_model
 from .mps import write_mps
 from .search import SearchConfig, branch_and_bound
-from .solution import (DecodeError, ExternalSolverError, Solution,
-                       SolutionFormatError, decode_solution, run_external)
+from .solution import (DecodeError, ExternalSolverError, Solution, decode_solution,
+                       run_external)
 from .svgplot import write_svg
 
 EXIT_OK = 0
@@ -51,8 +50,6 @@ def _load(path: str):
         return load_instance(path)
     except OSError as exc:
         raise _Exit(EXIT_CONFIG, f"cannot read instance: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _Exit(EXIT_CONFIG, f"instance is not valid JSON: {exc}")
     except InstanceError as exc:
         raise _Exit(EXIT_VALIDATION, f"instance rejected: {exc}")
 

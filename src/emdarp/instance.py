@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 
@@ -76,8 +76,8 @@ class Agent:
 
 @dataclass(frozen=True)
 class BatteryModel:
-    """Linear discharge; charging at rate beta1, beta2, beta3 up to the
-    state of charge in CEILINGS.  WIDTHS are literals: ``0.95 - 0.85`` is not
+    """Discharge linear in distance and load (see ``drain``); charging at
+    rate beta1, beta2, beta3 up to the state of charge in CEILINGS.  WIDTHS are literals: ``0.95 - 0.85`` is not
     ``0.1`` in floating point, and every model row and bound uses ``0.1``."""
 
     alpha0: float
@@ -102,6 +102,13 @@ class BatteryModel:
     def gained(self, xi) -> float:
         """Charge acquired from per-segment charging times *xi*."""
         return sum(r * t for r, t in zip(self.rates, xi))
+
+    def drain(self, cost: float, load: tuple[float, float]) -> float:
+        """Charge used on a leg of energy cost *cost* driven with *load*
+        (passengers, equipment) on board.  An empty vehicle drains
+        ``alpha0 * cost`` exactly: the load term adds ``0.0``."""
+        u1, u2 = load
+        return self.alpha0 * cost + (self.alpha1 * u1 + self.alpha2 * u2) * cost
 
 
 @dataclass(frozen=True)
@@ -280,22 +287,17 @@ def validate_instance(inst: Instance) -> None:
     if inst.time_unit not in TIME_UNIT_SECONDS:
         raise ValidationError("meta.time_unit", f"unknown time unit {inst.time_unit!r}")
 
+    if inst.cost_mode not in ("euclidean", "matrix"):
+        raise ValidationError("costs.mode", f"must be 'euclidean' or 'matrix', got {inst.cost_mode!r}")
+    derive_costs(inst)  # raises on a misshapen matrix or missing coordinates
     if inst.cost_mode == "matrix":
-        n = base_node_count(inst)
         m = inst.cost_matrix
-        if m is None or len(m) != n or any(len(row) != n for row in m):
-            got = 0 if m is None else len(m)
-            raise ValidationError("costs.matrix", f"matrix must be {n}x{n} (base node count), got {got} rows")
-        for i in range(n):
-            for j in range(n):
+        for i in range(len(m)):
+            for j in range(len(m)):
                 if i == j and m[i][j] != 0:
                     raise ValidationError(f"costs.matrix[{i}][{j}]", "diagonal entries must be 0")
                 if i != j and not m[i][j] > 0:
                     raise ValidationError(f"costs.matrix[{i}][{j}]", "off-diagonal entries must be > 0")
-    elif inst.cost_mode == "euclidean":
-        derive_costs(inst)  # raises on missing coordinates
-    else:
-        raise ValidationError("costs.mode", f"must be 'euclidean' or 'matrix', got {inst.cost_mode!r}")
 
 
 # --- document schema ---------------------------------------------------------
@@ -515,7 +517,7 @@ def load_instance(path) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(str(path), f"malformed document: {exc}") from exc
     return instance_from_dict(doc)
 

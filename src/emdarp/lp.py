@@ -32,6 +32,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _TOL = 1e-9
+_MAX_ITER = 100_000  # pivots per phase before the solve is abandoned
 
 
 @dataclass
@@ -41,8 +42,7 @@ class LpResult:
     objective: float | None
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-             max_iter: int = 100_000) -> LpResult:
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
     c = np.asarray(c, dtype=float)
     n = c.size
     A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
@@ -86,7 +86,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     for r in range(m):
         tableau[m] -= tableau[r]
 
-    status = _iterate(tableau, basis, n_total + m, max_iter)
+    status = _iterate(tableau, basis, n_total + m)
     if status == UNBOUNDED or tableau[m, -1] < -1e-7:
         return LpResult(INFEASIBLE, None, None)
 
@@ -108,7 +108,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
         if basis[r] < n and c[basis[r]] != 0.0:
             tableau[m] -= c[basis[r]] * tableau[r]
 
-    status = _iterate(tableau, basis, n_total, max_iter)
+    status = _iterate(tableau, basis, n_total)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
 
@@ -120,7 +120,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     return LpResult(OPTIMAL, xs, float(c @ xs))
 
 
-def _iterate(tableau: np.ndarray, basis: list, n_cols: int, max_iter: int) -> str:
+def _iterate(tableau: np.ndarray, basis: list, n_cols: int,
+             max_iter: int = _MAX_ITER) -> str:
     m = tableau.shape[0] - 1
     for _ in range(max_iter):
         # Bland: entering = lowest-index column with negative reduced cost

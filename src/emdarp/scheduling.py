@@ -12,7 +12,7 @@ slower and pins down the segment indicator values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +58,17 @@ class _Rows:
 def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                  partial: bool = False):
     """Discrete feasibility screen. Returns (reason, loads) where loads maps
-    node -> (passengers, equipment) on departure; reason is None when clean."""
+    node -> (passengers, equipment) on departure; reason is None when clean.
+
+    A partial routing (*partial* true) holds only pickups and deliveries and
+    may omit depots; every accepted request has both its stops placed, and a
+    request not accepted yet is undecided rather than rejected."""
     seen: dict[int, int] = {}
     for k, chain in enumerate(chains):
         prev = graph.start_node(k)
         for pos, node in enumerate(chain):
+            if partial and (graph.is_hub(node) or graph.is_station(node)):
+                return f"partial routing visits {graph.label(node)}", None
             if graph.is_hub(node):
                 if pos != len(chain) - 1:
                     return f"agent {k} visits a depot mid-route", None
@@ -85,8 +91,6 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         p, d = graph.pickup_node(r), graph.delivery_node(r)
         if accepted[r]:
             if p not in seen or d not in seen:
-                if partial:
-                    continue
                 return f"request {r} accepted but not fully routed", None
             if seen[p] != seen[d]:
                 return f"request {r} split across agents", None
@@ -94,7 +98,6 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             if chain.index(p) > chain.index(d):
                 return f"request {r} delivered before pickup", None
         else:
-            # in a partial routing, a request not accepted yet is undecided
             if not partial and not inst.selective:
                 return f"request {r} cannot be rejected in non-selective mode", None
             if not partial and req.force_accept:
@@ -122,8 +125,6 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             if graph.is_pickup(node) and u1 + agent.conversion * u2 > agent.cap_passengers + _EPS:
                 return f"agent {k} mixed load exceeds converted capacity", None
             loads[node] = (u1, u2)
-        if partial and (u1 > _EPS or u2 > _EPS):
-            return f"agent {k} partial chain ends loaded", None
 
     by_station: dict[int, list[int]] = {}
     for node in seen:
@@ -139,8 +140,10 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
 
 def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                     partial: bool = False, big_m=None) -> ScheduleResult:
-    """Time a fixed routing; with partial=True, chains may omit depots and the
-    result is only a valid objective lower bound (charging needs ignored)."""
+    """Time a fixed routing.  With partial=True the chains form a partial
+    routing (see check_routes) and the objective is the timing LP's optimum
+    alone, without rejection penalties: a lower bound on the routing cost of
+    every completion, since charging and depots are left out."""
     reason, loads = check_routes(inst, graph, chains, accepted, partial)
     if reason is not None:
         return ScheduleResult(feasible=False, reason=reason)
@@ -165,8 +168,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         cols.append((kind, key, lb, ub))
         return index[(kind, key)]
 
-    served = [r for r in range(inst.n_requests) if accepted[r]
-              and graph.pickup_node(r) in visited_by]
+    served = [r for r in range(inst.n_requests) if accepted[r]]
     for node in visited_by:
         var("t", node, 0.0, horizon)
     for r in served:
@@ -175,12 +177,11 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         var("tau", node, 0.0, math.inf)
         var("Tr", r, 0.0, math.inf)
         var("Dr", r, 0.0, math.inf)
-    use_soc = not partial
-    for node, k in visited_by.items():
+    for node in visited_by:
         if graph.is_station(node):
             for seg, cap in enumerate(b.caps, start=1):
                 var("xi", (node, seg), 0.0, cap)
-    if use_soc:
+    if not partial:
         for k, chain in enumerate(chains):
             for node in chain:
                 var("phi", node if not graph.is_hub(node) else ("hub", k),
@@ -197,8 +198,6 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         return [index[("xi", (node, s))] for s in (1, 2, 3)]
 
     def service(node):
-        if graph.is_station(node):
-            return None  # handled via xi
         return inst.requests[graph.gamma(node)].service_time
 
     for k, chain in enumerate(chains):
@@ -228,13 +227,9 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             if chain and partial:
                 # duration keeps counting after the last handled stop
                 last = chain[-1]
-                coeffs = {index[("t", last)]: 1.0, index[("Tk", k)]: -1.0}
-                rhs = -service(last) if not graph.is_station(last) else -agent.station_service_time
-                if graph.is_station(last):
-                    for idx in xi_triplet(last):
-                        coeffs[idx] = 1.0
-                rhs -= min((graph.time_cost(last, h) for h in graph.hf), default=0.0)
-                row_ub(coeffs, rhs)
+                rhs = -service(last) - min((graph.time_cost(last, h) for h in graph.hf),
+                                           default=0.0)
+                row_ub({index[("t", last)]: 1.0, index[("Tk", k)]: -1.0}, rhs)
         if chain:
             row_ub({index[("Tk", k)]: 1.0, i_t_total: -1.0}, 0.0)
 
@@ -267,22 +262,19 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                 coeffs[idx] = 1.0
             row_ub(coeffs, -inst.agents[k_prev].station_service_time)
 
-    if use_soc:
+    if not partial:
         for k, chain in enumerate(chains):
             agent = inst.agents[k]
             prev = graph.start_node(k)
             prev_phi = None
             for node in chain:
                 hub = graph.is_hub(node)
-                cost = graph.energy_cost(prev, node)
                 cur = index[("phi", ("hub", k) if hub else node)]
+                # the start and stations are left empty, so they have no load
+                drop = b.drain(graph.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
                 if prev_phi is None:
-                    row_ub({cur: 1.0}, agent.soc_init - b.alpha0 * cost)
+                    row_ub({cur: 1.0}, agent.soc_init - drop)
                 else:
-                    drop = b.alpha0 * cost
-                    if not graph.is_station(prev) and not graph.is_hub(prev):
-                        u1, u2 = loads[prev]
-                        drop += (b.alpha1 * u1 + b.alpha2 * u2) * cost
                     coeffs = {cur: 1.0, prev_phi: -1.0}
                     if graph.is_station(prev):
                         for idx, beta in zip(xi_triplet(prev), b.rates):
@@ -297,12 +289,6 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                     row_ub(floor, -agent.soc_target)
                     row_ub({cur: 1.0, ix1: b.beta1, ix2: b.beta2, ix3: b.beta3}, 1.0)
                 prev, prev_phi = node, cur
-    else:
-        # charging cannot help a lower bound, so pin the durations to zero
-        for node in visited_by:
-            if graph.is_station(node):
-                for idx in xi_triplet(node):
-                    row_eq({idx: 1.0}, 0.0)
 
     c = [0.0] * len(cols)
     c[i_t_total] = 1.0
@@ -318,11 +304,11 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     if res.status != "optimal":
         return ScheduleResult(feasible=False, reason=f"timing LP {res.status}")
 
+    if partial:
+        return ScheduleResult(feasible=True, objective=res.objective)
     rejected_penalty = sum(req.priority * inst.weights.eta
                            for r, req in enumerate(inst.requests) if not accepted[r])
     objective = res.objective + rejected_penalty
-    if partial:
-        return ScheduleResult(feasible=True, objective=objective)
 
     sol = _assemble(inst, graph, chains, accepted, loads, index, res.x, objective)
     return ScheduleResult(feasible=True, objective=objective, solution=sol)
@@ -391,7 +377,7 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
 
     request_times, request_slacks = [], []
     for r in range(inst.n_requests):
-        if accepted[r] and ("Tr", r) in index:
+        if accepted[r]:
             request_times.append(x[index[("Tr", r)]])
             request_slacks.append(x[index[("Dr", r)]])
         else:

@@ -53,6 +53,28 @@ def request_order(inst: Instance):
                   key=lambda r: (-inst.requests[r].priority, r))
 
 
+def _departure_loads(inst: Instance, graph: ExpandedGraph, chains):
+    """node -> (passengers, equipment) on board when leaving it, for chains of
+    pickups and deliveries."""
+    loads = {}
+    for chain in chains:
+        u1 = u2 = 0.0
+        for node in chain:
+            req = inst.requests[graph.gamma(node)]
+            sign = graph.mu(node)
+            u1 += sign * req.passengers
+            u2 += sign * req.equipment
+            loads[node] = (u1, u2)
+    return loads
+
+
+def _charging_gaps(graph: ExpandedGraph, chains, loads):
+    """(agent, position) pairs where a charging stop may be inserted:
+    directly after a delivery that empties the vehicle."""
+    return [(k, pos) for k, chain in enumerate(chains) for pos, node in enumerate(chain)
+            if graph.is_delivery(node) and loads[node] == (0.0, 0.0)]
+
+
 def _insertions(chain, p, d):
     """All chains obtained by inserting pickup p and delivery d (p first)."""
     out = []
@@ -104,9 +126,7 @@ class _Search:
                                   partial=True, big_m=self.big_m)
             if not res.feasible:
                 return math.inf
-            # of the LP's rejection penalties, keep those of decided requests
-            return res.objective + (self._penalty(accepted, self.order[:depth])
-                                    - self._penalty(accepted, range(self.inst.n_requests)))
+            return res.objective + self._penalty(accepted, self.order[:depth])
         # non-metric: only the combinatorial screen and sunk penalties are safe
         from .scheduling import check_routes
         reason, _ = check_routes(self.inst, self.graph, chains, accepted, partial=True)
@@ -131,45 +151,22 @@ class _Search:
                              for h in range(len(self.inst.final_depots))])
         return opts
 
-    def _gaps(self, chains):
-        """(agent, position) pairs where a charging stop may be inserted:
-        directly after a delivery that empties the vehicle."""
-        gaps = []
-        for k, chain in enumerate(chains):
-            u1 = u2 = 0.0
-            for pos, node in enumerate(chain):
-                req = self.inst.requests[self.graph.gamma(node)]
-                sign = self.graph.mu(node)
-                u1 += sign * req.passengers
-                u2 += sign * req.equipment
-                if self.graph.is_delivery(node) and u1 == 0 and u2 == 0:
-                    gaps.append((k, pos))
-        return gaps
-
-    def _precheck_soc(self, chains_full):
-        """Best-case walk: can the route survive even with full recharges?"""
+    def _precheck_soc(self, chains_full, loads):
+        """Best-case walk: can the route survive even with full recharges?
+        *loads* are the leaf's departure loads; the start, stations and
+        depots carry none."""
         inst, g = self.inst, self.graph
         b = inst.battery
         for k, chain in enumerate(chains_full):
             agent = inst.agents[k]
             soc = agent.soc_init
-            u1 = u2 = 0.0
             prev = g.start_node(k)
             for node in chain:
-                cost = g.energy_cost(prev, node)
-                rate = b.alpha0
-                if not g.is_station(prev) and not g.is_hub(prev) and prev != g.start_node(k):
-                    rate += b.alpha1 * u1 + b.alpha2 * u2
-                soc -= rate * cost
+                soc -= b.drain(g.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
                 if soc < agent.soc_min - _EPS:
                     return False
                 if g.is_station(node):
                     soc = 1.0
-                elif not g.is_hub(node):
-                    req = inst.requests[g.gamma(node)]
-                    sign = g.mu(node)
-                    u1 += sign * req.passengers
-                    u2 += sign * req.equipment
                 prev = node
         return True
 
@@ -201,7 +198,8 @@ class _Search:
         hub_opts = self._hub_options(chains)
         if hub_opts is None:
             return None
-        gaps = self._gaps(chains)
+        loads = _departure_loads(inst, g, chains)
+        gaps = _charging_gaps(g, chains, loads)
         max_visits = inst.duplicate_visits + 1
         best: ScheduleResult | None = None
         feasible_sets: list[frozenset] = []
@@ -218,7 +216,7 @@ class _Search:
                     if g.metric and any(fs < combo_key for fs in feasible_sets):
                         continue  # strict superset of a cheaper feasible combo
                     found = self._eval_combo(inst, chains, accepted, hub_opts, gaps,
-                                             per_station)
+                                             loads, per_station)
                     if found is None:
                         continue
                     feasible_sets.append(combo_key)
@@ -226,7 +224,7 @@ class _Search:
                         best = found
         return best
 
-    def _eval_combo(self, inst, chains, accepted, hub_opts, gaps, per_station):
+    def _eval_combo(self, inst, chains, accepted, hub_opts, gaps, loads, per_station):
         """Try one charging-stop placement with every duplicate ordering and
         depot choice; returns the best feasible schedule or None."""
         g = self.graph
@@ -251,7 +249,7 @@ class _Search:
                 for k, hub in enumerate(hubs):
                     if hub is not None:
                         full[k].append(hub)
-                if not self._precheck_soc(full):
+                if not self._precheck_soc(full, loads):
                     continue
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                 if res.feasible and (best is None or res.objective < best.objective - _EPS):
@@ -465,16 +463,7 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
                                             for pairs in per_agent]):
                 base = [list(s) for s in seqs]
                 # every way to scatter station duplicates after zero-load stops
-                slots = []
-                for k, chain in enumerate(base):
-                    u1 = u2 = 0.0
-                    for pos, node in enumerate(chain):
-                        req = inst.requests[graph.gamma(node)]
-                        sign = graph.mu(node)
-                        u1 += sign * req.passengers
-                        u2 += sign * req.equipment
-                        if graph.is_delivery(node) and u1 == 0 and u2 == 0:
-                            slots.append((k, pos))
+                slots = _charging_gaps(graph, base, _departure_loads(inst, graph, base))
                 for n_st in range(0, min(len(slots), len(station_nodes)) + 1):
                     for slot_pick in itertools.combinations(slots, n_st):
                         for nodes in itertools.permutations(station_nodes, n_st):

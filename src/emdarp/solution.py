@@ -4,7 +4,7 @@ A Solution is route-centric: per-agent visit sequences annotated with times,
 loads, state of charge, and charge durations.  decode_solution() recovers that
 view from a raw variable assignment (builtin or external solver);
 encode_plan() goes the other way and fills in the conventional values for
-deactivated variables so the assignment satisfies every model row.
+deactivated variables so the assignment satisfies the model's rows.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .instance import TW_PICKUP
 from .model import MilpModel, V
@@ -271,11 +271,14 @@ def _visit_from_values(model: MilpModel, values: dict, node: int, k: int) -> Vis
 
 
 def encode_plan(model: MilpModel, solution: Solution) -> dict:
-    """Variable assignment reproducing the solution and satisfying every row.
+    """Variable assignment reproducing the solution and satisfying every row,
+    provided no leg drains more than ``(1 + soc_min) / 2`` of the battery
+    (see the state-of-charge convention below).
 
     Deactivated variables take their conventional values: rejected requests sit
     at the window start, unused load trackers carry the node demand, and idle
-    state-of-charge variables rest at the agent floor.
+    state-of-charge variables rest halfway between the agent floor and a full
+    battery.
     """
     inst, g = model.instance, model.graph
     values = {name: 0.0 for name in model.catalog.variables}
@@ -329,9 +332,19 @@ def encode_plan(model: MilpModel, solution: Solution) -> dict:
             if (d, k) not in visited_pairs:
                 values[V.u1(d, k)] = 0.0
                 values[V.u2(d, k)] = 0.0
+        # With x = 0, a row of families 35, 36 and 39 reads
+        # phi_j - phi_i + drain <= 1 (family 39 also subtracts the charge,
+        # which only helps); a row between two stops of the route takes the
+        # plan's own values.  When both ends are off the route the left side
+        # is the drain alone.  When one end is on it, that end lies in
+        # [soc_min, 1], and an off-route end at the midpoint keeps
+        # phi_j - phi_i <= (1 - soc_min) / 2.  So the rows hold for any drain
+        # up to (1 + soc_min) / 2, the widest margin a single value gives.
+        # At the floor soc_min, a leg into a stop reached fully charged could
+        # drain only soc_min, which high-discharge plans exceed.
         for i in list(g.lp) + list(g.ld) + list(g.f) + list(g.hf):
             if (i, k) not in visited_pairs:
-                values[V.phi(i, k)] = agent.soc_min
+                values[V.phi(i, k)] = (agent.soc_min + 1.0) / 2
 
     for i in g.f:
         st, visit = g.station_of(i)

@@ -52,6 +52,16 @@ def test_missing_file_is_config_error(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("payload", [b'{"requests": [', b'\xff\xfe{'],
+                         ids=["truncated", "not-utf8"])
+def test_malformed_document_is_validation_failure(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    code, out = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "instance rejected" in out.err
+
+
 def test_build_writes_deterministic_mps(tmp_path, capsys):
     path = write_doc(tmp_path, n_stations=1, dups=1)
     out1 = tmp_path / "a.mps"

@@ -194,6 +194,38 @@ def test_partial_bound_is_lower_bound():
     assert res_part.objective <= res_full.objective + 1e-9
 
 
+def test_partial_routing_holds_only_placed_requests():
+    inst = make_instance(n_requests=2, n_stations=1)
+    g = expand_graph(inst)
+    p0, d0, p1, d1 = (g.pickup_node(0), g.delivery_node(0),
+                      g.pickup_node(1), g.delivery_node(1))
+    station, depot = g.f_node(0, 0), g.hf[0]
+    for chain, accepted, why in [
+        ([p0, d0, station], [True, False], "partial routing visits"),
+        ([p0, d0, depot], [True, False], "partial routing visits"),
+        ([p0, d0], [True, True], "request 1 accepted but not fully routed"),
+        ([p0, d0, p1], [True, True], "request 1 accepted but not fully routed"),
+        ([p0, d0, p1], [True, False], "request 1 rejected but routed"),
+    ]:
+        reason, _ = check_routes(inst, g, [chain], accepted, partial=True)
+        assert reason is not None and why in reason, (chain, accepted, reason)
+        assert not schedule_routes(inst, g, [chain], accepted, partial=True).feasible
+    reason, _ = check_routes(inst, g, [[p0, d0]], [True, False], partial=True)
+    assert reason is None
+
+
+def test_partial_objective_carries_no_rejection_penalty():
+    inst = make_instance(n_requests=2)
+    g = expand_graph(inst)
+    part = [_chain_ids(g, ["p0", "d0"])]
+    res = schedule_routes(inst, g, part, [True, False], partial=True)
+    assert res.feasible
+    assert res.objective < inst.weights.eta
+    assert schedule_routes(inst, g, [[]], [False, False], partial=True).objective == 0.0
+    full = schedule_routes(inst, g, [_chain_ids(g, ["p0", "d0", "h0"])], [True, False])
+    assert res.objective <= full.objective - inst.weights.eta + 1e-9
+
+
 def test_max_duration_enforced():
     over = {"agents": [dict(start=[0.0, 0.0], initial_delay=0.0, cap_passengers=4,
                             cap_equipment=2, conversion=2.0, max_duration=5.0,

@@ -196,6 +196,48 @@ def test_solution_satisfies_full_model():
     assert model.objective_value(values) == pytest.approx(res.objective)
 
 
+@pytest.mark.parametrize("seed, n_stations", [
+    (seed, n_stations) for seed in (0, 1, 9, 10) for n_stations in (0, 1)
+])
+def test_high_discharge_plan_satisfies_full_model(seed, n_stations):
+    # a leg may drain more than soc_min here, so the off-route
+    # state-of-charge convention must not sit at the floor
+    inst = generate(GenConfig(seed=seed, n_requests=3, n_agents=2, n_stations=n_stations,
+                              preset="high-discharge"))
+    g = expand_graph(inst)
+    res = branch_and_bound(inst, g)
+    assert res.status == "optimal"
+    model = build_model(inst, g)
+    values = encode_plan(model, res.solution)
+    bad = model.check_feasible(values)
+    assert bad == [], [(c.tag, c.index, c.part, v) for c, v in bad[:8]]
+    assert model.objective_value(values) == pytest.approx(res.objective)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_terminal_depot_and_station_opening_match_oracle(seed):
+    # agent 0 must end at a second depot, and the station opens late
+    doc = generate_document(GenConfig(
+        seed=seed, n_requests=2 + seed % 2, n_agents=1 + (seed // 2) % 2, n_stations=1,
+        duplicate_visits=1, preset=("typical", "high-discharge")[seed % 2],
+        open_vrp=seed == 5))
+    doc["depots"].append([0.0, 0.0])
+    doc["agents"][0]["terminal_hub"] = 1
+    doc["stations"][0]["earliest_available"] = 15.0
+    inst = instance_from_dict(doc)
+    g = expand_graph(inst)
+    bb = branch_and_bound(inst, g)
+    oracle = exhaustive_oracle(inst, g)
+    assert bb.status == oracle.status == "optimal"
+    assert bb.objective == pytest.approx(oracle.objective, abs=1e-6)
+    assert validate(inst, g, bb.solution).ok
+    visits = bb.solution.plans[0].visits
+    assert not visits or visits[-1].node == g.hub_node(1)
+    model = build_model(inst, g)
+    bad = model.check_feasible(encode_plan(model, bb.solution))
+    assert bad == [], [(c.tag, c.index, c.part, v) for c, v in bad[:8]]
+
+
 def test_oracle_caps():
     with pytest.raises(ValueError, match="oracle caps exceeded"):
         exhaustive_oracle(make_instance(n_requests=5))
