@@ -7,10 +7,15 @@ and then solves a small LP for arrival times, window slacks, and per-segment
 charging durations.  Charging durations are canonicalized afterwards: the
 charge acquired is poured into the fastest segments first, which is never
 slower and pins down the segment indicator values.
+
+``timing_bound`` prices the timing part alone, without charging, by an exact
+dynamic program instead of the LP; the branch-and-bound uses it as its node
+bound and as a screen before each leaf LP.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -138,13 +143,144 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     return None, loads
 
 
+def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
+                 cache: dict) -> float:
+    """Exact minimum of ``T + sum_r lambda_r (epsilon (t_p + t_d) + zeta tau)``
+    over the timing rows of a routing, without rejection penalties;
+    ``math.inf`` when no schedule fits.
+
+    The rows are the timing rows of ``schedule_routes`` with every charging
+    duration ``xi`` at zero: a stop is reached no earlier than the previous
+    departure plus the leg (the first one no earlier than the initial delay
+    plus the first leg; a station's departure is its arrival plus the
+    agent's station service time), every stop time is at most *horizon*,
+    and an agent's return ``Tk`` is at most ``min(max_duration, horizon)``
+    and at most the makespan ``T``.  A chain that ends at a depot returns
+    over that leg, one without a depot over its cheapest depot leg.
+
+    Validity.  On a partial routing (pickups and deliveries only, see
+    ``check_routes``) these rows are the whole timing LP of a partial
+    routing, so the value is that LP's optimum; under the triangle
+    inequality no completion (more requests, charging stops, a depot) makes
+    any stop earlier, so it bounds every completion's routing cost.  On a
+    complete routing it is at most the leaf LP's optimum less the rejection
+    penalties: the leaf LP has every row used here plus the charging
+    durations, which only delay later stops, the state-of-charge rows, the
+    station slot-order rows and the station opening rows, and dropping rows
+    or fixing ``xi = 0`` in a relaxation can only lower its minimum.
+
+    Method: the soft-time-window scheduling DP of Ibaraki et al.
+    (Transportation Science 39(2), 2005) and Hashimoto et al. (Discrete
+    Applied Mathematics 154(16), 2006).  Per agent, a forward pass over
+    convex piecewise-linear functions gives ``G_k(x)``, the cheapest cost of
+    the agent's stops with ``Tk <= x``: at each stop shift by the previous
+    service time plus the leg, take the prefix minimum, add the stop's cost
+    and clip at the horizon.  Agents meet only in the makespan, so the
+    optimum is the least ``T + sum_k G_k(min(T, cap_k))``, where ``cap_k =
+    min(max_duration, horizon)``, over the merged breakpoints.  *cache* keeps ``G_k`` by ``(agent, chain)``; it must only
+    be reused for the same instance, graph and horizon."""
+    curves = []
+    for k, chain in enumerate(chains):
+        if not chain:
+            continue
+        key = (k, tuple(chain))
+        if key not in cache:
+            cache[key] = _agent_curve(inst, graph, k, chain, horizon)
+        if cache[key] is None:
+            return math.inf
+        curves.append(cache[key])
+    if not curves:
+        return 0.0
+    start = max(xs[0] for xs, _ in curves)
+    return min(t + sum(_value(xs, ys, t) for xs, ys in curves)
+               for t in {start, *(x for xs, _ in curves for x in xs if x > start)})
+
+
+def _agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float):
+    """``G_k`` as convex, nonincreasing breakpoints ``(xs, ys)`` from the
+    earliest return to the duration cap, constant beyond; None when the
+    chain does not fit."""
+    agent = inst.agents[k]
+    w = inst.weights
+    xs, ys = [agent.initial_delay], [0.0]
+    prev, service, depot = graph.start_node(k), 0.0, None
+    for node in chain:
+        if graph.is_hub(node):
+            depot = node
+            break
+        if not _advance(xs, ys, service + graph.time_cost(prev, node), horizon):
+            return None
+        if graph.is_station(node):
+            service = agent.station_service_time
+        else:
+            r = graph.gamma(node)
+            req = inst.requests[r]
+            window = node == (graph.pickup_node(r) if req.tw_kind == TW_PICKUP
+                              else graph.delivery_node(r))
+            _add_stop_cost(xs, ys, req.priority * w.epsilon,
+                           req.priority * w.zeta if window else 0.0, req.tw_lo, req.tw_hi)
+            service = req.service_time
+        prev = node
+    if depot is not None:
+        leg = graph.time_cost(prev, depot)
+    else:
+        leg = min((graph.time_cost(prev, h) for h in graph.hf), default=0.0)
+    if not _advance(xs, ys, service + leg, min(agent.max_duration, horizon)):
+        return None
+    return xs, ys
+
+
+def _lerp(xs, ys, j, x):
+    """Value at *x* on the segment from breakpoint j - 1 to breakpoint j."""
+    return ys[j - 1] + (ys[j] - ys[j - 1]) * (x - xs[j - 1]) / (xs[j] - xs[j - 1])
+
+
+def _value(xs, ys, x):
+    if x >= xs[-1]:
+        return ys[-1]
+    return _lerp(xs, ys, bisect.bisect_right(xs, x), x)
+
+
+def _advance(xs, ys, shift, cap) -> bool:
+    """In place, replace f by ``x -> min {f(s) : s <= x - shift}`` on
+    ``x <= cap``.  False when even the earliest time exceeds *cap*."""
+    m = ys.index(min(ys))  # f is convex: its prefix minimum is flat from here
+    del xs[m + 1:], ys[m + 1:]
+    xs[:] = [x + shift for x in xs]
+    if xs[0] > cap + _EPS:
+        return False
+    j = bisect.bisect_right(xs, cap)
+    if j == 0:  # the earliest time is past cap by less than the tolerance
+        del xs[1:], ys[1:]
+    elif j < len(xs):
+        if xs[j - 1] < cap:
+            y = _lerp(xs, ys, j, cap)
+            xs[j], ys[j] = cap, y
+            j += 1
+        del xs[j:], ys[j:]
+    elif xs[-1] < cap:
+        xs.append(cap)
+        ys.append(ys[-1])
+    return True
+
+
+def _add_stop_cost(xs, ys, slope, zeta, lo, hi) -> None:
+    """In place, add ``slope * t + zeta * max(0, lo - t, t - hi)``."""
+    if zeta:
+        for kink in (lo, hi):
+            j = bisect.bisect_left(xs, kink)
+            if 0 < j < len(xs) and xs[j] != kink:
+                y = _lerp(xs, ys, j, kink)
+                xs.insert(j, kink)
+                ys.insert(j, y)
+    for i, x in enumerate(xs):
+        ys[i] += slope * x + zeta * max(0.0, lo - x, x - hi)
+
+
 def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
-                    partial: bool = False, big_m=None) -> ScheduleResult:
-    """Time a fixed routing.  With partial=True the chains form a partial
-    routing (see check_routes) and the objective is the timing LP's optimum
-    alone, without rejection penalties: a lower bound on the routing cost of
-    every completion, since charging and depots are left out."""
-    reason, loads = check_routes(inst, graph, chains, accepted, partial)
+                    big_m=None) -> ScheduleResult:
+    """Time and charge a complete routing: every chain ends at a depot."""
+    reason, loads = check_routes(inst, graph, chains, accepted)
     if reason is not None:
         return ScheduleResult(feasible=False, reason=reason)
 
@@ -181,11 +317,10 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         if graph.is_station(node):
             for seg, cap in enumerate(b.caps, start=1):
                 var("xi", (node, seg), 0.0, cap)
-    if not partial:
-        for k, chain in enumerate(chains):
-            for node in chain:
-                var("phi", node if not graph.is_hub(node) else ("hub", k),
-                    inst.agents[k].soc_min, 1.0)
+    for k, chain in enumerate(chains):
+        for node in chain:
+            var("phi", node if not graph.is_hub(node) else ("hub", k),
+                inst.agents[k].soc_min, 1.0)
     for k, chain in enumerate(chains):
         if chain:
             var("Tk", k, 0.0, min(inst.agents[k].max_duration, horizon))
@@ -223,13 +358,6 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             if hub:
                 break
             prev, prev_t = node, True
-        else:
-            if chain and partial:
-                # duration keeps counting after the last handled stop
-                last = chain[-1]
-                rhs = -service(last) - min((graph.time_cost(last, h) for h in graph.hf),
-                                           default=0.0)
-                row_ub({index[("t", last)]: 1.0, index[("Tk", k)]: -1.0}, rhs)
         if chain:
             row_ub({index[("Tk", k)]: 1.0, i_t_total: -1.0}, 0.0)
 
@@ -262,33 +390,32 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                 coeffs[idx] = 1.0
             row_ub(coeffs, -inst.agents[k_prev].station_service_time)
 
-    if not partial:
-        for k, chain in enumerate(chains):
-            agent = inst.agents[k]
-            prev = graph.start_node(k)
-            prev_phi = None
-            for node in chain:
-                hub = graph.is_hub(node)
-                cur = index[("phi", ("hub", k) if hub else node)]
-                # the start and stations are left empty, so they have no load
-                drop = b.drain(graph.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
-                if prev_phi is None:
-                    row_ub({cur: 1.0}, agent.soc_init - drop)
-                else:
-                    coeffs = {cur: 1.0, prev_phi: -1.0}
-                    if graph.is_station(prev):
-                        for idx, beta in zip(xi_triplet(prev), b.rates):
-                            coeffs[idx] = -beta
-                    row_ub(coeffs, -drop)
-                if hub:
-                    break
-                if graph.is_station(node):
-                    ix1, ix2, ix3 = xi_triplet(node)
-                    row_ub({cur: 1.0, ix1: b.beta1}, b.CEILINGS[0])
-                    floor = {cur: -1.0, ix1: -b.beta1, ix2: -b.beta2, ix3: -b.beta3}
-                    row_ub(floor, -agent.soc_target)
-                    row_ub({cur: 1.0, ix1: b.beta1, ix2: b.beta2, ix3: b.beta3}, 1.0)
-                prev, prev_phi = node, cur
+    for k, chain in enumerate(chains):
+        agent = inst.agents[k]
+        prev = graph.start_node(k)
+        prev_phi = None
+        for node in chain:
+            hub = graph.is_hub(node)
+            cur = index[("phi", ("hub", k) if hub else node)]
+            # the start and stations are left empty, so they have no load
+            drop = b.drain(graph.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
+            if prev_phi is None:
+                row_ub({cur: 1.0}, agent.soc_init - drop)
+            else:
+                coeffs = {cur: 1.0, prev_phi: -1.0}
+                if graph.is_station(prev):
+                    for idx, beta in zip(xi_triplet(prev), b.rates):
+                        coeffs[idx] = -beta
+                row_ub(coeffs, -drop)
+            if hub:
+                break
+            if graph.is_station(node):
+                ix1, ix2, ix3 = xi_triplet(node)
+                row_ub({cur: 1.0, ix1: b.beta1}, b.CEILINGS[0])
+                floor = {cur: -1.0, ix1: -b.beta1, ix2: -b.beta2, ix3: -b.beta3}
+                row_ub(floor, -agent.soc_target)
+                row_ub({cur: 1.0, ix1: b.beta1, ix2: b.beta2, ix3: b.beta3}, 1.0)
+            prev, prev_phi = node, cur
 
     c = [0.0] * len(cols)
     c[i_t_total] = 1.0
@@ -304,8 +431,6 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     if res.status != "optimal":
         return ScheduleResult(feasible=False, reason=f"timing LP {res.status}")
 
-    if partial:
-        return ScheduleResult(feasible=True, objective=res.objective)
     rejected_penalty = sum(req.priority * inst.weights.eta
                            for r, req in enumerate(inst.requests) if not accepted[r])
     objective = res.objective + rejected_penalty

@@ -3,12 +3,14 @@ reference enumerator.
 
 Branching fixes one request at a time (highest priority first): either reject
 it or insert its pickup/delivery pair into one agent's chain at every
-position pair.  Interior nodes carry a timing-only LP relaxation as lower
-bound; that bound is only valid when arc costs satisfy the triangle
-inequality, so on non-metric instances the bound degrades to the rejection
-penalties already committed.  Charging stops and terminal depots are decided
-at the leaves, where combinations are screened with a best-case state-of-charge
-walk before the full scheduling LP runs.
+position pair.  Interior nodes are bounded by the exact timing DP of
+``scheduling.timing_bound`` plus the rejection penalties already committed;
+that bound is only valid when arc costs satisfy the triangle inequality, so
+on non-metric instances it degrades to the penalties alone.  Charging stops
+and terminal depots are decided at the leaves.  Each placement there passes
+a best-case state-of-charge walk and then the same DP on the complete
+routing, a lower bound on its LP, before the full scheduling LP runs, so
+the simplex runs only at the leaves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass, replace
 from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
 from .model import compute_big_m
-from .scheduling import ScheduleResult, schedule_routes
+from . import scheduling  # check_routes is looked up at call time; perfbench wraps it
+from .scheduling import ScheduleResult, schedule_routes, timing_bound
 from .solution import Solution
 
 _EPS = 1e-9
@@ -97,6 +100,7 @@ class _Search:
         self.best: ScheduleResult | None = None
         self.best_obj = math.inf
         self.frontier: list[float] = []
+        self.curves: dict = {}  # timing_bound's per-agent cache
         self.t0 = time.monotonic()
 
     # -- limits ---------------------------------------------------------------
@@ -121,18 +125,15 @@ class _Search:
 
     def _bound(self, chains, accepted, depth):
         """Lower bound for the subtree; math.inf means provably infeasible."""
-        if self.graph.metric:
-            res = schedule_routes(self.inst, self.graph, chains, accepted,
-                                  partial=True, big_m=self.big_m)
-            if not res.feasible:
-                return math.inf
-            return res.objective + self._penalty(accepted, self.order[:depth])
-        # non-metric: only the combinatorial screen and sunk penalties are safe
-        from .scheduling import check_routes
-        reason, _ = check_routes(self.inst, self.graph, chains, accepted, partial=True)
+        reason, _ = scheduling.check_routes(self.inst, self.graph, chains, accepted,
+                                            partial=True)
         if reason is not None:
             return math.inf
-        return self._penalty(accepted, self.order[:depth])
+        if not self.graph.metric:
+            # only the combinatorial screen and sunk penalties are safe
+            return self._penalty(accepted, self.order[:depth])
+        return (timing_bound(self.inst, self.graph, chains, self.big_m.horizon, self.curves)
+                + self._penalty(accepted, self.order[:depth]))
 
     # -- leaf evaluation --------------------------------------------------------
 
@@ -190,10 +191,14 @@ class _Search:
                 out.append(perm)
         return out
 
-    def evaluate_leaf(self, chains, accepted, inst: Instance | None = None):
+    def evaluate_leaf(self, chains, accepted, inst: Instance | None = None,
+                      incumbent: float = math.inf):
         """Best complete schedule for fixed chains: enumerate depots, charging
         stops, and duplicate orderings.  The schedule meets the acceptance
-        rules of *inst*, by default the instance searched."""
+        rules of *inst*, by default the instance searched.  Placements whose
+        timing bound cannot beat *incumbent* or the best schedule found so
+        far are skipped, so a result at or above *incumbent* need not be the
+        leaf's best."""
         inst, g = inst or self.inst, self.graph
         hub_opts = self._hub_options(chains)
         if hub_opts is None:
@@ -201,8 +206,9 @@ class _Search:
         loads = _departure_loads(inst, g, chains)
         gaps = _charging_gaps(g, chains, loads)
         max_visits = inst.duplicate_visits + 1
+        penalty = self._penalty(accepted, range(inst.n_requests))
+        slot_orders: dict[tuple, list] = {}
         best: ScheduleResult | None = None
-        feasible_sets: list[frozenset] = []
 
         for count in range(0, min(len(gaps), inst.n_stations * max_visits) + 1):
             for gap_subset in itertools.combinations(range(len(gaps)), count):
@@ -212,24 +218,29 @@ class _Search:
                         per_station.setdefault(st, []).append(gi)
                     if any(len(v) > max_visits for v in per_station.values()):
                         continue
-                    combo_key = frozenset(zip(gap_subset, stations))
-                    if g.metric and any(fs < combo_key for fs in feasible_sets):
-                        continue  # strict superset of a cheaper feasible combo
-                    found = self._eval_combo(inst, chains, accepted, hub_opts, gaps,
-                                             loads, per_station)
-                    if found is None:
-                        continue
-                    feasible_sets.append(combo_key)
-                    if best is None or found.objective < best.objective - _EPS:
+                    cutoff = incumbent if best is None else min(incumbent, best.objective)
+                    found = self._eval_combo(inst, chains, accepted, hub_opts, gaps, loads,
+                                             per_station, slot_orders, penalty, cutoff)
+                    if found is not None and (best is None
+                                              or found.objective < best.objective - _EPS):
                         best = found
         return best
 
-    def _eval_combo(self, inst, chains, accepted, hub_opts, gaps, loads, per_station):
+    def _eval_combo(self, inst, chains, accepted, hub_opts, gaps, loads, per_station,
+                    slot_orders, penalty, cutoff):
         """Try one charging-stop placement with every duplicate ordering and
-        depot choice; returns the best feasible schedule or None."""
+        depot choice; returns the best feasible schedule, or None.  A placement
+        whose timing bound plus *penalty* reaches *cutoff* (or the best
+        schedule found here) is skipped.  *slot_orders* memoises
+        ``_slot_orders`` for the leaf."""
         g = self.graph
         best = None
-        dup_orders = [self._slot_orders(gaps, v) for v in per_station.values()]
+        dup_orders = []
+        for gap_ids in per_station.values():
+            key = tuple(gap_ids)
+            if key not in slot_orders:
+                slot_orders[key] = self._slot_orders(gaps, gap_ids)
+            dup_orders.append(slot_orders[key])
         stations = list(per_station)
         for ordering in itertools.product(*dup_orders):
             self._check_time()
@@ -251,9 +262,13 @@ class _Search:
                         full[k].append(hub)
                 if not self._precheck_soc(full, loads):
                     continue
+                screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves)
+                if screen + penalty >= cutoff - _EPS:
+                    continue
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                 if res.feasible and (best is None or res.objective < best.objective - _EPS):
                     best = res
+                    cutoff = min(cutoff, res.objective)
         return best
 
     # -- tree walk -----------------------------------------------------------
@@ -287,7 +302,7 @@ class _Search:
         self._tick()
         if depth == len(self.order):
             self.leaves += 1
-            res = self.evaluate_leaf(chains, accepted)
+            res = self.evaluate_leaf(chains, accepted, incumbent=self.best_obj)
             if res is not None and res.objective < self.best_obj - _EPS:
                 self.best = res
                 self.best_obj = res.objective

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from emdarp.instance import instance_from_dict

@@ -1,7 +1,5 @@
 import itertools
 
-import pytest
-
 from emdarp.graph import arc_count_closed_form, expand_graph
 
 from conftest import make_instance

@@ -1,14 +1,10 @@
-import math
-
 import pytest
 
 from emdarp.instance import (
-    Instance,
     ParseError,
     ValidationError,
     derive_costs,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     save_instance,
 )

@@ -1,9 +1,16 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
+from emdarp.generate import GenConfig, generate_document
 from emdarp.graph import expand_graph
-from emdarp.scheduling import canonical_charge, check_routes, schedule_routes
+from emdarp.instance import instance_from_dict
+from emdarp.lp import solve_lp
+from emdarp.model import compute_big_m
+from emdarp.scheduling import canonical_charge, check_routes, schedule_routes, timing_bound
+from emdarp.search import SearchConfig, _Search
 
 from conftest import make_instance
 
@@ -189,9 +196,9 @@ def test_partial_bound_is_lower_bound():
     full = [_chain_ids(g, ["p0", "d0", "p1", "d1", "h0"])]
     part = [_chain_ids(g, ["p0", "d0", "p1", "d1"])]
     res_full = schedule_routes(inst, g, full, [True, True])
-    res_part = schedule_routes(inst, g, part, [True, True], partial=True)
-    assert res_full.feasible and res_part.feasible
-    assert res_part.objective <= res_full.objective + 1e-9
+    part_bound = timing_bound(inst, g, part, compute_big_m(inst, g).horizon, {})
+    assert res_full.feasible and math.isfinite(part_bound)
+    assert part_bound <= res_full.objective + 1e-9
 
 
 def test_partial_routing_holds_only_placed_requests():
@@ -209,7 +216,7 @@ def test_partial_routing_holds_only_placed_requests():
     ]:
         reason, _ = check_routes(inst, g, [chain], accepted, partial=True)
         assert reason is not None and why in reason, (chain, accepted, reason)
-        assert not schedule_routes(inst, g, [chain], accepted, partial=True).feasible
+        assert _Search(inst, g, SearchConfig())._bound([chain], accepted, 2) == math.inf
     reason, _ = check_routes(inst, g, [[p0, d0]], [True, False], partial=True)
     assert reason is None
 
@@ -218,12 +225,13 @@ def test_partial_objective_carries_no_rejection_penalty():
     inst = make_instance(n_requests=2)
     g = expand_graph(inst)
     part = [_chain_ids(g, ["p0", "d0"])]
-    res = schedule_routes(inst, g, part, [True, False], partial=True)
-    assert res.feasible
-    assert res.objective < inst.weights.eta
-    assert schedule_routes(inst, g, [[]], [False, False], partial=True).objective == 0.0
+    horizon = compute_big_m(inst, g).horizon
+    bound = timing_bound(inst, g, part, horizon, {})
+    assert math.isfinite(bound)
+    assert bound < inst.weights.eta
+    assert timing_bound(inst, g, [[]], horizon, {}) == 0.0
     full = schedule_routes(inst, g, [_chain_ids(g, ["p0", "d0", "h0"])], [True, False])
-    assert res.objective <= full.objective - inst.weights.eta + 1e-9
+    assert bound <= full.objective - inst.weights.eta + 1e-9
 
 
 def test_max_duration_enforced():
@@ -235,3 +243,127 @@ def test_max_duration_enforced():
     g = expand_graph(inst)
     res = schedule_routes(inst, g, [_chain_ids(g, ["p0", "d0", "h0"])], [True])
     assert not res.feasible
+
+
+def _timing_lp(inst, g, chains, horizon):
+    """The timing rows of a routing, stations as service-only stops, written
+    out and solved with the simplex: the referee for timing_bound."""
+    w = inst.weights
+    bounds, c, rows, rhs = [], [], [], []
+
+    def var(ub, cost=0.0):
+        bounds.append((0.0, ub))
+        c.append(cost)
+        return len(c) - 1
+
+    def row(coeffs, b):
+        rows.append(coeffs)
+        rhs.append(b)
+
+    total = var(horizon, 1.0)
+    for k, chain in enumerate(chains):
+        if not chain:
+            continue
+        agent = inst.agents[k]
+        prev, prev_col, gap, depot = g.start_node(k), None, agent.initial_delay, None
+        for node in chain:
+            if g.is_hub(node):
+                depot = node
+                break
+            col = var(horizon)
+            row({col: -1.0, **({} if prev_col is None else {prev_col: 1.0})},
+                -(gap + g.time_cost(prev, node)))
+            if g.is_station(node):
+                gap = agent.station_service_time
+            else:
+                r = g.gamma(node)
+                req = inst.requests[r]
+                c[col] += req.priority * w.epsilon
+                if node == (g.pickup_node(r) if req.tw_kind == "pickup" else g.delivery_node(r)):
+                    tau = var(math.inf, req.priority * w.zeta)
+                    row({col: -1.0, tau: -1.0}, -req.tw_lo)
+                    row({col: 1.0, tau: -1.0}, req.tw_hi)
+                gap = req.service_time
+            prev, prev_col = node, col
+        if depot is not None:
+            leg = g.time_cost(prev, depot)
+        else:
+            leg = min(g.time_cost(prev, h) for h in g.hf)
+        tk = var(min(agent.max_duration, horizon))
+        row({tk: -1.0, **({} if prev_col is None else {prev_col: 1.0})}, -(gap + leg))
+        row({tk: 1.0, total: -1.0}, 0.0)
+    a_ub = np.zeros((len(rows), len(c)))
+    for i, coeffs in enumerate(rows):
+        for j, v in coeffs.items():
+            a_ub[i, j] = v
+    res = solve_lp(c, a_ub, rhs, None, None, bounds)
+    assert res.status in ("optimal", "infeasible")
+    return res.objective if res.status == "optimal" else math.inf
+
+
+def _random_routing(rng, inst, g, complete):
+    """Random chains: each request on a random agent or left out, pickups
+    ahead of deliveries; a complete routing also gets stations at random
+    places and a depot at the end of every non-empty chain."""
+    chains = [[] for _ in range(inst.n_agents)]
+    for r in range(inst.n_requests):
+        k = rng.randrange(inst.n_agents + 1)
+        if k < inst.n_agents:
+            chain = chains[k]
+            ip = rng.randint(0, len(chain))
+            chain.insert(ip, g.pickup_node(r))
+            chain.insert(rng.randint(ip + 1, len(chain)), g.delivery_node(r))
+    if complete:
+        for node in g.f:
+            chain = chains[rng.randrange(inst.n_agents)]
+            if chain and rng.random() < 0.5:
+                chain.insert(rng.randint(1, len(chain)), node)
+        for k, chain in enumerate(chains):
+            if chain:
+                chain.append(rng.choice(g.hf))
+    return chains
+
+
+def test_timing_bound_equals_timing_lp():
+    rng = random.Random(6)
+    outcomes = {"finite": 0, "infeasible": 0}
+    for case in range(60):
+        doc = generate_document(GenConfig(
+            seed=case, n_requests=rng.randint(1, 4), n_agents=rng.randint(1, 2),
+            n_stations=rng.randint(0, 2), open_vrp=rng.random() < 0.5))
+        for req in doc["requests"]:
+            req["tw_kind"] = rng.choice(["pickup", "delivery"])
+        for agent in doc["agents"]:
+            agent["initial_delay"] = rng.choice([0.0, round(rng.uniform(0.0, 15.0), 2)])
+            agent["max_duration"] = rng.choice([math.inf, round(rng.uniform(20.0, 250.0), 2)])
+        if rng.random() < 0.5:
+            doc["depots"].append([round(rng.uniform(0.0, 2000.0), 3), 0.0])
+        inst = instance_from_dict(doc)
+        g = expand_graph(inst)
+        full_horizon = compute_big_m(inst, g).horizon
+        for _ in range(6):
+            chains = _random_routing(rng, inst, g, complete=rng.random() < 0.5)
+            horizon = full_horizon if rng.random() < 0.5 else rng.uniform(10.0, 150.0)
+            want = _timing_lp(inst, g, chains, horizon)
+            got = timing_bound(inst, g, chains, horizon, {})
+            if math.isinf(want):
+                assert got == math.inf, (case, chains, horizon)
+                outcomes["infeasible"] += 1
+            else:
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (case, chains, horizon)
+                outcomes["finite"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_timing_bound_cache_is_per_agent_chain():
+    inst = make_instance(n_requests=2, n_agents=2)
+    g = expand_graph(inst)
+    horizon = compute_big_m(inst, g).horizon
+    cache = {}
+    a = [g.pickup_node(0), g.delivery_node(0)]
+    b = [g.pickup_node(1), g.delivery_node(1)]
+    both = timing_bound(inst, g, [a, b], horizon, cache)
+    assert set(cache) == {(0, tuple(a)), (1, tuple(b))}
+    assert timing_bound(inst, g, [a, b], horizon, {}) == both
+    assert timing_bound(inst, g, [b, a], horizon, cache) == timing_bound(inst, g, [b, a],
+                                                                         horizon, {})

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -292,3 +293,67 @@ def test_open_routes_without_depot_energy_match_oracle(cfg):
     assert bb.status == oracle.status == "optimal"
     assert bb.objective == pytest.approx(oracle.objective, abs=1e-6)
     assert validate(inst, g, bb.solution).ok
+
+
+def _fault_1b(seed, n_agents, open_vrp, area):
+    return GenConfig(seed=seed, n_requests=3, n_agents=n_agents, n_stations=2,
+                     duplicate_visits=0, preset="high-discharge", open_vrp=open_vrp,
+                     area=area)
+
+
+def _one_slot_pair(seed, n_requests=3, selective=True):
+    return GenConfig(seed=seed, n_requests=n_requests, n_agents=1, n_stations=1,
+                     duplicate_visits=1, preset="high-discharge", selective=selective,
+                     area=2000.0)
+
+
+@pytest.mark.parametrize("cfg, want", [
+    pytest.param(_fault_1b(88, 2, False, 4000.0), 293.1725940695023, id="1b-s88"),
+    pytest.param(_fault_1b(192, 1, True, 3000.0), 22984.526804936802, id="1b-s192"),
+    pytest.param(_fault_1b(237, 1, True, 4000.0), 651.9279156686844, id="1b-s237"),
+    pytest.param(_one_slot_pair(26), 338.499524468405, id="slots-s26"),
+    pytest.param(_one_slot_pair(29), 162.0458969975248, id="slots-s29"),
+    pytest.param(_one_slot_pair(35), 310.32780942603193, id="slots-s35"),
+    pytest.param(_one_slot_pair(102, selective=False), 172.88517200238712,
+                 id="slots-s102-nonselective"),
+    pytest.param(_one_slot_pair(198, n_requests=4, selective=False), 648.9142900122504,
+                 id="slots-s198-nonselective"),
+])
+def test_charging_supersets_are_not_pruned(cfg, want):
+    # with decreasing charge rates two short charges can beat one long one,
+    # so a placement with more stops than a feasible one is still a
+    # candidate; the objectives are the exhaustive oracle's
+    inst = generate(cfg)
+    g = expand_graph(inst)
+    bb = branch_and_bound(inst, g)
+    assert bb.status == "optimal"
+    assert bb.objective == pytest.approx(want, rel=1e-12)
+    assert validate(inst, g, bb.solution).ok
+
+
+def _sweep():
+    grid = itertools.product(((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)), ((1, 1), (2, 0)),
+                             ("high-discharge", "typical"), (True, False), (False, True),
+                             (2000.0, 3000.0, 4000.0))
+    for seed, ((n_requests, n_agents), (n_stations, dups), preset, selective, open_vrp,
+               area) in enumerate(grid):
+        cfg = GenConfig(seed=seed, n_requests=n_requests, n_agents=n_agents,
+                        n_stations=n_stations, duplicate_visits=dups, preset=preset,
+                        selective=selective, open_vrp=open_vrp, area=area)
+        yield pytest.param(cfg, id=f"s{seed}",
+                           marks=() if n_requests == 2 else pytest.mark.slow)
+
+
+@pytest.mark.parametrize("cfg", list(_sweep()))
+def test_differential_sweep(cfg):
+    # the 96 two-request configurations run in tier-1; the other 144 are
+    # marked slow, and `-m ''` runs the whole grid (about ten minutes, mostly
+    # the oracle)
+    inst = generate(cfg)
+    g = expand_graph(inst)
+    bb = branch_and_bound(inst, g)
+    oracle = exhaustive_oracle(inst, g)
+    assert bb.status == oracle.status
+    if oracle.status == "optimal":
+        assert bb.objective == pytest.approx(oracle.objective, rel=1e-6)
+        assert validate(inst, g, bb.solution).ok

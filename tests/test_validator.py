@@ -1,5 +1,4 @@
 import copy
-import math
 import random
 import shlex
 import sys
