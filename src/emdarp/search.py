@@ -11,6 +11,12 @@ and terminal depots are decided at the leaves.  Each placement there passes
 a best-case state-of-charge walk and then the same DP on the complete
 routing, a lower bound on its LP, before the full scheduling LP runs, so
 the simplex runs only at the leaves.
+
+The incumbent comes only from the tree: children are visited cheapest bound
+first, so the first dive reaches a complete plan within a few nodes, and
+each better leaf replaces it.  A node or time limit returns ``feasible``
+with the smallest bound left unexplored, or ``limit`` when no complete plan
+was found yet.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
@@ -191,15 +197,12 @@ class _Search:
                 out.append(perm)
         return out
 
-    def evaluate_leaf(self, chains, accepted, inst: Instance | None = None,
-                      incumbent: float = math.inf):
+    def evaluate_leaf(self, chains, accepted):
         """Best complete schedule for fixed chains: enumerate depots, charging
-        stops, and duplicate orderings.  The schedule meets the acceptance
-        rules of *inst*, by default the instance searched.  Placements whose
-        timing bound cannot beat *incumbent* or the best schedule found so
-        far are skipped, so a result at or above *incumbent* need not be the
-        leaf's best."""
-        inst, g = inst or self.inst, self.graph
+        stops, and duplicate orderings.  Placements whose timing bound cannot
+        beat the incumbent or the best schedule found so far are skipped, so
+        a result at or above the incumbent need not be the leaf's best."""
+        inst, g = self.inst, self.graph
         hub_opts = self._hub_options(chains)
         if hub_opts is None:
             return None
@@ -209,6 +212,7 @@ class _Search:
         penalty = self._penalty(accepted, range(inst.n_requests))
         slot_orders: dict[tuple, list] = {}
         best: ScheduleResult | None = None
+        cutoff = self.best_obj
 
         for count in range(0, min(len(gaps), inst.n_stations * max_visits) + 1):
             for gap_subset in itertools.combinations(range(len(gaps)), count):
@@ -218,22 +222,22 @@ class _Search:
                         per_station.setdefault(st, []).append(gi)
                     if any(len(v) > max_visits for v in per_station.values()):
                         continue
-                    cutoff = incumbent if best is None else min(incumbent, best.objective)
-                    found = self._eval_combo(inst, chains, accepted, hub_opts, gaps, loads,
+                    found = self._eval_combo(chains, accepted, hub_opts, gaps, loads,
                                              per_station, slot_orders, penalty, cutoff)
                     if found is not None and (best is None
                                               or found.objective < best.objective - _EPS):
                         best = found
+                        cutoff = min(cutoff, found.objective)
         return best
 
-    def _eval_combo(self, inst, chains, accepted, hub_opts, gaps, loads, per_station,
+    def _eval_combo(self, chains, accepted, hub_opts, gaps, loads, per_station,
                     slot_orders, penalty, cutoff):
         """Try one charging-stop placement with every duplicate ordering and
         depot choice; returns the best feasible schedule, or None.  A placement
         whose timing bound plus *penalty* reaches *cutoff* (or the best
         schedule found here) is skipped.  *slot_orders* memoises
         ``_slot_orders`` for the leaf."""
-        g = self.graph
+        inst, g = self.inst, self.graph
         best = None
         dup_orders = []
         for gap_ids in per_station.values():
@@ -277,24 +281,20 @@ class _Search:
         chains = [[] for _ in range(self.inst.n_agents)]
         accepted = [False] * self.inst.n_requests
         try:
-            self._greedy_incumbent()
             self._visit(chains, accepted, 0)
             status = "optimal" if self.best is not None else "infeasible"
             bound = self.best_obj
         except _LimitReached:
             status = "feasible" if self.best is not None else "limit"
-            bound = min(self.frontier + [self.best_obj])
-        objective = self.best_obj
-        gap = 0.0
-        if self.best is not None and objective > 0:
-            gap = max(0.0, (objective - bound) / max(1e-9, abs(objective)))
-        elif self.best is None:
-            gap = math.inf
-        solution = None
+            # an empty frontier means the root never branched; every
+            # objective term is nonnegative, so 0 is then the only bound
+            bound = min(self.frontier + [self.best_obj]) if self.frontier else 0.0
+        solution, gap = None, math.inf
         if self.best is not None:
             solution = self.best.solution
             solution.status = status
-        return SearchResult(status=status, solution=solution, objective=objective,
+            gap = (self.best_obj - bound) / max(1e-9, self.best_obj)  # bound <= objective
+        return SearchResult(status=status, solution=solution, objective=self.best_obj,
                             best_bound=bound, gap=gap, nodes=self.nodes,
                             leaves=self.leaves)
 
@@ -302,7 +302,7 @@ class _Search:
         self._tick()
         if depth == len(self.order):
             self.leaves += 1
-            res = self.evaluate_leaf(chains, accepted, incumbent=self.best_obj)
+            res = self.evaluate_leaf(chains, accepted)
             if res is not None and res.objective < self.best_obj - _EPS:
                 self.best = res
                 self.best_obj = res.objective
@@ -336,63 +336,9 @@ class _Search:
             try:
                 self._visit(cand, acc, depth + 1)
             except _LimitReached:
-                self.frontier.extend(c[0] for c in children[idx + 1:])
+                # the interrupted child's subtree is unfinished too
+                self.frontier.extend(c[0] for c in children[idx:])
                 raise
-
-    _GREEDY_MOVES = 6  # insertion candidates scheduled per request
-
-    def _greedy_incumbent(self):
-        """Insert requests one at a time, keeping the cheapest placement that
-        yields a complete feasible schedule.  Every schedule found along the
-        way (undecided requests treated as rejected) is itself a feasible
-        incumbent, which is what gives the tree search teeth: once a mostly
-        accepting incumbent exists, any rejection branch is dominated by its
-        penalty and dies immediately.  A plan that leaves out a mandatory
-        request (must-serve, or any in a non-selective instance) is scored on a
-        copy of the instance that lets every request be rejected, and is no
-        incumbent."""
-        inst = self.inst
-        chains = [[] for _ in range(inst.n_agents)]
-        accepted = [False] * inst.n_requests
-        mandatory = [r for r, req in enumerate(inst.requests)
-                     if not inst.selective or req.force_accept]
-        scoring = inst
-        if mandatory:
-            scoring = replace(inst, selective=True, requests=tuple(
-                replace(req, force_accept=False) for req in inst.requests))
-        else:
-            res = self.evaluate_leaf(chains, accepted)
-            if res is not None and res.objective < self.best_obj - _EPS:
-                self.best = res
-                self.best_obj = res.objective
-
-        for r in self.order:
-            p, d = self.graph.pickup_node(r), self.graph.delivery_node(r)
-            acc = list(accepted)
-            acc[r] = True
-            moves = []
-            for k in range(inst.n_agents):
-                for new_chain in _insertions(chains[k], p, d):
-                    cand = list(chains)
-                    cand[k] = new_chain
-                    bnd = self._bound(cand, acc, inst.n_requests)
-                    if math.isfinite(bnd):
-                        moves.append((bnd, k, cand))
-            moves.sort(key=lambda m: (m[0], m[1]))
-            chosen = None
-            for _, _, cand in moves[:self._GREEDY_MOVES]:
-                res = self.evaluate_leaf(cand, acc, scoring)
-                if res is not None and (chosen is None
-                                        or res.objective < chosen[0] - _EPS):
-                    chosen = (res.objective, cand, res)
-            if chosen is not None:
-                chains = chosen[1]
-                accepted = acc
-                if chosen[0] < self.best_obj - _EPS and all(acc[q] for q in mandatory):
-                    self.best = chosen[2]
-                    self.best_obj = chosen[0]
-            elif r in mandatory:
-                return  # a mandatory request has no greedy placement
 
 
 def branch_and_bound(inst: Instance, graph: ExpandedGraph | None = None,

@@ -1,0 +1,43 @@
+"""Source hygiene: no module under src/ or tests/ imports a name it never uses.
+
+A name counts as used when it is read anywhere in the module or listed in
+its ``__all__`` (a package's re-exports).  An import line marked
+``# noqa: F401`` is an intended side-effect import, such as a probe for an
+optional dependency.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py"))
+
+
+def _unused_imports(path):
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    imported = {}  # bound name -> line number
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts
+                        if isinstance(elt, ast.Constant))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -11,11 +10,12 @@ from emdarp.model import build_model
 from emdarp.scheduling import schedule_routes
 from emdarp.checker import validate
 from emdarp.search import (
-    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _insertions, _Search,
+    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _insertions,
 )
 from emdarp.solution import encode_plan
 
 from conftest import make_instance
+from test_acceptance import corpus_config
 
 
 def _random_doc_over(rng, n_requests, n_agents, n_stations, dups):
@@ -119,21 +119,6 @@ def test_nonselective_matches_oracle(seed):
     assert bb.solution.accepted == [True, True, True]
 
 
-@pytest.mark.parametrize("seed", [3, 5, 7])
-def test_greedy_incumbent_on_nonselective(seed):
-    # a greedy plan that still leaves requests out is scored, not discarded;
-    # it becomes the incumbent once every request is placed
-    inst = generate(GenConfig(seed=seed, n_requests=3, n_agents=2, selective=False))
-    g = expand_graph(inst)
-    search = _Search(inst, g, SearchConfig())
-    search._greedy_incumbent()
-    assert math.isfinite(search.best_obj)
-    sol = search.best.solution
-    assert sol.accepted == [True, True, True]
-    assert validate(inst, g, sol).ok
-    assert search.best_obj >= exhaustive_oracle(inst, g).objective - 1e-6
-
-
 def test_undecided_must_serve_request_is_not_rejected():
     # the must-serve request comes last in the branching order, so every
     # partial routing above it leaves it undecided
@@ -175,14 +160,24 @@ def test_forced_charging_stop():
     assert oracle.objective == pytest.approx(res.objective)
 
 
-def test_node_limit_reports_gap():
-    inst = make_instance(n_requests=3, n_agents=2)
-    res = branch_and_bound(inst, config=SearchConfig(node_limit=1))
-    assert res.status in ("feasible", "limit")
-    if res.solution is not None:
-        assert res.status == "feasible"
-        assert res.gap >= 0.0
-        assert res.best_bound <= res.objective + 1e-9
+@pytest.mark.parametrize("seed", [1, 11, 16, 17], ids=lambda s: f"corpus-{s}")
+def test_node_limit_reports_gap(seed):
+    # every node limit up to the full search: the reported bound never
+    # exceeds the optimum, and only the full search claims optimality
+    inst = generate(corpus_config(seed))
+    g = expand_graph(inst)
+    full = branch_and_bound(inst, g)
+    assert full.status == "optimal"
+    for limit in range(full.nodes + 1):
+        res = branch_and_bound(inst, g, SearchConfig(node_limit=limit))
+        where = f"node_limit={limit}: {res.status}, bound {res.best_bound!r}"
+        assert res.best_bound <= full.objective * (1 + 1e-9), where
+        assert (res.status == "optimal") == (limit == full.nodes), where
+        if res.status == "feasible":
+            assert res.gap >= 0.0, where
+            assert res.best_bound <= res.objective, where
+            report = validate(inst, g, res.solution)
+            assert report.ok, (where, report.violations)
 
 
 def test_solution_satisfies_full_model():
