@@ -174,9 +174,12 @@ def cmd_solve(args) -> int:
         "accepted": sol.accepted,
         "out": args.out,
     }
-    human = (f"status: {status}\nobjective: {sol.objective:.6f}\n"
-             f"makespan: {sol.makespan:.6f}\n"
-             f"accepted: {sol.accepted}\n{format_routes(sol)}")
+    human = f"status: {status}\nobjective: {sol.objective:.6f}\n"
+    if status == "feasible":  # a limited search: how far the plan may be from optimal
+        doc["bound"], doc["gap"] = result.best_bound, result.gap
+        human += f"bound: {result.best_bound:.6f}\ngap: {result.gap:.6f}\n"
+    human += (f"makespan: {sol.makespan:.6f}\n"
+              f"accepted: {sol.accepted}\n{format_routes(sol)}")
     _emit(args, doc, human)
     if status in ("optimal",):
         return EXIT_OK

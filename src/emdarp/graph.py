@@ -89,11 +89,6 @@ class ExpandedGraph:
         m = self.instance.n_stations
         return self.f.start + visit * m + station
 
-    def omega(self, i: int) -> float:
-        """Earliest availability of the station behind F-node *i*."""
-        st, _ = self.station_of(i)
-        return self.instance.stations[st].earliest_available
-
     def hub_node(self, depot: int) -> int:
         return self.hf[depot]
 

@@ -51,7 +51,6 @@ class BigM:
     horizon: float
     time: float
     obj: float
-    warning: str | None = None
 
 
 class VariableCatalog:
@@ -200,7 +199,6 @@ def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
     override = inst.weights.big_m_override
     if override is not None:
         m.time = m.obj = override
-        m.warning = f"big-M override {override} replaces computed values (time={horizon}, obj={4 * horizon})"
     return m
 
 

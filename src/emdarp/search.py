@@ -177,93 +177,56 @@ class _Search:
                 prev = node
         return True
 
-    def _slot_orders(self, gaps, gap_ids):
-        """Duplicate-slot permutations for one station's visits.  Two visits
-        by the same agent must take slots in route order; only cross-agent
-        interleavings are genuine choices."""
-        out = []
-        for perm in itertools.permutations(range(len(gap_ids))):
-            ok = True
-            for a in range(len(gap_ids)):
-                ka, pa = gaps[gap_ids[a]]
-                for b in range(a + 1, len(gap_ids)):
-                    kb, pb = gaps[gap_ids[b]]
-                    if ka == kb and (pa < pb) != (perm[a] < perm[b]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(perm)
-        return out
+    def _placements(self, gaps):
+        """Every charging placement for the leaf's *gaps*, as a list of
+        (gap, station node) pairs: by stop count, then gap subset, then the
+        station of each picked gap, then the duplicate slots of each station
+        in order of first appearance.  A station takes its slots from the
+        front, and one agent's visits to it take increasing slots: *gaps* are
+        in route order, so only cross-agent interleavings are choices."""
+        inst, g = self.inst, self.graph
+        max_visits = inst.duplicate_visits + 1
+        for count in range(min(len(gaps), inst.n_stations * max_visits) + 1):
+            for picked in itertools.combinations(gaps, count):
+                for stations in itertools.product(range(inst.n_stations), repeat=count):
+                    per_station: dict[int, list] = {}
+                    for gap, st in zip(picked, stations):
+                        per_station.setdefault(st, []).append(gap)
+                    if any(len(v) > max_visits for v in per_station.values()):
+                        continue
+                    slot_choices = []
+                    for st, visits in per_station.items():
+                        same_agent = [(a, b) for a, b in
+                                      itertools.combinations(range(len(visits)), 2)
+                                      if visits[a][0] == visits[b][0]]
+                        slot_choices.append(
+                            [[(gap, g.f_node(st, slot)) for gap, slot in zip(visits, perm)]
+                             for perm in itertools.permutations(range(len(visits)))
+                             if all(perm[a] < perm[b] for a, b in same_agent)])
+                    for parts in itertools.product(*slot_choices):
+                        yield [pair for part in parts for pair in part]
 
     def evaluate_leaf(self, chains, accepted):
-        """Best complete schedule for fixed chains: enumerate depots, charging
-        stops, and duplicate orderings.  Placements whose timing bound cannot
-        beat the incumbent or the best schedule found so far are skipped, so
-        a result at or above the incumbent need not be the leaf's best."""
+        """Best complete schedule for fixed chains: enumerate charging
+        placements and depots.  A placement whose SoC walk fails, or whose
+        timing bound plus the rejection penalties cannot beat the incumbent
+        or the best schedule found so far, is skipped, so a result at or
+        above the incumbent need not be the leaf's best."""
         inst, g = self.inst, self.graph
         hub_opts = self._hub_options(chains)
         if hub_opts is None:
             return None
         loads = _departure_loads(inst, g, chains)
-        gaps = _charging_gaps(g, chains, loads)
-        max_visits = inst.duplicate_visits + 1
         penalty = self._penalty(accepted, range(inst.n_requests))
-        slot_orders: dict[tuple, list] = {}
         best: ScheduleResult | None = None
         cutoff = self.best_obj
-
-        for count in range(0, min(len(gaps), inst.n_stations * max_visits) + 1):
-            for gap_subset in itertools.combinations(range(len(gaps)), count):
-                for stations in itertools.product(range(inst.n_stations), repeat=count):
-                    per_station: dict[int, list[int]] = {}
-                    for gi, st in zip(gap_subset, stations):
-                        per_station.setdefault(st, []).append(gi)
-                    if any(len(v) > max_visits for v in per_station.values()):
-                        continue
-                    found = self._eval_combo(chains, accepted, hub_opts, gaps, loads,
-                                             per_station, slot_orders, penalty, cutoff)
-                    if found is not None and (best is None
-                                              or found.objective < best.objective - _EPS):
-                        best = found
-                        cutoff = min(cutoff, found.objective)
-        return best
-
-    def _eval_combo(self, chains, accepted, hub_opts, gaps, loads, per_station,
-                    slot_orders, penalty, cutoff):
-        """Try one charging-stop placement with every duplicate ordering and
-        depot choice; returns the best feasible schedule, or None.  A placement
-        whose timing bound plus *penalty* reaches *cutoff* (or the best
-        schedule found here) is skipped.  *slot_orders* memoises
-        ``_slot_orders`` for the leaf."""
-        inst, g = self.inst, self.graph
-        best = None
-        dup_orders = []
-        for gap_ids in per_station.values():
-            key = tuple(gap_ids)
-            if key not in slot_orders:
-                slot_orders[key] = self._slot_orders(gaps, gap_ids)
-            dup_orders.append(slot_orders[key])
-        stations = list(per_station)
-        for ordering in itertools.product(*dup_orders):
+        for placement in self._placements(_charging_gaps(g, chains, loads)):
             self._check_time()
-            node_at_gap: dict[int, int] = {}
-            for st, perm in zip(stations, ordering):
-                for slot, gi in zip(perm, per_station[st]):
-                    node_at_gap[gi] = g.f_node(st, slot)
+            routed = [list(c) for c in chains]
+            for (k, pos), node in sorted(placement, reverse=True):
+                routed[k].insert(pos + 1, node)
             for hubs in itertools.product(*hub_opts):
-                full = [list(c) for c in chains]
-                inserts: dict[int, list[int]] = {}
-                for gi, node in node_at_gap.items():
-                    k, pos = gaps[gi]
-                    inserts.setdefault(k, []).append((pos, node))
-                for k, items in inserts.items():
-                    for pos, node in sorted(items, reverse=True):
-                        full[k].insert(pos + 1, node)
-                for k, hub in enumerate(hubs):
-                    if hub is not None:
-                        full[k].append(hub)
+                full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
                 if not self._precheck_soc(full, loads):
                     continue
                 screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves)

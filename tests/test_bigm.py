@@ -31,7 +31,6 @@ def test_horizon_hand_value():
     assert bm.horizon == pytest.approx(32.0)
     assert bm.time == pytest.approx(32.0)
     assert bm.obj == pytest.approx(128.0)
-    assert bm.warning is None
 
 
 def test_horizon_charge_terms():
@@ -61,14 +60,13 @@ def test_initial_delay_enters_horizon():
         compute_big_m(base, g1).horizon + 7.5)
 
 
-def test_override_replaces_both_families_with_warning():
+def test_override_replaces_both_families():
     inst = _matrix_instance(over={"config": {"weights": {
         "epsilon": 0.001, "zeta": 1.0, "eta": 10000.0, "big_m": 500.0,
     }}})
     bm = compute_big_m(inst, expand_graph(inst))
     assert bm.time == 500.0 and bm.obj == 500.0
     assert bm.horizon == pytest.approx(31.0)  # service_time defaults to 1 here
-    assert bm.warning is not None and "500" in bm.warning
 
 
 def test_horizon_overflow_rejected():

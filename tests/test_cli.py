@@ -148,15 +148,22 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 
 def test_solve_node_limit_exit_code(tmp_path, capsys):
     # the first complete plan is found at node 3 of 5: a smaller limit
-    # stops with no plan, a larger one with an unproven plan
+    # stops with no plan, a larger one with an unproven plan and its bound
     path = write_doc(tmp_path, n_requests=2, n_agents=2)
     for limit, status, written in (("1", "limit", False), ("3", "feasible", True)):
         out = tmp_path / f"s{limit}.json"
         code, cap = run(capsys, "solve", path, "--node-limit", limit, "--out", str(out),
                         "--format", "json")
         assert code == 3
-        assert json.loads(cap.out)["status"] == status
+        doc = json.loads(cap.out)
+        assert doc["status"] == status
         assert out.exists() == written
+        if written:
+            assert doc["bound"] <= doc["objective"]
+            assert doc["gap"] == pytest.approx(
+                (doc["objective"] - doc["bound"]) / doc["objective"])
+        else:
+            assert "bound" not in doc and "gap" not in doc
 
 
 def test_solve_external_matches_builtin(tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_duplicates_share_position_and_omega():
     g = expand_graph(inst)
     nodes = list(g.f)
     assert len({g.position(i) for i in nodes}) == 1
-    assert all(g.omega(i) == 7.5 for i in nodes)
+    assert all(inst.stations[g.station_of(i)[0]].earliest_available == 7.5 for i in nodes)
     # zero travel time between duplicates of the same station
     assert g.cost(nodes[0], nodes[1]) == 0.0
 

@@ -7,12 +7,14 @@ from emdarp.generate import GenConfig, generate, generate_document
 from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict
 from emdarp.model import build_model
+from emdarp.mps import write_mps
 from emdarp.scheduling import schedule_routes
 from emdarp.checker import validate
 from emdarp.search import (
-    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _insertions,
+    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _insertions, _Search,
 )
 from emdarp.solution import encode_plan
+from emdarp.tools.solve_mps import read_mps, solve
 
 from conftest import make_instance
 from test_acceptance import corpus_config
@@ -67,6 +69,42 @@ def test_insertions_cover_all_position_pairs():
     assert [10, 1, 11, 2] in chains
     for chain in chains:
         assert chain.index(1) < chain.index(2)
+
+
+def _brute_force_placements(g, gaps):
+    """Every injective map from a subset of *gaps* to the station nodes in
+    which each station's slots are used from the front and one agent's
+    visits to a station take increasing slots."""
+    out = []
+    for count in range(len(g.f) + 1):
+        for picked in itertools.combinations(gaps, count):
+            for nodes in itertools.permutations(g.f, count):
+                used = {}
+                for gap, node in zip(picked, nodes):
+                    st, slot = g.station_of(node)
+                    used.setdefault(st, []).append((gap, slot))
+                if all(sorted(slot for _, slot in visits) == list(range(len(visits)))
+                       and all(sa < sb for (ga, sa), (gb, sb)
+                               in itertools.combinations(sorted(visits), 2) if ga[0] == gb[0])
+                       for visits in used.values()):
+                    out.append(frozenset(zip(picked, nodes)))
+    return out
+
+
+@pytest.mark.parametrize("n_stations, dups", [(1, 2), (2, 1), (2, 0)])
+@pytest.mark.parametrize("gaps", [
+    [(0, 1), (0, 3), (1, 0), (1, 2)],
+    [(0, 0), (1, 1), (1, 3)],
+])
+def test_leaf_placements_match_brute_force(n_stations, dups, gaps):
+    # the oracle covers at most two station nodes; this covers three and four
+    inst = make_instance(n_agents=2, n_stations=n_stations, dups=dups)
+    g = expand_graph(inst)
+    placements = list(_Search(inst, g, SearchConfig())._placements(gaps))
+    got = [frozenset(p) for p in placements]
+    assert all(len(p) == len(q) for p, q in zip(placements, got))
+    assert len(set(got)) == len(got)
+    assert set(got) == set(_brute_force_placements(g, gaps))
 
 
 def test_single_request_served():
@@ -352,3 +390,21 @@ def test_differential_sweep(cfg):
     if oracle.status == "optimal":
         assert bb.objective == pytest.approx(oracle.objective, rel=1e-6)
         assert validate(inst, g, bb.solution).ok
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(p.values[0], id=p.id, marks=pytest.mark.slow) for p in _sweep()
+    if p.values[0].n_agents == 1 and p.values[0].n_requests <= 3])
+def test_external_sweep(cfg, tmp_path):
+    # the external MILP referees the B&B's leaf LP and charging gaps, which
+    # the oracle shares; 1e-5 is criterion 3's tolerance, as HiGHS can end
+    # 1e-6 below the optimum on its feasibility tolerance
+    pytest.importorskip("scipy")
+    inst = generate(cfg)
+    bb = branch_and_bound(inst)
+    path = str(tmp_path / "m.mps")
+    write_mps(build_model(inst), path)
+    status, objective, _ = solve(read_mps(path))
+    assert status == bb.status
+    if status == "optimal":
+        assert objective == pytest.approx(bb.objective, abs=1e-5)
