@@ -147,15 +147,18 @@ def _solve_external(inst, args):
 
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
+    search = {}  # the builtin search's effort, deterministic like its answer
     if args.engine == "builtin":
         result = branch_and_bound(inst, config=SearchConfig(
             node_limit=args.node_limit, time_limit=args.time_limit))
         sol, status = result.solution, result.status
+        search = {"nodes": result.nodes, "leaves": result.leaves,
+                  "leaf_lps": result.leaf_lps}
     else:
         sol, status = _solve_external(inst, args)
+    search_line = "  ".join(f"{key}: {val}" for key, val in search.items())
     if sol is None:
-        doc = {"status": status}
-        _emit(args, doc, f"status: {status}")
+        _emit(args, {"status": status, **search}, f"status: {status}\n{search_line}")
         return EXIT_INFEASIBLE if status == "infeasible" else EXIT_LIMIT
 
     try:
@@ -173,11 +176,14 @@ def cmd_solve(args) -> int:
         "makespan": sol.makespan,
         "accepted": sol.accepted,
         "out": args.out,
+        **search,
     }
     human = f"status: {status}\nobjective: {sol.objective:.6f}\n"
     if status == "feasible":  # a limited search: how far the plan may be from optimal
         doc["bound"], doc["gap"] = result.best_bound, result.gap
         human += f"bound: {result.best_bound:.6f}\ngap: {result.gap:.6f}\n"
+    if search:
+        human += search_line + "\n"
     human += (f"makespan: {sol.makespan:.6f}\n"
               f"accepted: {sol.accepted}\n{format_routes(sol)}")
     _emit(args, doc, human)

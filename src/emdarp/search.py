@@ -7,10 +7,12 @@ position pair.  Interior nodes are bounded by the exact timing DP of
 ``scheduling.timing_bound`` plus the rejection penalties already committed;
 that bound is only valid when arc costs satisfy the triangle inequality, so
 on non-metric instances it degrades to the penalties alone.  Charging stops
-and terminal depots are decided at the leaves.  Each placement there passes
-a best-case state-of-charge walk and then the same DP on the complete
-routing, a lower bound on its LP, before the full scheduling LP runs, so
-the simplex runs only at the leaves.
+and terminal depots are decided at the leaves.  There each agent's stop
+sets pass a best-case state-of-charge walk on their own, per depot; the
+survivors are combined across agents and given duplicate slots.  Each
+placement then passes the same DP on the complete routing, a lower bound on
+its LP, before the full scheduling LP runs, so the simplex runs only at the
+leaves.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and
@@ -51,6 +53,7 @@ class SearchResult:
     gap: float
     nodes: int
     leaves: int
+    leaf_lps: int  # schedule_routes calls made at the leaves
 
 
 class _LimitReached(Exception):
@@ -103,6 +106,7 @@ class _Search:
         self.order = request_order(inst)
         self.nodes = 0
         self.leaves = 0
+        self.leaf_lps = 0
         self.best: ScheduleResult | None = None
         self.best_obj = math.inf
         self.frontier: list[float] = []
@@ -158,60 +162,81 @@ class _Search:
                              for h in range(len(self.inst.final_depots))])
         return opts
 
-    def _precheck_soc(self, chains_full, loads):
-        """Best-case walk: can the route survive even with full recharges?
-        *loads* are the leaf's departure loads; the start, stations and
-        depots carry none."""
+    def _agent_stop_sets(self, k, chain, positions, hubs, loads):
+        """(stops, depots) for each set of (position, station) stops from
+        *positions* whose best-case SoC walk, with full recharges, reaches
+        some of *hubs*; *loads* are the leaf's departure loads.  A stop walks
+        as slot 0 of its station, which is exact: ``expand_graph`` gives
+        every duplicate its station's base-node costs (``base_of``)."""
         inst, g = self.inst, self.graph
-        b = inst.battery
-        for k, chain in enumerate(chains_full):
-            agent = inst.agents[k]
-            soc = agent.soc_init
-            prev = g.start_node(k)
-            for node in chain:
-                soc -= b.drain(g.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
-                if soc < agent.soc_min - _EPS:
-                    return False
-                if g.is_station(node):
-                    soc = 1.0
-                prev = node
-        return True
+        b, agent = inst.battery, inst.agents[k]
+        floor = agent.soc_min - _EPS
+        out = []
+        for count in range(min(len(positions), len(g.f)) + 1):
+            for picked in itertools.combinations(positions, count):
+                for stations in itertools.product(range(inst.n_stations), repeat=count):
+                    stops = list(zip(picked, stations))
+                    route = list(chain)
+                    for pos, st in reversed(stops):
+                        route.insert(pos + 1, g.f_node(st, 0))
+                    soc, prev = agent.soc_init, g.start_node(k)
+                    for node in route:
+                        soc -= b.drain(g.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
+                        if soc < floor:
+                            break
+                        if g.is_station(node):
+                            soc = 1.0
+                        prev = node
+                    else:
+                        alive = [hub for hub in hubs if hub is None or soc - b.drain(
+                            g.energy_cost(prev, hub), loads.get(prev, (0.0, 0.0))) >= floor]
+                        if alive:
+                            out.append((stops, alive))
+        return out
 
-    def _placements(self, gaps):
-        """Every charging placement for the leaf's *gaps*, as a list of
-        (gap, station node) pairs: by stop count, then gap subset, then the
+    def _placements(self, gaps, chains, hub_opts, loads):
+        """Every charging placement for the leaf's *gaps* that passes each
+        agent's SoC walk, as a list of (gap, station node) pairs with the
+        depots left to each agent: by stop count, then gap subset, then the
         station of each picked gap, then the duplicate slots of each station
         in order of first appearance.  A station takes its slots from the
-        front, and one agent's visits to it take increasing slots: *gaps* are
-        in route order, so only cross-agent interleavings are choices."""
-        inst, g = self.inst, self.graph
-        max_visits = inst.duplicate_visits + 1
-        for count in range(min(len(gaps), inst.n_stations * max_visits) + 1):
-            for picked in itertools.combinations(gaps, count):
-                for stations in itertools.product(range(inst.n_stations), repeat=count):
-                    per_station: dict[int, list] = {}
-                    for gap, st in zip(picked, stations):
-                        per_station.setdefault(st, []).append(gap)
-                    if any(len(v) > max_visits for v in per_station.values()):
-                        continue
-                    slot_choices = []
-                    for st, visits in per_station.items():
-                        same_agent = [(a, b) for a, b in
-                                      itertools.combinations(range(len(visits)), 2)
-                                      if visits[a][0] == visits[b][0]]
-                        slot_choices.append(
-                            [[(gap, g.f_node(st, slot)) for gap, slot in zip(visits, perm)]
-                             for perm in itertools.permutations(range(len(visits)))
-                             if all(perm[a] < perm[b] for a, b in same_agent)])
-                    for parts in itertools.product(*slot_choices):
-                        yield [pair for part in parts for pair in part]
+        front, and one agent's visits to it take increasing slots: *gaps*
+        are in route order, so only cross-agent interleavings are choices."""
+        max_visits = self.inst.duplicate_visits + 1
+        per_agent = [self._agent_stop_sets(k, chain, [pos for a, pos in gaps if a == k],
+                                           hub_opts[k], loads)
+                     for k, chain in enumerate(chains)]
+        combos = []
+        for parts in itertools.product(*per_agent):
+            stops = [((k, pos), st) for k, (own, _) in enumerate(parts) for pos, st in own]
+            stations = [st for _, st in stops]
+            if all(stations.count(st) <= max_visits for st in stations):
+                # *gaps* sort by (agent, position): gaps compare as their indices
+                combos.append(((len(stops), [gap for gap, _ in stops], stations),
+                               stops, [hubs for _, hubs in parts]))
+        combos.sort(key=lambda combo: combo[0])
+        for _, stops, hubs in combos:
+            per_station: dict[int, list] = {}
+            for gap, st in stops:
+                per_station.setdefault(st, []).append(gap)
+            slot_choices = []
+            for st, visits in per_station.items():
+                same_agent = [(a, b) for a, b in
+                              itertools.combinations(range(len(visits)), 2)
+                              if visits[a][0] == visits[b][0]]
+                slot_choices.append(
+                    [[(gap, self.graph.f_node(st, slot)) for gap, slot in zip(visits, perm)]
+                     for perm in itertools.permutations(range(len(visits)))
+                     if all(perm[a] < perm[b] for a, b in same_agent)])
+            for parts in itertools.product(*slot_choices):
+                yield [pair for part in parts for pair in part], hubs
 
     def evaluate_leaf(self, chains, accepted):
-        """Best complete schedule for fixed chains: enumerate charging
-        placements and depots.  A placement whose SoC walk fails, or whose
-        timing bound plus the rejection penalties cannot beat the incumbent
-        or the best schedule found so far, is skipped, so a result at or
-        above the incumbent need not be the leaf's best."""
+        """Best complete schedule for fixed chains over the placements and
+        depots that pass the SoC walks.  One whose timing bound plus the
+        rejection penalties cannot beat the incumbent or the best schedule
+        found so far is skipped, so a result at or above the incumbent need
+        not be the leaf's best."""
         inst, g = self.inst, self.graph
         hub_opts = self._hub_options(chains)
         if hub_opts is None:
@@ -220,18 +245,18 @@ class _Search:
         penalty = self._penalty(accepted, range(inst.n_requests))
         best: ScheduleResult | None = None
         cutoff = self.best_obj
-        for placement in self._placements(_charging_gaps(g, chains, loads)):
+        gaps = _charging_gaps(g, chains, loads)
+        for placement, agent_hubs in self._placements(gaps, chains, hub_opts, loads):
             self._check_time()
             routed = [list(c) for c in chains]
             for (k, pos), node in sorted(placement, reverse=True):
                 routed[k].insert(pos + 1, node)
-            for hubs in itertools.product(*hub_opts):
+            for hubs in itertools.product(*agent_hubs):
                 full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
-                if not self._precheck_soc(full, loads):
-                    continue
                 screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves)
                 if screen + penalty >= cutoff - _EPS:
                     continue
+                self.leaf_lps += 1
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                 if res.feasible and (best is None or res.objective < best.objective - _EPS):
                     best = res
@@ -259,7 +284,7 @@ class _Search:
             gap = (self.best_obj - bound) / max(1e-9, self.best_obj)  # bound <= objective
         return SearchResult(status=status, solution=solution, objective=self.best_obj,
                             best_bound=bound, gap=gap, nodes=self.nodes,
-                            leaves=self.leaves)
+                            leaves=self.leaves, leaf_lps=self.leaf_lps)
 
     def _visit(self, chains, accepted, depth):
         self._tick()
@@ -420,8 +445,8 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
                                 consider(full, accepted)
     if best is None:
         return SearchResult(status="infeasible", solution=None, objective=math.inf,
-                            best_bound=math.inf, gap=math.inf, nodes=0, leaves=0)
+                            best_bound=math.inf, gap=math.inf, nodes=0, leaves=0, leaf_lps=0)
     best.solution.status = "optimal"
     return SearchResult(status="optimal", solution=best.solution,
                         objective=best.objective, best_bound=best.objective,
-                        gap=0.0, nodes=0, leaves=0)
+                        gap=0.0, nodes=0, leaves=0, leaf_lps=0)

@@ -72,54 +72,54 @@ def test_criterion_1_oracle_equivalence(corpus):
     assert elapsed < 60.0
 
 
-# (corpus configuration, status, objective, nodes, leaves) of the builtin
-# branch-and-bound.  Any change to the simplex pivot path or to the search
+# (corpus configuration, status, objective, nodes, leaves, leaf LPs) of the
+# builtin branch-and-bound.  Any change to the simplex pivot path or to the search
 # order shows here first; move a value only with an oracle-checked reason.
 # Every feasible configuration counts the leaf of its optimum: the search
 # finds its incumbent itself, so that leaf is visited, not pruned by a bound
 # against a plan found beforehand.  Configuration 20 also visits one
 # infeasible leaf whose bound is not below the optimum.
 PINNED_CORPUS = [
-    (0, "infeasible", math.inf, 2, 1),
-    (1, "optimal", 75.95090282199382, 5, 2),
-    (2, "optimal", 46866.514517902186, 24, 19),
-    (3, "optimal", 26.503600418424124, 2, 1),
-    (4, "optimal", 102.6518700367318, 3, 1),
-    (5, "optimal", 108.59203901496076, 6, 1),
-    (6, "infeasible", math.inf, 2, 1),
-    (7, "optimal", 31.912626748998253, 3, 1),
-    (8, "optimal", 59478.56383295095, 32, 25),
-    (9, "optimal", 53.998970166119065, 2, 1),
-    (10, "optimal", 13136.895189141156, 5, 3),
-    (11, "optimal", 97.6998197055721, 7, 2),
-    (12, "infeasible", math.inf, 2, 1),
-    (13, "optimal", 120.7954416165867, 4, 1),
-    (14, "optimal", 42235.52106893448, 20, 13),
-    (15, "optimal", 91.39680108513518, 2, 1),
-    (16, "optimal", 77.51597279378826, 3, 1),
-    (17, "optimal", 63.301546540667104, 7, 2),
-    (18, "optimal", 71.01363988981916, 2, 1),
-    (19, "optimal", 101.46247707021979, 4, 1),
-    (20, "optimal", 37681.78037721325, 55, 44),
-    (21, "optimal", 68.3296002992313, 2, 1),
-    (22, "optimal", 38380.0, 12, 9),
-    (23, "optimal", 98.37832032911805, 6, 1),
-    (24, "optimal", 244.84753428442193, 2, 1),
+    (0, "infeasible", math.inf, 2, 1, 0),
+    (1, "optimal", 75.95090282199382, 5, 2, 2),
+    (2, "optimal", 46866.514517902186, 24, 19, 1),
+    (3, "optimal", 26.503600418424124, 2, 1, 1),
+    (4, "optimal", 102.6518700367318, 3, 1, 1),
+    (5, "optimal", 108.59203901496076, 6, 1, 1),
+    (6, "infeasible", math.inf, 2, 1, 0),
+    (7, "optimal", 31.912626748998253, 3, 1, 1),
+    (8, "optimal", 59478.56383295095, 32, 25, 1),
+    (9, "optimal", 53.998970166119065, 2, 1, 1),
+    (10, "optimal", 13136.895189141156, 5, 3, 1),
+    (11, "optimal", 97.6998197055721, 7, 2, 2),
+    (12, "infeasible", math.inf, 2, 1, 0),
+    (13, "optimal", 120.7954416165867, 4, 1, 1),
+    (14, "optimal", 42235.52106893448, 20, 13, 1),
+    (15, "optimal", 91.39680108513518, 2, 1, 1),
+    (16, "optimal", 77.51597279378826, 3, 1, 1),
+    (17, "optimal", 63.301546540667104, 7, 2, 2),
+    (18, "optimal", 71.01363988981916, 2, 1, 1),
+    (19, "optimal", 101.46247707021979, 4, 1, 1),
+    (20, "optimal", 37681.78037721325, 55, 44, 1),
+    (21, "optimal", 68.3296002992313, 2, 1, 1),
+    (22, "optimal", 38380.0, 12, 9, 1),
+    (23, "optimal", 98.37832032911805, 6, 1, 1),
+    (24, "optimal", 244.84753428442193, 2, 1, 1),
 ]
 
 
-@pytest.mark.parametrize("config, status, objective, nodes, leaves", [
+@pytest.mark.parametrize("config, status, objective, nodes, leaves, leaf_lps", [
     *[(corpus_config(seed), *rest) for seed, *rest in PINNED_CORPUS],
     # the criterion-5 make-up at 4 requests: 105 of 131 nodes are leaves
     (GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
                duplicate_visits=2, preset="high-discharge"),
-     "optimal", 148.93221199334377, 131, 105),
+     "optimal", 148.93221199334377, 131, 105, 28),
 ], ids=[f"corpus-{row[0]}" for row in PINNED_CORPUS] + ["c5-n4-s3"])
-def test_bnb_output_pinned(config, status, objective, nodes, leaves):
+def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps):
     result = branch_and_bound(generate(config))
     assert result.status == status
     assert result.objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
-    assert (result.nodes, result.leaves) == (nodes, leaves)
+    assert (result.nodes, result.leaves, result.leaf_lps) == (nodes, leaves, leaf_lps)
 
 
 def test_criterion_2_validator_gate(corpus):

@@ -102,6 +102,7 @@ def test_solve_then_check_clean(tmp_path, capsys):
                     "--routes", str(routes))
     assert code == 0
     assert "status: optimal" in cap.out
+    assert "\nnodes: 2  leaves: 1  leaf_lps: 1\n" in cap.out
     assert "v0 -> p0 -> d0 -> h0" in routes.read_text().replace(
         "agent 0: ", "")
     code, cap = run(capsys, "check", path, str(sol_path))
@@ -149,14 +150,17 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 def test_solve_node_limit_exit_code(tmp_path, capsys):
     # the first complete plan is found at node 3 of 5: a smaller limit
     # stops with no plan, a larger one with an unproven plan and its bound
+    # the search's counts come with either outcome
     path = write_doc(tmp_path, n_requests=2, n_agents=2)
-    for limit, status, written in (("1", "limit", False), ("3", "feasible", True)):
+    for limit, status, written, counts in (("1", "limit", False, (2, 0, 0)),
+                                           ("3", "feasible", True, (4, 1, 1))):
         out = tmp_path / f"s{limit}.json"
         code, cap = run(capsys, "solve", path, "--node-limit", limit, "--out", str(out),
                         "--format", "json")
         assert code == 3
         doc = json.loads(cap.out)
         assert doc["status"] == status
+        assert (doc["nodes"], doc["leaves"], doc["leaf_lps"]) == counts
         assert out.exists() == written
         if written:
             assert doc["bound"] <= doc["objective"]

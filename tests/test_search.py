@@ -11,7 +11,8 @@ from emdarp.mps import write_mps
 from emdarp.scheduling import schedule_routes
 from emdarp.checker import validate
 from emdarp.search import (
-    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _insertions, _Search,
+    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _charging_gaps,
+    _departure_loads, _insertions, _Search,
 )
 from emdarp.solution import encode_plan
 from emdarp.tools.solve_mps import read_mps, solve
@@ -97,14 +98,142 @@ def _brute_force_placements(g, gaps):
     [(0, 0), (1, 1), (1, 3)],
 ])
 def test_leaf_placements_match_brute_force(n_stations, dups, gaps):
-    # the oracle covers at most two station nodes; this covers three and four
-    inst = make_instance(n_agents=2, n_stations=n_stations, dups=dups)
+    # the oracle covers at most two station nodes; this covers three and four.
+    # A near-zero discharge keeps every stop set through the SoC walk.
+    inst = make_instance(n_requests=4, n_agents=2, n_stations=n_stations, dups=dups,
+                         over={"battery": {"alpha0": 1e-9, "alpha1": 1e-9, "alpha2": 1e-9}})
     g = expand_graph(inst)
-    placements = list(_Search(inst, g, SearchConfig())._placements(gaps))
+    chains = [[g.pickup_node(r), g.delivery_node(r), g.pickup_node(r + 1),
+               g.delivery_node(r + 1)] for r in (0, 2)]
+    search = _Search(inst, g, SearchConfig())
+    loads = _departure_loads(inst, g, chains)
+    placements = [p for p, _ in search._placements(gaps, chains, search._hub_options(chains),
+                                                   loads)]
     got = [frozenset(p) for p in placements]
     assert all(len(p) == len(q) for p, q in zip(placements, got))
     assert len(set(got)) == len(got)
     assert set(got) == set(_brute_force_placements(g, gaps))
+
+
+def _soc_walk_passes(inst, g, chains_full, loads):
+    """Best-case walk of every agent at once, with full recharges."""
+    for k, chain in enumerate(chains_full):
+        agent = inst.agents[k]
+        soc, prev = agent.soc_init, g.start_node(k)
+        for node in chain:
+            soc -= inst.battery.drain(g.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
+            if soc < agent.soc_min - 1e-9:
+                return False
+            if g.is_station(node):
+                soc = 1.0
+            prev = node
+    return True
+
+
+def _reference_leaf_sequence(search, chains):
+    """Every (placement, depots) pair of a leaf, and whether it passes the
+    cross-agent SoC walk, in the order of nested loops over stop count, gap
+    subset, stations, duplicate-slot order and depots."""
+    inst, g = search.inst, search.graph
+    hub_opts = search._hub_options(chains)
+    if hub_opts is None:
+        return []
+    loads = _departure_loads(inst, g, chains)
+    gaps = _charging_gaps(g, chains, loads)
+    max_visits = inst.duplicate_visits + 1
+    out = []
+    for count in range(min(len(gaps), inst.n_stations * max_visits) + 1):
+        for picked in itertools.combinations(gaps, count):
+            for stations in itertools.product(range(inst.n_stations), repeat=count):
+                per_station = {}
+                for gap, st in zip(picked, stations):
+                    per_station.setdefault(st, []).append(gap)
+                if any(len(v) > max_visits for v in per_station.values()):
+                    continue
+                slot_choices = []
+                for st, visits in per_station.items():
+                    same_agent = [(a, b) for a, b in
+                                  itertools.combinations(range(len(visits)), 2)
+                                  if visits[a][0] == visits[b][0]]
+                    slot_choices.append(
+                        [[(gap, g.f_node(st, slot)) for gap, slot in zip(visits, perm)]
+                         for perm in itertools.permutations(range(len(visits)))
+                         if all(perm[a] < perm[b] for a, b in same_agent)])
+                for parts in itertools.product(*slot_choices):
+                    placement = [pair for part in parts for pair in part]
+                    routed = [list(c) for c in chains]
+                    for (k, pos), node in sorted(placement, reverse=True):
+                        routed[k].insert(pos + 1, node)
+                    for hubs in itertools.product(*hub_opts):
+                        full = [c if hub is None else c + [hub]
+                                for c, hub in zip(routed, hubs)]
+                        out.append((placement, hubs,
+                                    _soc_walk_passes(inst, g, full, loads)))
+    return out
+
+
+def _with_depot(cfg, depot, terminal_hub=None):
+    doc = generate_document(cfg)
+    doc["depots"].append(depot)
+    if terminal_hub is not None:
+        doc["agents"][0]["terminal_hub"] = terminal_hub
+    return instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("make, shows", [
+    # the criterion-5 make-up at 4 requests: 1 station x 3 slots
+    (lambda: generate(GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
+                                duplicate_visits=2, preset="high-discharge")), "walk"),
+    (lambda: generate(GenConfig(seed=0, n_requests=3, n_agents=2, n_stations=2,
+                                duplicate_visits=1, preset="high-discharge")), "walk"),
+    (lambda: _with_depot(GenConfig(seed=0, n_requests=3, n_agents=2, n_stations=1,
+                                   duplicate_visits=1, preset="high-discharge",
+                                   open_vrp=True), [0.0, 0.0]), "depot"),
+    (lambda: _with_depot(GenConfig(seed=1, n_requests=3, n_agents=2, n_stations=1,
+                                   duplicate_visits=1, preset="high-discharge"),
+                         [2000.0, 2000.0], terminal_hub=1), "pinned"),
+    (lambda: generate(GenConfig(seed=2, n_requests=3, n_agents=2, n_stations=2,
+                                duplicate_visits=1, preset="high-discharge")), "idle"),
+], ids=["c5-makeup", "two-stations-two-slots", "open-two-depots", "terminal-hub",
+        "empty-chain"])
+def test_leaf_placements_keep_order(make, shows):
+    """The per-agent generator yields the (placement, depots) pairs that pass
+    the cross-agent SoC walk in the order of the nested loops, at every leaf
+    the search visits: screens, LPs and ties see the same sequence."""
+    inst = make()
+    leaves = []
+
+    class Recording(_Search):
+        def evaluate_leaf(self, chains, accepted):
+            leaves.append([list(c) for c in chains])
+            return super().evaluate_leaf(chains, accepted)
+
+    search = Recording(inst, expand_graph(inst), SearchConfig())
+    search.run()
+    g = search.graph
+    seen = set()
+    for chains in leaves:
+        reference = _reference_leaf_sequence(search, chains)
+        hub_opts = search._hub_options(chains)
+        got = []
+        if hub_opts is not None:
+            loads = _departure_loads(inst, g, chains)
+            got = [(placement, hubs) for placement, agent_hubs in search._placements(
+                       _charging_gaps(g, chains, loads), chains, hub_opts, loads)
+                   for hubs in itertools.product(*agent_hubs)]
+        assert got == [(placement, hubs) for placement, hubs, ok in reference if ok]
+        if any(not ok for _, _, ok in reference):
+            seen.add("walk")
+        by_placement = {}
+        for placement, _, ok in reference:
+            by_placement.setdefault(tuple(placement), set()).add(ok)
+        if any(len(oks) == 2 for oks in by_placement.values()):
+            seen.add("depot")  # a placement that reaches one depot but not another
+        if hub_opts is None:
+            seen.add("pinned")  # an idle agent cannot reach its pinned depot
+        if hub_opts is not None and any(not c for c in chains) and got:
+            seen.add("idle")
+    assert shows in seen
 
 
 def test_single_request_served():
