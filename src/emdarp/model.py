@@ -323,31 +323,17 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
         coeffs = {V.x(k, v, j): 1.0 for j in graph.lp}
         rows.append(Constraint("11", (k,), coeffs, LE, 1.0))
 
+    # flow conservation: family 12 at pickups, 13 at deliveries and stations
     for k in range(inst.n_agents):
-        for h in graph.lp:
+        for h in [*graph.lp, *graph.ld, *graph.f]:
             coeffs: dict[str, float] = {}
             for name in cat.x_into.get((k, h), ()):
                 coeffs[name] = 1.0
-            for j in list(graph.lp) + list(graph.ld):
-                if graph.admissible(h, j):
-                    coeffs[V.x(k, h, j)] = coeffs.get(V.x(k, h, j), 0.0) - 1.0
-            rows.append(Constraint("12", (h, k), coeffs, EQ, 0.0))
-        for h in graph.ld:
-            coeffs = {}
-            for name in cat.x_into.get((k, h), ()):
-                coeffs[name] = 1.0
             for j in range(graph.n_nodes):
                 if graph.admissible(h, j):
                     coeffs[V.x(k, h, j)] = coeffs.get(V.x(k, h, j), 0.0) - 1.0
-            rows.append(Constraint("13", (h, k), coeffs, EQ, 0.0))
-        for h in graph.f:
-            coeffs = {}
-            for name in cat.x_into.get((k, h), ()):
-                coeffs[name] = 1.0
-            for j in range(graph.n_nodes):
-                if graph.admissible(h, j):
-                    coeffs[V.x(k, h, j)] = coeffs.get(V.x(k, h, j), 0.0) - 1.0
-            rows.append(Constraint("13", (h, k), coeffs, EQ, 0.0))
+            rows.append(Constraint("12" if graph.is_pickup(h) else "13", (h, k), coeffs,
+                                   EQ, 0.0))
 
     for k, agent in enumerate(inst.agents):
         if agent.terminal_hub is not None:

@@ -60,20 +60,14 @@ class _Rows:
         return out
 
 
-def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
-                 partial: bool = False):
-    """Discrete feasibility screen. Returns (reason, loads) where loads maps
-    node -> (passengers, equipment) on departure; reason is None when clean.
-
-    A partial routing (*partial* true) holds only pickups and deliveries and
-    may omit depots; every accepted request has both its stops placed, and a
-    request not accepted yet is undecided rather than rejected."""
+def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted):
+    """Discrete feasibility screen of a complete routing. Returns (reason,
+    loads) where loads maps node -> (passengers, equipment) on departure;
+    reason is None when clean."""
     seen: dict[int, int] = {}
     for k, chain in enumerate(chains):
         prev = graph.start_node(k)
         for pos, node in enumerate(chain):
-            if partial and (graph.is_hub(node) or graph.is_station(node)):
-                return f"partial routing visits {graph.label(node)}", None
             if graph.is_hub(node):
                 if pos != len(chain) - 1:
                     return f"agent {k} visits a depot mid-route", None
@@ -84,10 +78,10 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             if not graph.admissible(prev, node, k if prev == graph.start_node(k) else None):
                 return f"arc {graph.label(prev)}->{graph.label(node)} not admissible", None
             prev = node
-        if chain and not partial and not graph.is_hub(chain[-1]):
+        if chain and not graph.is_hub(chain[-1]):
             return f"agent {k} does not end at a depot", None
         agent = inst.agents[k]
-        if agent.terminal_hub is not None and not partial:
+        if agent.terminal_hub is not None:
             want = graph.hub_node(agent.terminal_hub)
             if not chain or chain[-1] != want:
                 return f"agent {k} must end at depot {agent.terminal_hub}", None
@@ -103,33 +97,17 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
             if chain.index(p) > chain.index(d):
                 return f"request {r} delivered before pickup", None
         else:
-            if not partial and not inst.selective:
+            if not inst.selective:
                 return f"request {r} cannot be rejected in non-selective mode", None
-            if not partial and req.force_accept:
+            if req.force_accept:
                 return f"request {r} is must-serve but rejected", None
             if p in seen or d in seen:
                 return f"request {r} rejected but routed", None
 
     loads: dict[int, tuple[float, float]] = {}
     for k, chain in enumerate(chains):
-        agent = inst.agents[k]
-        u1 = u2 = 0.0
-        for pos, node in enumerate(chain):
-            if graph.is_hub(node) or graph.is_station(node):
-                if u1 > _EPS or u2 > _EPS:
-                    return f"agent {k} reaches {graph.label(node)} loaded", None
-                continue
-            req = inst.requests[graph.gamma(node)]
-            sign = graph.mu(node)
-            u1 += sign * req.passengers
-            u2 += sign * req.equipment
-            if u1 > agent.cap_passengers + _EPS:
-                return f"agent {k} passenger load {u1} exceeds cap", None
-            if u2 > agent.cap_equipment + _EPS:
-                return f"agent {k} equipment load {u2} exceeds cap", None
-            if graph.is_pickup(node) and u1 + agent.conversion * u2 > agent.cap_passengers + _EPS:
-                return f"agent {k} mixed load exceeds converted capacity", None
-            loads[node] = (u1, u2)
+        if (reason := load_violation(inst, graph, k, chain, loads)) is not None:
+            return reason, None
 
     by_station: dict[int, list[int]] = {}
     for node in seen:
@@ -141,6 +119,31 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         if visits != list(range(len(visits))):
             return f"station {st} duplicates used out of order", None
     return None, loads
+
+
+def load_violation(inst: Instance, graph: ExpandedGraph, k: int, chain, loads: dict):
+    """Why agent *k*'s *chain* breaks a capacity rule (a cap, the converted
+    capacity at a pickup, a load at a station or depot), or None.  Records
+    each pickup's and delivery's departure load (passengers, equipment) in *loads*."""
+    agent = inst.agents[k]
+    u1 = u2 = 0.0
+    for node in chain:
+        if graph.is_hub(node) or graph.is_station(node):
+            if u1 > _EPS or u2 > _EPS:
+                return f"agent {k} reaches {graph.label(node)} loaded"
+            continue
+        req = inst.requests[graph.gamma(node)]
+        sign = graph.mu(node)
+        u1 += sign * req.passengers
+        u2 += sign * req.equipment
+        if u1 > agent.cap_passengers + _EPS:
+            return f"agent {k} passenger load {u1} exceeds cap"
+        if u2 > agent.cap_equipment + _EPS:
+            return f"agent {k} equipment load {u2} exceeds cap"
+        if graph.is_pickup(node) and u1 + agent.conversion * u2 > agent.cap_passengers + _EPS:
+            return f"agent {k} mixed load exceeds converted capacity"
+        loads[node] = (u1, u2)
+    return None
 
 
 def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
@@ -158,16 +161,16 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
     and at most the makespan ``T``.  A chain that ends at a depot returns
     over that leg, one without a depot over its cheapest depot leg.
 
-    Validity.  On a partial routing (pickups and deliveries only, see
-    ``check_routes``) these rows are the whole timing LP of a partial
-    routing, so the value is that LP's optimum; under the triangle
+    Validity.  A partial routing holds only pickups and deliveries, each
+    placed request's two stops in one chain, pickup first.  There these rows
+    are the whole timing LP, so the value is its optimum; under the triangle
     inequality no completion (more requests, charging stops, a depot) makes
     any stop earlier, so it bounds every completion's routing cost.  On a
     complete routing it is at most the leaf LP's optimum less the rejection
-    penalties: the leaf LP has every row used here plus the charging
-    durations, which only delay later stops, the state-of-charge rows, the
-    station slot-order rows and the station opening rows, and dropping rows
-    or fixing ``xi = 0`` in a relaxation can only lower its minimum.
+    penalties: the leaf LP adds the charging durations, which only delay
+    later stops, and the state-of-charge, slot-order and station opening
+    rows, and dropping rows or fixing ``xi = 0`` in a relaxation can only
+    lower its minimum.
 
     Method: the soft-time-window scheduling DP of Ibaraki et al.
     (Transportation Science 39(2), 2005) and Hashimoto et al. (Discrete

@@ -1,18 +1,18 @@
 """Exact route construction: depth-first branch and bound plus a brute-force
 reference enumerator.
 
-Branching fixes one request at a time (highest priority first): either reject
-it or insert its pickup/delivery pair into one agent's chain at every
-position pair.  Interior nodes are bounded by the exact timing DP of
-``scheduling.timing_bound`` plus the rejection penalties already committed;
-that bound is only valid when arc costs satisfy the triangle inequality, so
-on non-metric instances it degrades to the penalties alone.  Charging stops
-and terminal depots are decided at the leaves.  There each agent's stop
-sets pass a best-case state-of-charge walk on their own, per depot; the
-survivors are combined across agents and given duplicate slots.  Each
-placement then passes the same DP on the complete routing, a lower bound on
-its LP, before the full scheduling LP runs, so the simplex runs only at the
-leaves.
+Branching fixes one request at a time (highest priority first): either
+reject it or insert its pickup/delivery pair into one agent's chain at every
+position pair where that chain passes ``scheduling.load_violation``.
+Interior nodes are bounded by the exact timing DP of ``timing_bound`` plus
+the rejection penalties already committed; that bound is only valid when arc
+costs satisfy the triangle inequality, so on non-metric instances it
+degrades to the penalties alone.  Charging stops and terminal depots are
+decided at the leaves.  There each agent's stop sets pass a best-case
+state-of-charge walk on their own, per depot; the survivors are combined
+across agents and given duplicate slots.  Each placement then passes the same
+DP on the complete routing, a lower bound on its LP, before the full
+scheduling LP runs, so the simplex runs only at the leaves.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
 from .model import compute_big_m
-from . import scheduling  # check_routes is looked up at call time; perfbench wraps it
-from .scheduling import ScheduleResult, schedule_routes, timing_bound
+from .scheduling import ScheduleResult, load_violation, schedule_routes, timing_bound
 from .solution import Solution
 
 _EPS = 1e-9
@@ -51,7 +50,7 @@ class SearchResult:
     objective: float
     best_bound: float
     gap: float
-    nodes: int
+    nodes: int  # nodes visited; a node limit stops before counting one more
     leaves: int
     leaf_lps: int  # schedule_routes calls made at the leaves
 
@@ -63,21 +62,6 @@ class _LimitReached(Exception):
 def request_order(inst: Instance):
     return sorted(range(inst.n_requests),
                   key=lambda r: (-inst.requests[r].priority, r))
-
-
-def _departure_loads(inst: Instance, graph: ExpandedGraph, chains):
-    """node -> (passengers, equipment) on board when leaving it, for chains of
-    pickups and deliveries."""
-    loads = {}
-    for chain in chains:
-        u1 = u2 = 0.0
-        for node in chain:
-            req = inst.requests[graph.gamma(node)]
-            sign = graph.mu(node)
-            u1 += sign * req.passengers
-            u2 += sign * req.equipment
-            loads[node] = (u1, u2)
-    return loads
 
 
 def _charging_gaps(graph: ExpandedGraph, chains, loads):
@@ -116,11 +100,10 @@ class _Search:
     # -- limits ---------------------------------------------------------------
 
     def _tick(self):
-        self.nodes += 1
-        cfg = self.config
-        if cfg.node_limit is not None and self.nodes > cfg.node_limit:
+        if self.config.node_limit is not None and self.nodes >= self.config.node_limit:
             raise _LimitReached
         self._check_time()
+        self.nodes += 1
 
     def _check_time(self):
         cfg = self.config
@@ -135,15 +118,11 @@ class _Search:
 
     def _bound(self, chains, accepted, depth):
         """Lower bound for the subtree; math.inf means provably infeasible."""
-        reason, _ = scheduling.check_routes(self.inst, self.graph, chains, accepted,
-                                            partial=True)
-        if reason is not None:
-            return math.inf
+        penalty = self._penalty(accepted, self.order[:depth])
         if not self.graph.metric:
-            # only the combinatorial screen and sunk penalties are safe
-            return self._penalty(accepted, self.order[:depth])
-        return (timing_bound(self.inst, self.graph, chains, self.big_m.horizon, self.curves)
-                + self._penalty(accepted, self.order[:depth]))
+            return penalty  # capacity is screened at insertion; only penalties are safe
+        return timing_bound(self.inst, self.graph, chains, self.big_m.horizon,
+                            self.curves) + penalty
 
     # -- leaf evaluation --------------------------------------------------------
 
@@ -241,7 +220,9 @@ class _Search:
         hub_opts = self._hub_options(chains)
         if hub_opts is None:
             return None
-        loads = _departure_loads(inst, g, chains)
+        loads = {}  # every leaf chain passed load_violation at insertion
+        for k, chain in enumerate(chains):
+            load_violation(inst, g, k, chain, loads)
         penalty = self._penalty(accepted, range(inst.n_requests))
         best: ScheduleResult | None = None
         cutoff = self.best_obj
@@ -297,24 +278,25 @@ class _Search:
             return
 
         r = self.order[depth]
-        req = self.inst.requests[r]
         p, d = self.graph.pickup_node(r), self.graph.delivery_node(r)
+        acc = accepted[:r] + [True] + accepted[r + 1:]
         children = []
         for k in range(self.inst.n_agents):
             for new_chain in _insertions(chains[k], p, d):
+                # capacity is all an insertion can break: a request sits once in one
+                # chain, pickup first, so every arc is admissible (the one pruned arc
+                # is d_r -> p_r), and a reject child changes no chain
+                if load_violation(self.inst, self.graph, k, new_chain, {}) is not None:
+                    continue
                 cand = list(chains)
                 cand[k] = new_chain
-                acc = list(accepted)
-                acc[r] = True
                 bnd = self._bound(cand, acc, depth + 1)
                 if bnd < self.best_obj - _EPS:
                     children.append((bnd, k, cand, acc))
-        if self.inst.selective and not req.force_accept:
-            acc = list(accepted)
-            acc[r] = False
-            bnd = self._bound(chains, acc, depth + 1)
+        if self.inst.selective and not self.inst.requests[r].force_accept:
+            bnd = self._bound(chains, accepted, depth + 1)  # r stays False: rejected
             if bnd < self.best_obj - _EPS:
-                children.append((bnd, self.inst.n_agents, list(chains), acc))
+                children.append((bnd, self.inst.n_agents, chains, accepted))
 
         children.sort(key=lambda item: (item[0], item[1]))
         for idx, (bnd, _, cand, acc) in enumerate(children):
@@ -411,8 +393,12 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
             for seqs in itertools.product(*[_interleavings(pairs)
                                             for pairs in per_agent]):
                 base = [list(s) for s in seqs]
+                # no station or depot relieves an overload: skip the completions
+                loads = {}
+                if any(load_violation(inst, graph, k, c, loads) for k, c in enumerate(base)):
+                    continue
                 # every way to scatter station duplicates after zero-load stops
-                slots = _charging_gaps(graph, base, _departure_loads(inst, graph, base))
+                slots = _charging_gaps(graph, base, loads)
                 for n_st in range(0, min(len(slots), len(station_nodes)) + 1):
                     for slot_pick in itertools.combinations(slots, n_st):
                         for nodes in itertools.permutations(station_nodes, n_st):

@@ -149,11 +149,12 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 
 def test_solve_node_limit_exit_code(tmp_path, capsys):
     # the first complete plan is found at node 3 of 5: a smaller limit
-    # stops with no plan, a larger one with an unproven plan and its bound
-    # the search's counts come with either outcome
+    # stops with no plan, a larger one with an unproven plan and its bound;
+    # the search's counts come with either outcome, and nodes counts only
+    # the nodes visited, never more than the limit
     path = write_doc(tmp_path, n_requests=2, n_agents=2)
-    for limit, status, written, counts in (("1", "limit", False, (2, 0, 0)),
-                                           ("3", "feasible", True, (4, 1, 1))):
+    for limit, status, written, counts in (("1", "limit", False, (1, 0, 0)),
+                                           ("3", "feasible", True, (3, 1, 1))):
         out = tmp_path / f"s{limit}.json"
         code, cap = run(capsys, "solve", path, "--node-limit", limit, "--out", str(out),
                         "--format", "json")

@@ -9,10 +9,12 @@ from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict
 from emdarp.lp import solve_lp
 from emdarp.model import compute_big_m
-from emdarp.scheduling import canonical_charge, check_routes, schedule_routes, timing_bound
-from emdarp.search import SearchConfig, _Search
+from emdarp.scheduling import (
+    canonical_charge, check_routes, load_violation, schedule_routes, timing_bound,
+)
+from emdarp.search import branch_and_bound, exhaustive_oracle
 
-from conftest import make_instance
+from conftest import make_doc, make_instance
 
 
 def _chain_ids(g, labels):
@@ -201,24 +203,51 @@ def test_partial_bound_is_lower_bound():
     assert part_bound <= res_full.objective + 1e-9
 
 
-def test_partial_routing_holds_only_placed_requests():
-    inst = make_instance(n_requests=2, n_stations=1)
+def _request(x, passengers=1, equipment=0):
+    return {"pickup": [x, 0.0], "delivery": [x, 300.0], "passengers": passengers,
+            "equipment": equipment, "service_time": 1.0, "tw_kind": "pickup",
+            "tw_lo": 0.0, "tw_hi": 60.0}
+
+
+def test_load_violation_reasons():
+    # one agent with 4 seats and 2 equipment slots, each slot worth 2 seats
+    inst = make_instance(n_stations=1, over={"requests": [
+        _request(100.0, passengers=5), _request(200.0, equipment=3),
+        _request(300.0, equipment=2), _request(400.0, passengers=2, equipment=1)]})
     g = expand_graph(inst)
-    p0, d0, p1, d1 = (g.pickup_node(0), g.delivery_node(0),
-                      g.pickup_node(1), g.delivery_node(1))
-    station, depot = g.f_node(0, 0), g.hf[0]
-    for chain, accepted, why in [
-        ([p0, d0, station], [True, False], "partial routing visits"),
-        ([p0, d0, depot], [True, False], "partial routing visits"),
-        ([p0, d0], [True, True], "request 1 accepted but not fully routed"),
-        ([p0, d0, p1], [True, True], "request 1 accepted but not fully routed"),
-        ([p0, d0, p1], [True, False], "request 1 rejected but routed"),
+    p, d = g.pickup_node, g.delivery_node
+    for chain, why in [
+        ([p(0), d(0)], "agent 0 passenger load 5.0 exceeds cap"),
+        ([p(1), d(1)], "agent 0 equipment load 3.0 exceeds cap"),
+        ([p(2), d(2)], "agent 0 mixed load exceeds converted capacity"),
+        ([p(3), g.f_node(0, 0), d(3)], "agent 0 reaches f0^0 loaded"),
+        ([p(3), g.hf[0]], "agent 0 reaches h0 loaded"),
     ]:
-        reason, _ = check_routes(inst, g, [chain], accepted, partial=True)
-        assert reason is not None and why in reason, (chain, accepted, reason)
-        assert _Search(inst, g, SearchConfig())._bound([chain], accepted, 2) == math.inf
-    reason, _ = check_routes(inst, g, [[p0, d0]], [True, False], partial=True)
-    assert reason is None
+        assert load_violation(inst, g, 0, chain, {}) == why, chain
+    loads = {}
+    assert load_violation(inst, g, 0, [p(3), d(3), g.f_node(0, 0), g.hf[0]], loads) is None
+    assert loads == {p(3): (2.0, 1.0), d(3): (0.0, 0.0)}
+
+
+@pytest.mark.parametrize("conversion, overlap", [(2.0, False), (1.0, True)])
+def test_conversion_decides_visit_order(conversion, overlap):
+    # both aboard at once: 3 passengers and 1 equipment unit, 5 seats when
+    # the unit takes 2, so only back-to-back service fits at conversion 2
+    inst = make_instance(n_requests=2, over={
+        "requests": [_request(100.0, equipment=1), _request(110.0, passengers=2)],
+        "agents": [dict(make_doc()["agents"][0], conversion=conversion)]})
+    g = expand_graph(inst)
+    p0, d0, p1, d1 = g.pickup_node(0), g.delivery_node(0), g.pickup_node(1), g.delivery_node(1)
+    assert (load_violation(inst, g, 0, [p0, p1, d0, d1], {}) is None) == overlap
+    assert load_violation(inst, g, 0, [p0, d0, p1, d1], {}) is None
+    bb, oracle = branch_and_bound(inst, g), exhaustive_oracle(inst, g)
+    assert bb.status == oracle.status == "optimal"
+    assert bb.objective == pytest.approx(oracle.objective, abs=1e-9)
+    route = bb.solution.plans[0].nodes
+    assert route == oracle.solution.plans[0].nodes
+    assert bb.solution.accepted == [True, True]
+    aboard = max(route.index(p0), route.index(p1)) < min(route.index(d0), route.index(d1))
+    assert aboard == overlap
 
 
 def test_partial_objective_carries_no_rejection_penalty():

@@ -8,11 +8,11 @@ from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict
 from emdarp.model import build_model
 from emdarp.mps import write_mps
-from emdarp.scheduling import schedule_routes
+from emdarp.scheduling import load_violation, schedule_routes
 from emdarp.checker import validate
 from emdarp.search import (
     SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _charging_gaps,
-    _departure_loads, _insertions, _Search,
+    _insertions, _Search,
 )
 from emdarp.solution import encode_plan
 from emdarp.tools.solve_mps import read_mps, solve
@@ -45,6 +45,14 @@ def _random_doc_over(rng, n_requests, n_agents, n_stations, dups):
     stations = [{"pos": pt(), "earliest_available": 0.0} for _ in range(n_stations)]
     return {"requests": requests, "agents": agents, "stations": stations,
             "depots": [pt()]}
+
+
+def _departure_loads(inst, g, chains):
+    """node -> (passengers, equipment) on departure, for chains within capacity."""
+    loads = {}
+    for k, chain in enumerate(chains):
+        assert load_violation(inst, g, k, chain, loads) is None
+    return loads
 
 
 def test_request_order_by_priority():
@@ -276,8 +284,8 @@ def test_nonselective_overload_is_infeasible():
 
 @pytest.mark.parametrize("seed", [3, 5, 7])
 def test_nonselective_matches_oracle(seed):
-    # requests a partial routing has not placed yet are undecided, not
-    # rejected, so the partial-chain bound stays finite above the leaves
+    # the node bound charges only requests already rejected, not those still
+    # unplaced, so it stays finite above the leaves of a non-selective search
     inst = generate(GenConfig(seed=seed, n_requests=3, n_agents=2, selective=False))
     bb = branch_and_bound(inst)
     oracle = exhaustive_oracle(inst)
@@ -288,7 +296,7 @@ def test_nonselective_matches_oracle(seed):
 
 def test_undecided_must_serve_request_is_not_rejected():
     # the must-serve request comes last in the branching order, so every
-    # partial routing above it leaves it undecided
+    # node above the leaves has it unplaced, and undecided is not rejected
     doc = generate_document(GenConfig(seed=3, n_requests=3, n_agents=1))
     doc["requests"][1]["force_accept"] = True
     inst = instance_from_dict(doc)
