@@ -153,7 +153,7 @@ def cmd_solve(args) -> int:
             node_limit=args.node_limit, time_limit=args.time_limit))
         sol, status = result.solution, result.status
         search = {"nodes": result.nodes, "leaves": result.leaves,
-                  "leaf_lps": result.leaf_lps}
+                  "leaf_lps": result.leaf_lps, "leaf_screened": result.leaf_screened}
     else:
         sol, status = _solve_external(inst, args)
     search_line = "  ".join(f"{key}: {val}" for key, val in search.items())

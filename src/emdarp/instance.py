@@ -110,6 +110,20 @@ class BatteryModel:
         u1, u2 = load
         return self.alpha0 * cost + (self.alpha1 * u1 + self.alpha2 * u2) * cost
 
+    def charge_time(self, arrival: float, departure: float) -> float:
+        """Least charging time from state of charge *arrival* to *departure*
+        on the curve the scheduling LP relaxes: segment 1 up to
+        ``CEILINGS[0] - arrival``, then ``WIDTHS[1]`` at beta2 and the rest
+        at beta3, fastest first.  It never rises with *arrival* and never
+        falls with *departure*; past 1.0 the LP is infeasible, and the
+        excess is priced at beta3."""
+        need = departure - arrival
+        if need <= 0.0:
+            return 0.0
+        a1 = min(need, max(0.0, self.CEILINGS[0] - arrival))
+        a2 = min(need - a1, self.WIDTHS[1])
+        return a1 / self.beta1 + a2 / self.beta2 + (need - a1 - a2) / self.beta3
+
 
 @dataclass(frozen=True)
 class Station:

@@ -8,9 +8,10 @@ charging durations.  Charging durations are canonicalized afterwards: the
 charge acquired is poured into the fastest segments first, which is never
 slower and pins down the segment indicator values.
 
-``timing_bound`` prices the timing part alone, without charging, by an exact
-dynamic program instead of the LP; the branch-and-bound uses it as its node
-bound and as a screen before each leaf LP.
+``timing_bound`` prices the timing part by an exact dynamic program instead
+of the LP, each station of a complete chain taking the least charging time
+that the state-of-charge rows allow it; the branch-and-bound uses it as its
+node bound and as a screen before each leaf LP.
 """
 
 from __future__ import annotations
@@ -147,19 +148,36 @@ def load_violation(inst: Instance, graph: ExpandedGraph, k: int, chain, loads: d
 
 
 def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
-                 cache: dict) -> float:
+                 cache: dict, loads=None) -> float:
     """Exact minimum of ``T + sum_r lambda_r (epsilon (t_p + t_d) + zeta tau)``
-    over the timing rows of a routing, without rejection penalties;
+    over the timing rows of a routing, without rejection penalties, each
+    station of a complete chain taking its least charging time;
     ``math.inf`` when no schedule fits.
 
-    The rows are the timing rows of ``schedule_routes`` with every charging
-    duration ``xi`` at zero: a stop is reached no earlier than the previous
-    departure plus the leg (the first one no earlier than the initial delay
-    plus the first leg; a station's departure is its arrival plus the
-    agent's station service time), every stop time is at most *horizon*,
-    and an agent's return ``Tk`` is at most ``min(max_duration, horizon)``
-    and at most the makespan ``T``.  A chain that ends at a depot returns
-    over that leg, one without a depot over its cheapest depot leg.
+    The rows are the timing rows of ``schedule_routes`` with each station's
+    charging durations ``xi`` summed to a fixed least time: a stop is
+    reached no earlier than the previous departure plus the leg (the first
+    one no earlier than the initial delay plus the first leg; a station's
+    departure is its arrival plus the agent's station service time plus its
+    least charging time), every stop time is at most *horizon*, and an
+    agent's return ``Tk`` is at most ``min(max_duration, horizon)`` and at
+    most the makespan ``T``.  A chain that ends at a depot returns over that
+    leg, one without a depot over its cheapest depot leg.
+
+    Least charging time.  Only a complete chain (one that ends at a depot)
+    charges.  On it, the leaf LP's SoC rows cap a station's arrival SoC at
+    ``soc_init``, or 1.0 out of the previous station, less the drains of the
+    legs in between (``soc_ceilings``, at the departure loads *loads* that
+    ``load_violation`` records; a stop missing from *loads* drives empty,
+    which only lowers a drain and weakens the bound).  Every SoC on the way
+    is at least ``soc_min``, so the departure SoC is at least ``soc_target``
+    and at least ``soc_min`` plus the drains up to the next station or the
+    depot.  The ``xi`` rows cap segment 1 at ``CEILINGS[0]`` less the
+    arrival SoC and segments 2 and 3 at their widths, so the LP charges
+    from its arrival SoC to its departure SoC for at least
+    ``BatteryModel.charge_time`` of them.  That time never rises with the
+    arrival SoC and never falls with the departure SoC, so at the two bounds
+    it is at most what the LP spends at the station.
 
     Validity.  A partial routing holds only pickups and deliveries, each
     placed request's two stops in one chain, pickup first.  There these rows
@@ -167,10 +185,10 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
     inequality no completion (more requests, charging stops, a depot) makes
     any stop earlier, so it bounds every completion's routing cost.  On a
     complete routing it is at most the leaf LP's optimum less the rejection
-    penalties: the leaf LP adds the charging durations, which only delay
-    later stops, and the state-of-charge, slot-order and station opening
-    rows, and dropping rows or fixing ``xi = 0`` in a relaxation can only
-    lower its minimum.
+    penalties: every LP schedule spends at least the least time charging at
+    each station, which can only delay later stops, and dropping the
+    state-of-charge, slot-order and station opening rows from a relaxation
+    can only lower its minimum.
 
     Method: the soft-time-window scheduling DP of Ibaraki et al.
     (Transportation Science 39(2), 2005) and Hashimoto et al. (Discrete
@@ -180,15 +198,18 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
     service time plus the leg, take the prefix minimum, add the stop's cost
     and clip at the horizon.  Agents meet only in the makespan, so the
     optimum is the least ``T + sum_k G_k(min(T, cap_k))``, where ``cap_k =
-    min(max_duration, horizon)``, over the merged breakpoints.  *cache* keeps ``G_k`` by ``(agent, chain)``; it must only
-    be reused for the same instance, graph and horizon."""
+    min(max_duration, horizon)``, over the merged breakpoints.
+
+    *cache* keeps ``G_k`` by ``(agent, chain)``.  Reuse it only for the same
+    instance, graph and horizon, with each complete chain's *loads* as
+    ``load_violation`` records them."""
     curves = []
     for k, chain in enumerate(chains):
         if not chain:
             continue
         key = (k, tuple(chain))
         if key not in cache:
-            cache[key] = _agent_curve(inst, graph, k, chain, horizon)
+            cache[key] = _agent_curve(inst, graph, k, chain, horizon, loads or {})
         if cache[key] is None:
             return math.inf
         curves.append(cache[key])
@@ -199,22 +220,64 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
                for t in {start, *(x for xs, _ in curves for x in xs if x > start)})
 
 
-def _agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float):
+def soc_ceilings(inst: Instance, graph: ExpandedGraph, k: int, route, loads,
+                 floor: float = -math.inf) -> list[float]:
+    """The highest state of charge agent *k* can reach each stop of *route*
+    with: ``soc_init`` at the start and 1.0 out of each station, less every
+    leg's ``BatteryModel.drain`` at the departure load in *loads* (the start
+    and stations are left empty).  The list ends at the first stop below
+    *floor*, so the walk stays at or above *floor* exactly when its last
+    entry does."""
+    b = inst.battery
+    soc, prev = inst.agents[k].soc_init, graph.start_node(k)
+    out = []
+    for node in route:
+        soc -= b.drain(graph.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
+        out.append(soc)
+        if soc < floor:
+            break
+        if graph.is_station(node):
+            soc = 1.0
+        prev = node
+    return out
+
+
+def _least_charge(inst: Instance, graph: ExpandedGraph, k: int, chain, loads) -> dict:
+    """Least charging time at each station of agent *k*'s *chain*, by
+    position (see ``timing_bound``); empty unless the chain ends at a
+    depot."""
+    if not graph.is_hub(chain[-1]):
+        return {}
+    stations = [pos for pos, node in enumerate(chain) if graph.is_station(node)]
+    if not stations:
+        return {}
+    agent, b = inst.agents[k], inst.battery
+    socs = soc_ceilings(inst, graph, k, chain, loads)
+    out, after = {}, socs[-1]  # 1.0 less the drains from the last station to the depot
+    for pos in reversed(stations):
+        out[pos] = b.charge_time(socs[pos], max(agent.soc_target, agent.soc_min + 1.0 - after))
+        after = socs[pos]
+    return out
+
+
+def _agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float,
+                 loads):
     """``G_k`` as convex, nonincreasing breakpoints ``(xs, ys)`` from the
     earliest return to the duration cap, constant beyond; None when the
     chain does not fit."""
     agent = inst.agents[k]
     w = inst.weights
+    charge = _least_charge(inst, graph, k, chain, loads)
     xs, ys = [agent.initial_delay], [0.0]
     prev, service, depot = graph.start_node(k), 0.0, None
-    for node in chain:
+    for pos, node in enumerate(chain):
         if graph.is_hub(node):
             depot = node
             break
         if not _advance(xs, ys, service + graph.time_cost(prev, node), horizon):
             return None
         if graph.is_station(node):
-            service = agent.station_service_time
+            service = agent.station_service_time + charge.get(pos, 0.0)
         else:
             r = graph.gamma(node)
             req = inst.requests[r]

@@ -11,8 +11,11 @@ degrades to the penalties alone.  Charging stops and terminal depots are
 decided at the leaves.  There each agent's stop sets pass a best-case
 state-of-charge walk on their own, per depot; the survivors are combined
 across agents and given duplicate slots.  Each placement then passes the same
-DP on the complete routing, a lower bound on its LP, before the full
-scheduling LP runs, so the simplex runs only at the leaves.
+DP on the complete routing, where a station also takes the least charging
+time its state-of-charge bounds allow: a lower bound on its LP.  A placement
+whose bound cannot beat the best plan so far is skipped (``leaf_screened``);
+the others run the full scheduling LP (``leaf_lps``), so the simplex runs
+only at the leaves.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and
@@ -31,7 +34,9 @@ from dataclasses import dataclass
 from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
 from .model import compute_big_m
-from .scheduling import ScheduleResult, load_violation, schedule_routes, timing_bound
+from .scheduling import (
+    ScheduleResult, load_violation, schedule_routes, soc_ceilings, timing_bound,
+)
 from .solution import Solution
 
 _EPS = 1e-9
@@ -53,6 +58,7 @@ class SearchResult:
     nodes: int  # nodes visited; a node limit stops before counting one more
     leaves: int
     leaf_lps: int  # schedule_routes calls made at the leaves
+    leaf_screened: int  # (placement, depots) pairs the timing screen skipped
 
 
 class _LimitReached(Exception):
@@ -91,6 +97,7 @@ class _Search:
         self.nodes = 0
         self.leaves = 0
         self.leaf_lps = 0
+        self.leaf_screened = 0
         self.best: ScheduleResult | None = None
         self.best_obj = math.inf
         self.frontier: list[float] = []
@@ -143,13 +150,12 @@ class _Search:
 
     def _agent_stop_sets(self, k, chain, positions, hubs, loads):
         """(stops, depots) for each set of (position, station) stops from
-        *positions* whose best-case SoC walk, with full recharges, reaches
+        *positions* whose best-case SoC walk (``soc_ceilings``) reaches
         some of *hubs*; *loads* are the leaf's departure loads.  A stop walks
         as slot 0 of its station, which is exact: ``expand_graph`` gives
         every duplicate its station's base-node costs (``base_of``)."""
         inst, g = self.inst, self.graph
-        b, agent = inst.battery, inst.agents[k]
-        floor = agent.soc_min - _EPS
+        floor = inst.agents[k].soc_min - _EPS
         out = []
         for count in range(min(len(positions), len(g.f)) + 1):
             for picked in itertools.combinations(positions, count):
@@ -158,19 +164,10 @@ class _Search:
                     route = list(chain)
                     for pos, st in reversed(stops):
                         route.insert(pos + 1, g.f_node(st, 0))
-                    soc, prev = agent.soc_init, g.start_node(k)
-                    for node in route:
-                        soc -= b.drain(g.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
-                        if soc < floor:
-                            break
-                        if g.is_station(node):
-                            soc = 1.0
-                        prev = node
-                    else:
-                        alive = [hub for hub in hubs if hub is None or soc - b.drain(
-                            g.energy_cost(prev, hub), loads.get(prev, (0.0, 0.0))) >= floor]
-                        if alive:
-                            out.append((stops, alive))
+                    alive = [hub for hub in hubs if hub is None or soc_ceilings(
+                        inst, g, k, route + [hub], loads, floor)[-1] >= floor]
+                    if alive:
+                        out.append((stops, alive))
         return out
 
     def _placements(self, gaps, chains, hub_opts, loads):
@@ -212,10 +209,11 @@ class _Search:
 
     def evaluate_leaf(self, chains, accepted):
         """Best complete schedule for fixed chains over the placements and
-        depots that pass the SoC walks.  One whose timing bound plus the
-        rejection penalties cannot beat the incumbent or the best schedule
-        found so far is skipped, so a result at or above the incumbent need
-        not be the leaf's best."""
+        depots that pass the SoC walks.  One whose timing bound, with each
+        station's least charging time, plus the rejection penalties cannot
+        beat the incumbent or the best schedule found so far is skipped and
+        counted in ``leaf_screened``, so a result at or above the incumbent
+        need not be the leaf's best."""
         inst, g = self.inst, self.graph
         hub_opts = self._hub_options(chains)
         if hub_opts is None:
@@ -234,8 +232,9 @@ class _Search:
                 routed[k].insert(pos + 1, node)
             for hubs in itertools.product(*agent_hubs):
                 full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
-                screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves)
+                screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves, loads)
                 if screen + penalty >= cutoff - _EPS:
+                    self.leaf_screened += 1
                     continue
                 self.leaf_lps += 1
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
@@ -265,7 +264,8 @@ class _Search:
             gap = (self.best_obj - bound) / max(1e-9, self.best_obj)  # bound <= objective
         return SearchResult(status=status, solution=solution, objective=self.best_obj,
                             best_bound=bound, gap=gap, nodes=self.nodes,
-                            leaves=self.leaves, leaf_lps=self.leaf_lps)
+                            leaves=self.leaves, leaf_lps=self.leaf_lps,
+                            leaf_screened=self.leaf_screened)
 
     def _visit(self, chains, accepted, depth):
         self._tick()
@@ -431,8 +431,9 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
                                 consider(full, accepted)
     if best is None:
         return SearchResult(status="infeasible", solution=None, objective=math.inf,
-                            best_bound=math.inf, gap=math.inf, nodes=0, leaves=0, leaf_lps=0)
+                            best_bound=math.inf, gap=math.inf, nodes=0, leaves=0, leaf_lps=0,
+                            leaf_screened=0)
     best.solution.status = "optimal"
     return SearchResult(status="optimal", solution=best.solution,
                         objective=best.objective, best_bound=best.objective,
-                        gap=0.0, nodes=0, leaves=0, leaf_lps=0)
+                        gap=0.0, nodes=0, leaves=0, leaf_lps=0, leaf_screened=0)

@@ -78,7 +78,10 @@ def test_criterion_1_oracle_equivalence(corpus):
 # Every feasible configuration counts the leaf of its optimum: the search
 # finds its incumbent itself, so that leaf is visited, not pruned by a bound
 # against a plan found beforehand.  Configuration 20 also visits one
-# infeasible leaf whose bound is not below the optimum.
+# infeasible leaf whose bound is not below the optimum.  Since the leaf
+# screen prices each station's least charging time, c5-n4-s3 solves 9 leaf
+# LPs instead of 28: the other 19 could not beat the plan found before them,
+# and its nodes, leaves and optimum are unchanged (no corpus row moved).
 PINNED_CORPUS = [
     (0, "infeasible", math.inf, 2, 1, 0),
     (1, "optimal", 75.95090282199382, 5, 2, 2),
@@ -113,13 +116,23 @@ PINNED_CORPUS = [
     # the criterion-5 make-up at 4 requests: 105 of 131 nodes are leaves
     (GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
                duplicate_visits=2, preset="high-discharge"),
-     "optimal", 148.93221199334377, 131, 105, 28),
+     "optimal", 148.93221199334377, 131, 105, 9),
 ], ids=[f"corpus-{row[0]}" for row in PINNED_CORPUS] + ["c5-n4-s3"])
 def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps):
     result = branch_and_bound(generate(config))
     assert result.status == status
     assert result.objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
     assert (result.nodes, result.leaves, result.leaf_lps) == (nodes, leaves, leaf_lps)
+
+
+def test_bnb_prices_every_placement():
+    # every (placement, depots) pair that passes the SoC walks either runs
+    # its leaf LP or is ruled out by the timing screen: a tighter screen
+    # moves pairs from one count to the other, never out of the total
+    result = branch_and_bound(generate(GenConfig(
+        seed=3, n_requests=4, n_agents=2, n_stations=1, duplicate_visits=2,
+        preset="high-discharge")))
+    assert result.leaf_lps + result.leaf_screened == 267
 
 
 def test_criterion_2_validator_gate(corpus):

@@ -102,7 +102,7 @@ def test_solve_then_check_clean(tmp_path, capsys):
                     "--routes", str(routes))
     assert code == 0
     assert "status: optimal" in cap.out
-    assert "\nnodes: 2  leaves: 1  leaf_lps: 1\n" in cap.out
+    assert "\nnodes: 2  leaves: 1  leaf_lps: 1  leaf_screened: 0\n" in cap.out
     assert "v0 -> p0 -> d0 -> h0" in routes.read_text().replace(
         "agent 0: ", "")
     code, cap = run(capsys, "check", path, str(sol_path))

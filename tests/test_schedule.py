@@ -354,8 +354,12 @@ def _random_routing(rng, inst, g, complete):
 
 
 def test_timing_bound_equals_timing_lp():
+    # station-free routings: the DP is the timing LP's exact optimum; with a
+    # station the DP adds a least charging time, so it can only lie above
+    # the service-only LP, and with the full horizon it stays below the leaf
+    # LP less the rejection penalties
     rng = random.Random(6)
-    outcomes = {"finite": 0, "infeasible": 0}
+    outcomes = {"finite": 0, "infeasible": 0, "charged": 0}
     for case in range(60):
         doc = generate_document(GenConfig(
             seed=case, n_requests=rng.randint(1, 4), n_agents=rng.randint(1, 2),
@@ -373,15 +377,66 @@ def test_timing_bound_equals_timing_lp():
         for _ in range(6):
             chains = _random_routing(rng, inst, g, complete=rng.random() < 0.5)
             horizon = full_horizon if rng.random() < 0.5 else rng.uniform(10.0, 150.0)
+            loads = {}
+            for k, chain in enumerate(chains):
+                load_violation(inst, g, k, chain, loads)
             want = _timing_lp(inst, g, chains, horizon)
-            got = timing_bound(inst, g, chains, horizon, {})
+            got = timing_bound(inst, g, chains, horizon, {}, loads)
+            charged = any(g.is_station(node) for chain in chains for node in chain)
             if math.isinf(want):
                 assert got == math.inf, (case, chains, horizon)
                 outcomes["infeasible"] += 1
-            else:
+                continue
+            outcomes["finite"] += 1
+            if not charged:
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (case, chains, horizon)
-                outcomes["finite"] += 1
-    assert min(outcomes.values()) >= 50, outcomes
+                continue
+            assert got >= want - 1e-9 * max(1.0, abs(want)), (case, chains, horizon)
+            if horizon != full_horizon:
+                continue
+            accepted = [any(g.pickup_node(r) in chain for chain in chains)
+                        for r in range(inst.n_requests)]
+            res = schedule_routes(inst, g, chains, accepted)
+            if res.feasible:
+                penalty = sum(req.priority * inst.weights.eta
+                              for req, acc in zip(inst.requests, accepted) if not acc)
+                assert got + penalty <= res.objective + 1e-7 * max(1.0, abs(res.objective)), \
+                    (case, chains)
+                outcomes["charged"] += 1
+    assert min(outcomes["finite"], outcomes["infeasible"]) >= 50, outcomes
+    assert outcomes["charged"] >= 5, outcomes
+
+
+@pytest.mark.parametrize("soc_target, charge", [
+    (0.85, 0.11 / 0.034),                # segment 1 alone
+    (0.95, 0.11 / 0.034 + 0.1 / 0.012),  # spills into segment 2
+], ids=["segment-1", "segment-2"])
+def test_timing_bound_prices_least_charge(soc_target, charge):
+    # the station is reached with at most 1.0 - 0.1 - 0.11 - 0.05 = 0.74 and
+    # left with at least max(soc_target, 0.25 + 0.05); the leaf LP charges
+    # exactly that, so the bound is tight: p0 at 10, d0 at 21, the station at
+    # 27, 2 of service, the charge, and 5 to the depot
+    inst = _charging_instance(soc_target=soc_target)
+    g = expand_graph(inst)
+    chains = [_chain_ids(g, ["p0", "d0", "f0^0", "h0"])]
+    loads = {}
+    assert load_violation(inst, g, 0, chains[0], loads) is None
+    bound = timing_bound(inst, g, chains, compute_big_m(inst, g).horizon, {}, loads)
+    assert bound == pytest.approx(27 + 2 + charge + 5 + 0.001 * (10 + 21), rel=1e-12)
+    res = schedule_routes(inst, g, chains, [True])
+    assert res.feasible and bound == pytest.approx(res.objective, rel=1e-9)
+
+
+def test_charge_time_matches_canonical_split():
+    b = make_instance().battery
+    for arrival in (0.0, 0.3, 0.74, 0.85, 0.9, 0.97):
+        for gained in (0.0, 0.05, 0.11, 0.2, 0.26, 0.6):
+            if arrival + gained > 1.0:
+                continue
+            xi = canonical_charge(arrival, gained, b)[:3]
+            assert b.charge_time(arrival, arrival + gained) == pytest.approx(
+                sum(xi), rel=1e-12, abs=1e-12), (arrival, gained)
+    assert b.charge_time(0.9, 0.5) == 0.0
 
 
 def test_timing_bound_cache_is_per_agent_chain():

@@ -8,7 +8,9 @@ from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict
 from emdarp.model import build_model
 from emdarp.mps import write_mps
-from emdarp.scheduling import load_violation, schedule_routes
+from emdarp import search
+from emdarp.model import compute_big_m
+from emdarp.scheduling import load_violation, schedule_routes, timing_bound
 from emdarp.checker import validate
 from emdarp.search import (
     SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _charging_gaps,
@@ -527,6 +529,69 @@ def test_differential_sweep(cfg):
     if oracle.status == "optimal":
         assert bb.objective == pytest.approx(oracle.objective, rel=1e-6)
         assert validate(inst, g, bb.solution).ok
+
+
+@pytest.mark.parametrize("cfg", [
+    *[pytest.param(corpus_config(i), id=f"corpus-{i}") for i in range(25)],
+    *[p for p in _sweep() if p.values[0].n_requests == 2]])
+def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
+    # the leaf screen is sound: on every complete routing the oracle prices,
+    # the timing DP with its least charging times plus the rejection
+    # penalties stays at or below the leaf LP's objective
+    inst = generate(cfg)
+    g = expand_graph(inst)
+    horizon = compute_big_m(inst, g).horizon
+    cache, priced = {}, []
+
+    def audited(inst, graph, chains, accepted, big_m=None):
+        res = schedule_routes(inst, graph, chains, accepted, big_m=big_m)
+        if res.feasible:
+            loads = _departure_loads(inst, graph, chains)
+            penalty = sum(req.priority * inst.weights.eta
+                          for req, acc in zip(inst.requests, accepted) if not acc)
+            bound = timing_bound(inst, graph, chains, horizon, cache, loads) + penalty
+            assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), chains
+            priced.append(chains)
+        return res
+
+    monkeypatch.setattr(search, "schedule_routes", audited)
+    oracle = exhaustive_oracle(inst, g)
+    assert (oracle.status == "optimal") == bool(priced)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_timing_bound_below_leaf_lps(seed):
+    # the same on the criterion-5 make-up, beyond the oracle's caps: at every
+    # leaf the search visits, each (placement, depots) pair it prices or
+    # screens, most with two or more stations in one chain
+    inst = generate(GenConfig(seed=seed, n_requests=4, n_agents=2, n_stations=1,
+                              duplicate_visits=2, preset="high-discharge"))
+    priced = []
+
+    class Audited(_Search):
+        def evaluate_leaf(self, chains, accepted):
+            g = self.graph
+            hub_opts = self._hub_options(chains)
+            if hub_opts is not None:
+                loads = _departure_loads(inst, g, chains)
+                penalty = self._penalty(accepted, range(inst.n_requests))
+                for placement, agent_hubs in self._placements(
+                        _charging_gaps(g, chains, loads), chains, hub_opts, loads):
+                    routed = [list(c) for c in chains]
+                    for (k, pos), node in sorted(placement, reverse=True):
+                        routed[k].insert(pos + 1, node)
+                    for hubs in itertools.product(*agent_hubs):
+                        full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
+                        res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
+                        if res.feasible:
+                            bound = timing_bound(inst, g, full, self.big_m.horizon, {},
+                                                 loads) + penalty
+                            assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), full
+                            priced.append(full)
+            return super().evaluate_leaf(chains, accepted)
+
+    Audited(inst, expand_graph(inst), SearchConfig()).run()
+    assert len(priced) >= 50
 
 
 @pytest.mark.parametrize("cfg", [
