@@ -110,19 +110,25 @@ class BatteryModel:
         u1, u2 = load
         return self.alpha0 * cost + (self.alpha1 * u1 + self.alpha2 * u2) * cost
 
+    def charge_split(self, arrival: float, gained: float) -> tuple[float, float, float]:
+        """Per-segment charging times that gain *gained* from state of
+        charge *arrival* on the curve the scheduling LP relaxes, fastest
+        first: segment 1 up to ``CEILINGS[0] - arrival``, then ``WIDTHS[1]``
+        at beta2 and the rest at beta3.  Past 1.0 the LP is infeasible, and
+        the excess is priced at beta3."""
+        a1 = min(gained, max(0.0, self.CEILINGS[0] - arrival))
+        a2 = min(gained - a1, self.WIDTHS[1])
+        return (a1 / self.beta1, a2 / self.beta2, (gained - a1 - a2) / self.beta3)
+
     def charge_time(self, arrival: float, departure: float) -> float:
         """Least charging time from state of charge *arrival* to *departure*
-        on the curve the scheduling LP relaxes: segment 1 up to
-        ``CEILINGS[0] - arrival``, then ``WIDTHS[1]`` at beta2 and the rest
-        at beta3, fastest first.  It never rises with *arrival* and never
-        falls with *departure*; past 1.0 the LP is infeasible, and the
-        excess is priced at beta3."""
+        (``charge_split``).  It never rises with *arrival* and never falls
+        with *departure*."""
         need = departure - arrival
         if need <= 0.0:
             return 0.0
-        a1 = min(need, max(0.0, self.CEILINGS[0] - arrival))
-        a2 = min(need - a1, self.WIDTHS[1])
-        return a1 / self.beta1 + a2 / self.beta2 + (need - a1 - a2) / self.beta3
+        xi1, xi2, xi3 = self.charge_split(arrival, need)
+        return xi1 + xi2 + xi3
 
 
 @dataclass(frozen=True)

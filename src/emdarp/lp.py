@@ -120,10 +120,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpRe
     return LpResult(OPTIMAL, xs, float(c @ xs))
 
 
-def _iterate(tableau: np.ndarray, basis: list, n_cols: int,
-             max_iter: int = _MAX_ITER) -> str:
+def _iterate(tableau: np.ndarray, basis: list, n_cols: int) -> str:
     m = tableau.shape[0] - 1
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # Bland: entering = lowest-index column with negative reduced cost
         negative = tableau[m, :n_cols] < -_TOL
         enter = int(negative.argmax())

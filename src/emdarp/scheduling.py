@@ -148,7 +148,7 @@ def load_violation(inst: Instance, graph: ExpandedGraph, k: int, chain, loads: d
 
 
 def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
-                 cache: dict, loads=None) -> float:
+                 cache: dict) -> float:
     """Exact minimum of ``T + sum_r lambda_r (epsilon (t_p + t_d) + zeta tau)``
     over the timing rows of a routing, without rejection penalties, each
     station of a complete chain taking its least charging time;
@@ -167,9 +167,8 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
     Least charging time.  Only a complete chain (one that ends at a depot)
     charges.  On it, the leaf LP's SoC rows cap a station's arrival SoC at
     ``soc_init``, or 1.0 out of the previous station, less the drains of the
-    legs in between (``soc_ceilings``, at the departure loads *loads* that
-    ``load_violation`` records; a stop missing from *loads* drives empty,
-    which only lowers a drain and weakens the bound).  Every SoC on the way
+    legs in between (``soc_ceilings``, at the departure loads that
+    ``load_violation`` records for the chain).  Every SoC on the way
     is at least ``soc_min``, so the departure SoC is at least ``soc_target``
     and at least ``soc_min`` plus the drains up to the next station or the
     depot.  The ``xi`` rows cap segment 1 at ``CEILINGS[0]`` less the
@@ -201,15 +200,14 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
     min(max_duration, horizon)``, over the merged breakpoints.
 
     *cache* keeps ``G_k`` by ``(agent, chain)``.  Reuse it only for the same
-    instance, graph and horizon, with each complete chain's *loads* as
-    ``load_violation`` records them."""
+    instance, graph and horizon."""
     curves = []
     for k, chain in enumerate(chains):
         if not chain:
             continue
         key = (k, tuple(chain))
         if key not in cache:
-            cache[key] = _agent_curve(inst, graph, k, chain, horizon, loads or {})
+            cache[key] = _agent_curve(inst, graph, k, chain, horizon)
         if cache[key] is None:
             return math.inf
         curves.append(cache[key])
@@ -242,7 +240,7 @@ def soc_ceilings(inst: Instance, graph: ExpandedGraph, k: int, route, loads,
     return out
 
 
-def _least_charge(inst: Instance, graph: ExpandedGraph, k: int, chain, loads) -> dict:
+def _least_charge(inst: Instance, graph: ExpandedGraph, k: int, chain) -> dict:
     """Least charging time at each station of agent *k*'s *chain*, by
     position (see ``timing_bound``); empty unless the chain ends at a
     depot."""
@@ -252,6 +250,8 @@ def _least_charge(inst: Instance, graph: ExpandedGraph, k: int, chain, loads) ->
     if not stations:
         return {}
     agent, b = inst.agents[k], inst.battery
+    loads = {}
+    load_violation(inst, graph, k, chain, loads)
     socs = soc_ceilings(inst, graph, k, chain, loads)
     out, after = {}, socs[-1]  # 1.0 less the drains from the last station to the depot
     for pos in reversed(stations):
@@ -260,14 +260,13 @@ def _least_charge(inst: Instance, graph: ExpandedGraph, k: int, chain, loads) ->
     return out
 
 
-def _agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float,
-                 loads):
+def _agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float):
     """``G_k`` as convex, nonincreasing breakpoints ``(xs, ys)`` from the
     earliest return to the duration cap, constant beyond; None when the
     chain does not fit."""
     agent = inst.agents[k]
     w = inst.weights
-    charge = _least_charge(inst, graph, k, chain, loads)
+    charge = _least_charge(inst, graph, k, chain)
     xs, ys = [agent.initial_delay], [0.0]
     prev, service, depot = graph.start_node(k), 0.0, None
     for pos, node in enumerate(chain):
@@ -363,9 +362,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     cols: list[tuple] = []
     index: dict[tuple, int] = {}
 
-    def var(kind, key, lb, ub):
-        if (kind, key) in index:
-            return index[(kind, key)]
+    def var(kind, key, lb, ub):  # check_routes leaves every (kind, key) unique
         index[(kind, key)] = len(cols)
         cols.append((kind, key, lb, ub))
         return index[(kind, key)]
@@ -505,19 +502,6 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     return ScheduleResult(feasible=True, objective=objective, solution=sol)
 
 
-def canonical_charge(soc_arrival: float, gained: float, battery):
-    """Split a charge amount over the three segments, fastest first.
-
-    Returns (xi1, xi2, xi3, z1, z2) with durations in time units."""
-    room = max(0.0, battery.CEILINGS[0] - soc_arrival)
-    a1 = min(gained, room)
-    a2 = min(gained - a1, battery.WIDTHS[1])
-    a3 = gained - a1 - a2
-    z1 = 1 if gained > room + 1e-12 else 0
-    z2 = 1 if a3 > 1e-12 else 0
-    return (a1 / battery.beta1, a2 / battery.beta2, a3 / battery.beta3, z1, z2)
-
-
 def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solution:
     b = inst.battery
     plans = []
@@ -542,7 +526,7 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
             phi = x[index[("phi", node)]]
             if graph.is_station(node):
                 gained = b.gained([x[index[("xi", (node, s))]] for s in (1, 2, 3)])
-                xi1, xi2, xi3, _, _ = canonical_charge(phi, gained, b)
+                xi1, xi2, xi3 = b.charge_split(phi, gained)
                 visits.append(VisitRecord(
                     node=node, label=graph.label(node), arrival=arrive,
                     departure=arrive + agent.station_service_time + xi1 + xi2 + xi3,

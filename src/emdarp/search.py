@@ -70,10 +70,10 @@ def request_order(inst: Instance):
                   key=lambda r: (-inst.requests[r].priority, r))
 
 
-def _charging_gaps(graph: ExpandedGraph, chains, loads):
-    """(agent, position) pairs where a charging stop may be inserted:
+def _charging_gaps(graph: ExpandedGraph, chain, loads):
+    """Positions in *chain* after which a charging stop may be inserted:
     directly after a delivery that empties the vehicle."""
-    return [(k, pos) for k, chain in enumerate(chains) for pos, node in enumerate(chain)
+    return [pos for pos, node in enumerate(chain)
             if graph.is_delivery(node) and loads[node] == (0.0, 0.0)]
 
 
@@ -133,29 +133,23 @@ class _Search:
 
     # -- leaf evaluation --------------------------------------------------------
 
-    def _hub_options(self, chains):
-        opts = []
-        for k, chain in enumerate(chains):
-            agent = self.inst.agents[k]
-            if not chain:
-                if agent.terminal_hub is not None:
-                    return None  # a pinned depot cannot be reached by an idle agent
-                opts.append([None])
-            elif agent.terminal_hub is not None:
-                opts.append([self.graph.hub_node(agent.terminal_hub)])
-            else:
-                opts.append([self.graph.hub_node(h)
-                             for h in range(len(self.inst.final_depots))])
-        return opts
-
-    def _agent_stop_sets(self, k, chain, positions, hubs, loads):
-        """(stops, depots) for each set of (position, station) stops from
-        *positions* whose best-case SoC walk (``soc_ceilings``) reaches
-        some of *hubs*; *loads* are the leaf's departure loads.  A stop walks
-        as slot 0 of its station, which is exact: ``expand_graph`` gives
-        every duplicate its station's base-node costs (``base_of``)."""
+    def _agent_stop_sets(self, k, chain):
+        """(stops, depots) for each set of (position, station) stops in the
+        charging gaps of agent *k*'s *chain* whose best-case SoC walk
+        (``soc_ceilings``) reaches some of the agent's depots: its pinned
+        depot, else every depot.  An idle agent has the one option
+        ``([], [None])``, or none when its depot is pinned.  A stop walks as
+        slot 0 of its station, which is exact: ``expand_graph`` gives every
+        duplicate its station's base-node costs (``base_of``)."""
         inst, g = self.inst, self.graph
-        floor = inst.agents[k].soc_min - _EPS
+        agent = inst.agents[k]
+        if not chain:
+            return [] if agent.terminal_hub is not None else [([], [None])]
+        hubs = list(g.hf) if agent.terminal_hub is None else [g.hub_node(agent.terminal_hub)]
+        loads = {}  # every leaf chain passed load_violation at insertion
+        load_violation(inst, g, k, chain, loads)
+        positions = _charging_gaps(g, chain, loads)
+        floor = agent.soc_min - _EPS
         out = []
         for count in range(min(len(positions), len(g.f)) + 1):
             for picked in itertools.combinations(positions, count):
@@ -164,30 +158,29 @@ class _Search:
                     route = list(chain)
                     for pos, st in reversed(stops):
                         route.insert(pos + 1, g.f_node(st, 0))
-                    alive = [hub for hub in hubs if hub is None or soc_ceilings(
+                    alive = [hub for hub in hubs if soc_ceilings(
                         inst, g, k, route + [hub], loads, floor)[-1] >= floor]
                     if alive:
                         out.append((stops, alive))
         return out
 
-    def _placements(self, gaps, chains, hub_opts, loads):
-        """Every charging placement for the leaf's *gaps* that passes each
-        agent's SoC walk, as a list of (gap, station node) pairs with the
-        depots left to each agent: by stop count, then gap subset, then the
-        station of each picked gap, then the duplicate slots of each station
-        in order of first appearance.  A station takes its slots from the
-        front, and one agent's visits to it take increasing slots: *gaps*
-        are in route order, so only cross-agent interleavings are choices."""
+    def _placements(self, chains):
+        """Every charging placement of the leaf *chains* that passes each
+        agent's SoC walk, as a list of ((agent, position) gap, station node)
+        pairs with the depots left to each agent: by stop count, then gap
+        subset, then the station of each picked gap, then the duplicate slots
+        of each station in order of first appearance.  A station takes its
+        slots from the front, and one agent's visits to it take increasing
+        slots: gaps are in route order, so only cross-agent interleavings are
+        choices."""
         max_visits = self.inst.duplicate_visits + 1
-        per_agent = [self._agent_stop_sets(k, chain, [pos for a, pos in gaps if a == k],
-                                           hub_opts[k], loads)
-                     for k, chain in enumerate(chains)]
+        per_agent = [self._agent_stop_sets(k, chain) for k, chain in enumerate(chains)]
         combos = []
         for parts in itertools.product(*per_agent):
             stops = [((k, pos), st) for k, (own, _) in enumerate(parts) for pos, st in own]
             stations = [st for _, st in stops]
             if all(stations.count(st) <= max_visits for st in stations):
-                # *gaps* sort by (agent, position): gaps compare as their indices
+                # gaps sort by (agent, position), which is route order
                 combos.append(((len(stops), [gap for gap, _ in stops], stations),
                                stops, [hubs for _, hubs in parts]))
         combos.sort(key=lambda combo: combo[0])
@@ -215,24 +208,17 @@ class _Search:
         counted in ``leaf_screened``, so a result at or above the incumbent
         need not be the leaf's best."""
         inst, g = self.inst, self.graph
-        hub_opts = self._hub_options(chains)
-        if hub_opts is None:
-            return None
-        loads = {}  # every leaf chain passed load_violation at insertion
-        for k, chain in enumerate(chains):
-            load_violation(inst, g, k, chain, loads)
         penalty = self._penalty(accepted, range(inst.n_requests))
         best: ScheduleResult | None = None
         cutoff = self.best_obj
-        gaps = _charging_gaps(g, chains, loads)
-        for placement, agent_hubs in self._placements(gaps, chains, hub_opts, loads):
+        for placement, agent_hubs in self._placements(chains):
             self._check_time()
             routed = [list(c) for c in chains]
             for (k, pos), node in sorted(placement, reverse=True):
                 routed[k].insert(pos + 1, node)
             for hubs in itertools.product(*agent_hubs):
                 full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
-                screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves, loads)
+                screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves)
                 if screen + penalty >= cutoff - _EPS:
                     self.leaf_screened += 1
                     continue
@@ -398,7 +384,8 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
                 if any(load_violation(inst, graph, k, c, loads) for k, c in enumerate(base)):
                     continue
                 # every way to scatter station duplicates after zero-load stops
-                slots = _charging_gaps(graph, base, loads)
+                slots = [(k, pos) for k, c in enumerate(base)
+                         for pos in _charging_gaps(graph, c, loads)]
                 for n_st in range(0, min(len(slots), len(station_nodes)) + 1):
                     for slot_pick in itertools.combinations(slots, n_st):
                         for nodes in itertools.permutations(station_nodes, n_st):

@@ -20,7 +20,6 @@ from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict, instance_to_dict
 from emdarp.model import build_model, compute_big_m
 from emdarp.mps import format_mps
-from emdarp.scheduling import canonical_charge
 from emdarp.search import SearchConfig, branch_and_bound, exhaustive_oracle
 from emdarp.solution import run_external
 
@@ -184,15 +183,21 @@ def test_criterion_4_charging_model_identity():
         duration = rng.uniform(0.0, 120.0)
         final, (t1, t2, t3) = charge_curve(soc, duration, battery)
         gained = final - soc
-        x1, x2, x3, z1, z2 = canonical_charge(soc, gained, battery)
+        x1, x2, x3 = battery.charge_split(soc, gained)
         # same final state from the segment split
         rebuilt = soc + battery.beta1 * x1 + battery.beta2 * x2 + battery.beta3 * x3
         assert abs(rebuilt - final) <= 1e-9
-        # the split respects every segment cap and indicator link
+        # the split respects every segment cap and indicator link: a
+        # segment's indicator is on when a later segment charges, and then
+        # the segments up to it are full (rows 41c-f and 42 of the MILP)
+        z1 = 1 if x2 > 0.0 or x3 > 0.0 else 0
+        z2 = 1 if x3 > 0.0 else 0
         assert battery.beta1 * x1 <= 0.85 - soc + 1e-9
         assert x2 <= z1 * 0.1 / battery.beta2 + 1e-9
         assert x3 <= z2 * 0.05 / battery.beta3 + 1e-9
         assert z2 <= z1
+        assert 0.85 * z1 <= soc + battery.beta1 * x1 + 1e-9
+        assert 0.85 * z1 + 0.1 * z2 <= soc + battery.beta1 * x1 + battery.beta2 * x2 + 1e-9
         # and the curve's own segment times agree with the split
         assert abs(x1 - t1) <= 1e-9 and abs(x2 - t2) <= 1e-9 and abs(x3 - t3) <= 1e-9
         assert t1 + t2 + t3 <= duration + 1e-9

@@ -1,9 +1,12 @@
-"""Source hygiene: no module under src/ or tests/ imports a name it never uses.
+"""Source hygiene for every module under src/ and tests/.
 
-A name counts as used when it is read anywhere in the module or listed in
-its ``__all__`` (a package's re-exports).  An import line marked
-``# noqa: F401`` is an intended side-effect import, such as a probe for an
-optional dependency.
+- No module imports a name it never uses.  A name counts as used when it is
+  read anywhere in the module or listed in its ``__all__`` (a package's
+  re-exports).  An import line marked ``# noqa: F401`` is an intended
+  side-effect import, such as a probe for an optional dependency.
+- No module defines a private function, method or class (``_name``, not a
+  dunder) that no module references: by name, as an attribute, in an import
+  or as a string (``monkeypatch.setattr(module, "_name", ...)``).
 """
 
 import ast
@@ -41,3 +44,34 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_names(tree):
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _references(tree):
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+TREES = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+         for path in SOURCES}
+REFERENCED = set().union(*(_references(tree) for tree in TREES.values()))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreferenced_private_definitions(path):
+    unused = _private_names(TREES[path]).items()
+    assert sorted((line, name) for name, line in unused if name not in REFERENCED) == []

@@ -77,7 +77,7 @@ def test_ratio_ties_go_to_the_lowest_basis_index():
         [-1.0, 0.0, 0.0, 0.0],
     ])
     basis = [2, 1]
-    assert _iterate(tableau, basis, 3, 10) == OPTIMAL
+    assert _iterate(tableau, basis, 3) == OPTIMAL
     assert basis == [2, 0]
 
 

@@ -9,9 +9,7 @@ from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict
 from emdarp.lp import solve_lp
 from emdarp.model import compute_big_m
-from emdarp.scheduling import (
-    canonical_charge, check_routes, load_violation, schedule_routes, timing_bound,
-)
+from emdarp.scheduling import check_routes, load_violation, schedule_routes, timing_bound
 from emdarp.search import branch_and_bound, exhaustive_oracle
 
 from conftest import make_doc, make_instance
@@ -97,8 +95,9 @@ def test_capacity_screens():
     assert not res.feasible and "converted capacity" in res.reason
 
 
-def _charging_instance(soc_target=0.85, alpha0=0.01):
-    # base nodes: start, p0, d0, f0, depot
+def _charging_instance(soc_target=0.85, alpha0=0.01, n_agents=1):
+    # base nodes: start, p0, d0, f0, depot; every further agent starts 1
+    # from the first and has the first start's costs to the other nodes
     matrix = [
         [0.0, 10.0, 20.0, 30.0, 40.0],
         [10.0, 0.0, 10.0, 20.0, 30.0],
@@ -106,6 +105,9 @@ def _charging_instance(soc_target=0.85, alpha0=0.01):
         [30.0, 20.0, 5.0, 0.0, 5.0],
         [40.0, 30.0, 10.0, 5.0, 0.0],
     ]
+    matrix = [[row[0]] * n_agents + row[1:] for row in matrix]
+    matrix = [[0.0 if i == j else 1.0 for j in range(n_agents)] + matrix[0][n_agents:]
+              for i in range(n_agents)] + matrix[1:]
     over = {
         "costs": {"mode": "matrix", "matrix": matrix},
         "battery": {"alpha0": alpha0, "alpha1": 0.001, "alpha2": 0.0005,
@@ -113,7 +115,7 @@ def _charging_instance(soc_target=0.85, alpha0=0.01):
         "agents": [dict(start=[0.0, 0.0], initial_delay=0.0, cap_passengers=4,
                         cap_equipment=2, conversion=2.0, max_duration=600.0,
                         station_service_time=2.0, soc_min=0.25, soc_init=1.0,
-                        soc_target=soc_target)],
+                        soc_target=soc_target)] * n_agents,
     }
     return make_instance(n_stations=1, dups=0, over=over)
 
@@ -158,15 +160,10 @@ def test_soc_floor_makes_route_infeasible():
 def test_canonical_charge_splits():
     inst = make_instance()
     b = inst.battery
-    xi1, xi2, xi3, z1, z2 = canonical_charge(0.8, 0.15, b)
-    assert (xi1, xi2, xi3) == pytest.approx((0.05 / b.beta1, 0.1 / b.beta2, 0.0))
-    assert (z1, z2) == (1, 0)
-    xi1, xi2, xi3, z1, z2 = canonical_charge(0.8, 0.18, b)
-    assert xi3 == pytest.approx(0.03 / b.beta3)
-    assert (z1, z2) == (1, 1)
-    xi1, xi2, xi3, z1, z2 = canonical_charge(0.5, 0.2, b)
-    assert (xi1, xi2, xi3) == pytest.approx((0.2 / b.beta1, 0.0, 0.0))
-    assert (z1, z2) == (0, 0)
+    assert b.charge_split(0.8, 0.15) == pytest.approx((0.05 / b.beta1, 0.1 / b.beta2, 0.0))
+    assert b.charge_split(0.8, 0.18) == pytest.approx(
+        (0.05 / b.beta1, 0.1 / b.beta2, 0.03 / b.beta3))
+    assert b.charge_split(0.5, 0.2) == pytest.approx((0.2 / b.beta1, 0.0, 0.0))
 
 
 def test_station_visits_are_sequenced():
@@ -377,11 +374,8 @@ def test_timing_bound_equals_timing_lp():
         for _ in range(6):
             chains = _random_routing(rng, inst, g, complete=rng.random() < 0.5)
             horizon = full_horizon if rng.random() < 0.5 else rng.uniform(10.0, 150.0)
-            loads = {}
-            for k, chain in enumerate(chains):
-                load_violation(inst, g, k, chain, loads)
             want = _timing_lp(inst, g, chains, horizon)
-            got = timing_bound(inst, g, chains, horizon, {}, loads)
+            got = timing_bound(inst, g, chains, horizon, {})
             charged = any(g.is_station(node) for chain in chains for node in chain)
             if math.isinf(want):
                 assert got == math.inf, (case, chains, horizon)
@@ -419,23 +413,30 @@ def test_timing_bound_prices_least_charge(soc_target, charge):
     inst = _charging_instance(soc_target=soc_target)
     g = expand_graph(inst)
     chains = [_chain_ids(g, ["p0", "d0", "f0^0", "h0"])]
-    loads = {}
-    assert load_violation(inst, g, 0, chains[0], loads) is None
-    bound = timing_bound(inst, g, chains, compute_big_m(inst, g).horizon, {}, loads)
+    assert load_violation(inst, g, 0, chains[0], {}) is None
+    bound = timing_bound(inst, g, chains, compute_big_m(inst, g).horizon, {})
     assert bound == pytest.approx(27 + 2 + charge + 5 + 0.001 * (10 + 21), rel=1e-12)
     res = schedule_routes(inst, g, chains, [True])
     assert res.feasible and bound == pytest.approx(res.objective, rel=1e-9)
 
 
-def test_charge_time_matches_canonical_split():
+def test_charge_split_is_least_time():
+    # fastest first is the least total time that gains the charge within
+    # the caps of the scheduling LP's xi rows, here solved as an LP
     b = make_instance().battery
     for arrival in (0.0, 0.3, 0.74, 0.85, 0.9, 0.97):
         for gained in (0.0, 0.05, 0.11, 0.2, 0.26, 0.6):
             if arrival + gained > 1.0:
                 continue
-            xi = canonical_charge(arrival, gained, b)[:3]
+            caps = [max(0.0, b.CEILINGS[0] - arrival) / b.beta1, *b.caps[1:]]
+            least = solve_lp([1.0, 1.0, 1.0], A_eq=[b.rates], b_eq=[gained],
+                             bounds=[(0.0, cap) for cap in caps])
+            assert least.status == "optimal", (arrival, gained)
+            split = b.charge_split(arrival, gained)
+            assert all(0.0 <= t <= cap + 1e-12 for t, cap in zip(split, caps))
+            assert b.gained(split) == pytest.approx(gained, rel=1e-12, abs=1e-12)
             assert b.charge_time(arrival, arrival + gained) == pytest.approx(
-                sum(xi), rel=1e-12, abs=1e-12), (arrival, gained)
+                least.objective, rel=1e-9, abs=1e-12), (arrival, gained)
     assert b.charge_time(0.9, 0.5) == 0.0
 
 
@@ -451,3 +452,16 @@ def test_timing_bound_cache_is_per_agent_chain():
     assert timing_bound(inst, g, [a, b], horizon, {}) == both
     assert timing_bound(inst, g, [b, a], horizon, cache) == timing_bound(inst, g, [b, a],
                                                                          horizon, {})
+    # a complete chain with a station, priced inside one routing, serves
+    # another routing that shares it: the cached G_0 holds the chain's least
+    # charging time, as a fresh cache prices it (segment-1 case above)
+    inst = _charging_instance(n_agents=2)
+    g = expand_graph(inst)
+    horizon = compute_big_m(inst, g).horizon
+    chain = _chain_ids(g, ["p0", "d0", "f0^0", "h0"])
+    cache = {}
+    assert timing_bound(inst, g, [chain, [g.hf[0]]], horizon, cache) == pytest.approx(
+        40 + 0.001 * (10 + 21), rel=1e-12)  # agent 1 returns at 40
+    alone = timing_bound(inst, g, [chain, []], horizon, cache)
+    assert alone == timing_bound(inst, g, [chain, []], horizon, {})
+    assert alone == pytest.approx(27 + 2 + 0.11 / 0.034 + 5 + 0.001 * (10 + 21), rel=1e-12)

@@ -103,22 +103,26 @@ def _brute_force_placements(g, gaps):
 
 
 @pytest.mark.parametrize("n_stations, dups", [(1, 2), (2, 1), (2, 0)])
-@pytest.mark.parametrize("gaps", [
-    [(0, 1), (0, 3), (1, 0), (1, 2)],
-    [(0, 0), (1, 1), (1, 3)],
-])
-def test_leaf_placements_match_brute_force(n_stations, dups, gaps):
+@pytest.mark.parametrize("shapes, gaps", [
+    (["pdpd", "pdpd"], [(0, 1), (0, 3), (1, 1), (1, 3)]),
+    (["ppdd", "pdpd"], [(0, 3), (1, 1), (1, 3)]),
+], ids=["gaps0", "gaps1"])
+def test_leaf_placements_match_brute_force(n_stations, dups, shapes, gaps):
     # the oracle covers at most two station nodes; this covers three and four.
-    # A near-zero discharge keeps every stop set through the SoC walk.
+    # Each agent serves two requests, and a delivery that empties the vehicle
+    # opens a gap.  A near-zero discharge keeps every stop set through the
+    # SoC walk.
     inst = make_instance(n_requests=4, n_agents=2, n_stations=n_stations, dups=dups,
                          over={"battery": {"alpha0": 1e-9, "alpha1": 1e-9, "alpha2": 1e-9}})
     g = expand_graph(inst)
-    chains = [[g.pickup_node(r), g.delivery_node(r), g.pickup_node(r + 1),
-               g.delivery_node(r + 1)] for r in (0, 2)]
+    chains = []
+    for r, shape in zip((0, 2), shapes):
+        nodes = {"p": [g.pickup_node(r), g.pickup_node(r + 1)],
+                 "d": [g.delivery_node(r), g.delivery_node(r + 1)]}
+        chains.append([nodes[kind].pop(0) for kind in shape])
     search = _Search(inst, g, SearchConfig())
-    loads = _departure_loads(inst, g, chains)
-    placements = [p for p, _ in search._placements(gaps, chains, search._hub_options(chains),
-                                                   loads)]
+    placements = [p for p, _ in search._placements(chains)]
+    assert {gap for p in placements for gap, _ in p} == set(gaps)
     got = [frozenset(p) for p in placements]
     assert all(len(p) == len(q) for p, q in zip(placements, got))
     assert len(set(got)) == len(got)
@@ -140,16 +144,34 @@ def _soc_walk_passes(inst, g, chains_full, loads):
     return True
 
 
+def _depot_options(inst, g, chains):
+    """Each agent's depots at a leaf: its pinned depot, else every depot;
+    [None] when idle.  None when an idle agent is pinned to a depot."""
+    opts = []
+    for k, chain in enumerate(chains):
+        agent = inst.agents[k]
+        if not chain:
+            if agent.terminal_hub is not None:
+                return None
+            opts.append([None])
+        elif agent.terminal_hub is not None:
+            opts.append([g.hub_node(agent.terminal_hub)])
+        else:
+            opts.append([g.hub_node(h) for h in range(len(inst.final_depots))])
+    return opts
+
+
 def _reference_leaf_sequence(search, chains):
     """Every (placement, depots) pair of a leaf, and whether it passes the
     cross-agent SoC walk, in the order of nested loops over stop count, gap
     subset, stations, duplicate-slot order and depots."""
     inst, g = search.inst, search.graph
-    hub_opts = search._hub_options(chains)
+    hub_opts = _depot_options(inst, g, chains)
     if hub_opts is None:
         return []
     loads = _departure_loads(inst, g, chains)
-    gaps = _charging_gaps(g, chains, loads)
+    gaps = [(k, pos) for k, chain in enumerate(chains)
+            for pos in _charging_gaps(g, chain, loads)]
     max_visits = inst.duplicate_visits + 1
     out = []
     for count in range(min(len(gaps), inst.n_stations * max_visits) + 1):
@@ -224,13 +246,9 @@ def test_leaf_placements_keep_order(make, shows):
     seen = set()
     for chains in leaves:
         reference = _reference_leaf_sequence(search, chains)
-        hub_opts = search._hub_options(chains)
-        got = []
-        if hub_opts is not None:
-            loads = _departure_loads(inst, g, chains)
-            got = [(placement, hubs) for placement, agent_hubs in search._placements(
-                       _charging_gaps(g, chains, loads), chains, hub_opts, loads)
-                   for hubs in itertools.product(*agent_hubs)]
+        hub_opts = _depot_options(inst, g, chains)
+        got = [(placement, hubs) for placement, agent_hubs in search._placements(chains)
+               for hubs in itertools.product(*agent_hubs)]
         assert got == [(placement, hubs) for placement, hubs, ok in reference if ok]
         if any(not ok for _, _, ok in reference):
             seen.add("walk")
@@ -546,10 +564,9 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
     def audited(inst, graph, chains, accepted, big_m=None):
         res = schedule_routes(inst, graph, chains, accepted, big_m=big_m)
         if res.feasible:
-            loads = _departure_loads(inst, graph, chains)
             penalty = sum(req.priority * inst.weights.eta
                           for req, acc in zip(inst.requests, accepted) if not acc)
-            bound = timing_bound(inst, graph, chains, horizon, cache, loads) + penalty
+            bound = timing_bound(inst, graph, chains, horizon, cache) + penalty
             assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), chains
             priced.append(chains)
         return res
@@ -571,23 +588,18 @@ def test_timing_bound_below_leaf_lps(seed):
     class Audited(_Search):
         def evaluate_leaf(self, chains, accepted):
             g = self.graph
-            hub_opts = self._hub_options(chains)
-            if hub_opts is not None:
-                loads = _departure_loads(inst, g, chains)
-                penalty = self._penalty(accepted, range(inst.n_requests))
-                for placement, agent_hubs in self._placements(
-                        _charging_gaps(g, chains, loads), chains, hub_opts, loads):
-                    routed = [list(c) for c in chains]
-                    for (k, pos), node in sorted(placement, reverse=True):
-                        routed[k].insert(pos + 1, node)
-                    for hubs in itertools.product(*agent_hubs):
-                        full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
-                        res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
-                        if res.feasible:
-                            bound = timing_bound(inst, g, full, self.big_m.horizon, {},
-                                                 loads) + penalty
-                            assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), full
-                            priced.append(full)
+            penalty = self._penalty(accepted, range(inst.n_requests))
+            for placement, agent_hubs in self._placements(chains):
+                routed = [list(c) for c in chains]
+                for (k, pos), node in sorted(placement, reverse=True):
+                    routed[k].insert(pos + 1, node)
+                for hubs in itertools.product(*agent_hubs):
+                    full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
+                    res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
+                    if res.feasible:
+                        bound = timing_bound(inst, g, full, self.big_m.horizon, {}) + penalty
+                        assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), full
+                        priced.append(full)
             return super().evaluate_leaf(chains, accepted)
 
     Audited(inst, expand_graph(inst), SearchConfig()).run()
