@@ -186,8 +186,11 @@ def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
         for j in range(graph.n_nodes):
             if i != j:
                 max_c = max(max_c, graph.cost(i, j))
+    # a plan waits for a station at most up to the latest opening; after it,
+    # the terms below bound the rest of the plan as they do from time 0
     horizon = (
-        max((a.initial_delay for a in inst.agents), default=0.0)
+        max((s.earliest_available for s in inst.stations), default=0.0)
+        + max((a.initial_delay for a in inst.agents), default=0.0)
         + sum(r.service_time for r in inst.requests)
         + sum(a.station_service_time for a in inst.agents) * n_f
         + (2 * inst.n_requests + n_f + 1) * max_c

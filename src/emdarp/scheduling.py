@@ -159,10 +159,12 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
     reached no earlier than the previous departure plus the leg (the first
     one no earlier than the initial delay plus the first leg; a station's
     departure is its arrival plus the agent's station service time plus its
-    least charging time), every stop time is at most *horizon*, and an
-    agent's return ``Tk`` is at most ``min(max_duration, horizon)`` and at
-    most the makespan ``T``.  A chain that ends at a depot returns over that
-    leg, one without a depot over its cheapest depot leg.
+    least charging time), an agent's return ``Tk`` is at most
+    ``max_duration`` and at most the makespan ``T``, and ``T`` is at most
+    *horizon*.  A chain that ends at a depot returns over that leg, one
+    without a depot over its cheapest depot leg.  Every stop comes before
+    the return, so every stop time and ``Tk`` are at most *horizon* too; the
+    DP clips at it.
 
     Least charging time.  Only a complete chain (one that ends at a depot)
     charges.  On it, the leaf LP's SoC rows cap a station's arrival SoC at
@@ -344,14 +346,24 @@ def _add_stop_cost(xs, ys, slope, zeta, lo, hi) -> None:
 
 def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                     big_m=None) -> ScheduleResult:
-    """Time and charge a complete routing: every chain ends at a depot."""
+    """Time and charge a complete routing: every chain ends at a depot.
+
+    The LP minimises ``T + sum_r lambda_r (epsilon (t_p + t_d) + zeta tau)``
+    over the accepted requests, plus the rejection penalties, subject to the
+    MILP's timing, time-window, station opening and order, and state-of-charge
+    rows on the routing, ``t, tau >= 0``, ``xi`` within its segment caps,
+    ``phi >= soc_min``, ``Tk <= max_duration`` and ``T <= horizon``.  With
+    every request accepted, ``t_p + t_d`` and ``tau`` need no ``Tr``/``Dr``
+    aliases, and the MILP's other caps are implied: each stop comes before
+    its chain's depot, so ``t <= Tk <= T <= horizon``, and ``phi <= 1``, as
+    ``soc_init <= 1``, drains are nonnegative and a station's row caps ``phi
+    + sum beta xi`` at 1."""
     reason, loads = check_routes(inst, graph, chains, accepted)
     if reason is not None:
         return ScheduleResult(feasible=False, reason=reason)
 
     if big_m is None:
         big_m = compute_big_m(inst, graph)
-    horizon = big_m.horizon
     b = inst.battery
     visited_by = {}
     for k, chain in enumerate(chains):
@@ -369,13 +381,11 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
 
     served = [r for r in range(inst.n_requests) if accepted[r]]
     for node in visited_by:
-        var("t", node, 0.0, horizon)
+        var("t", node, 0.0, math.inf)
     for r in served:
         req = inst.requests[r]
         node = graph.pickup_node(r) if req.tw_kind == TW_PICKUP else graph.delivery_node(r)
         var("tau", node, 0.0, math.inf)
-        var("Tr", r, 0.0, math.inf)
-        var("Dr", r, 0.0, math.inf)
     for node in visited_by:
         if graph.is_station(node):
             for seg, cap in enumerate(b.caps, start=1):
@@ -383,20 +393,19 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     for k, chain in enumerate(chains):
         for node in chain:
             var("phi", node if not graph.is_hub(node) else ("hub", k),
-                inst.agents[k].soc_min, 1.0)
+                inst.agents[k].soc_min, math.inf)
     for k, chain in enumerate(chains):
         if chain:
-            var("Tk", k, 0.0, min(inst.agents[k].max_duration, horizon))
-    i_t_total = var("T", None, 0.0, horizon)
+            var("Tk", k, 0.0, inst.agents[k].max_duration)
+    i_t_total = var("T", None, 0.0, big_m.horizon)
+    c = [0.0] * len(cols)
+    c[i_t_total] = 1.0
 
-    ub_rows, eq_rows = _Rows(), _Rows()
-    row_ub, row_eq = ub_rows.add, eq_rows.add
+    rows = _Rows()
+    row_ub = rows.add
 
     def xi_triplet(node):
         return [index[("xi", (node, s))] for s in (1, 2, 3)]
-
-    def service(node):
-        return inst.requests[graph.gamma(node)].service_time
 
     for k, chain in enumerate(chains):
         agent = inst.agents[k]
@@ -416,7 +425,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                     for idx in xi_triplet(prev):
                         coeffs[idx] = 1.0
                 else:
-                    rhs = -(service(prev) + cost)
+                    rhs = -(inst.requests[graph.gamma(prev)].service_time + cost)
                 row_ub(coeffs, rhs)
             if hub:
                 break
@@ -431,8 +440,8 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         it, itau = index[("t", node)], index[("tau", node)]
         row_ub({it: -1.0, itau: -1.0}, -req.tw_lo)
         row_ub({it: 1.0, itau: -1.0}, req.tw_hi)
-        row_eq({index[("Tr", r)]: 1.0, index[("t", p)]: -1.0, index[("t", d)]: -1.0}, 0.0)
-        row_eq({index[("Dr", r)]: 1.0, itau: -1.0}, 0.0)
+        c[index[("t", p)]] = c[index[("t", d)]] = req.priority * inst.weights.epsilon
+        c[itau] = req.priority * inst.weights.zeta
 
     # duplicate visits to a station happen in index order, spaced by the
     # earlier visitor's plug-in time
@@ -480,17 +489,8 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
                 row_ub({cur: 1.0, ix1: b.beta1, ix2: b.beta2, ix3: b.beta3}, 1.0)
             prev, prev_phi = node, cur
 
-    c = [0.0] * len(cols)
-    c[i_t_total] = 1.0
-    for r in served:
-        lam = inst.requests[r].priority
-        c[index[("Tr", r)]] = lam * inst.weights.epsilon
-        c[index[("Dr", r)]] = lam * inst.weights.zeta
-
-    n = len(cols)
     bounds = [(lb, ub) for (_, _, lb, ub) in cols]
-    res = solve_lp(c, ub_rows.matrix(n), ub_rows.rhs, eq_rows.matrix(n), eq_rows.rhs,
-                   bounds)
+    res = solve_lp(c, rows.matrix(len(cols)), rows.rhs, bounds=bounds)
     if res.status != "optimal":
         return ScheduleResult(feasible=False, reason=f"timing LP {res.status}")
 
@@ -512,11 +512,9 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
             if graph.is_hub(node):
                 # the LP leaves Tk anywhere between its floor and the
                 # makespan when the agent is not makespan-binding; report
-                # the floor (actual arrival) instead
-                if visits:
-                    tk = visits[-1].departure + graph.time_cost(visits[-1].node, node)
-                else:
-                    tk = x[index[("Tk", k)]]
+                # the floor (actual arrival) instead.  check_routes rejects
+                # a start -> depot arc, so a visit comes before the depot.
+                tk = visits[-1].departure + graph.time_cost(visits[-1].node, node)
                 phi = x[index[("phi", ("hub", k))]]
                 visits.append(VisitRecord(node=node, label=graph.label(node),
                                           arrival=tk, departure=tk,
@@ -534,30 +532,23 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
                     charge_times=(xi1, xi2, xi3)))
             else:
                 req = inst.requests[graph.gamma(node)]
-                tau = 0.0
-                if ("tau", node) in index:
-                    tau = x[index[("tau", node)]]
+                tau = x[index[("tau", node)]] if ("tau", node) in index else 0.0
                 u1, u2 = loads[node]
                 visits.append(VisitRecord(
                     node=node, label=graph.label(node), arrival=arrive,
                     departure=arrive + req.service_time, slack=tau,
                     load_passengers=u1, load_equipment=u2,
                     soc_arrival=phi, soc_departure=phi))
-        if chain:
-            duration = visits[-1].arrival if graph.is_hub(chain[-1]) \
-                else x[index[("Tk", k)]]
-        else:
-            duration = 0.0
+        # check_routes ends every non-empty chain at a depot
+        duration = visits[-1].arrival if chain else 0.0
         plans.append(RoutePlan(agent=k, visits=visits, duration=duration))
 
     request_times, request_slacks = [], []
-    for r in range(inst.n_requests):
-        if accepted[r]:
-            request_times.append(x[index[("Tr", r)]])
-            request_slacks.append(x[index[("Dr", r)]])
-        else:
-            request_times.append(0.0)
-            request_slacks.append(0.0)
+    for r, req in enumerate(inst.requests):
+        p, d = graph.pickup_node(r), graph.delivery_node(r)
+        window = p if req.tw_kind == TW_PICKUP else d
+        request_times.append(x[index[("t", p)]] + x[index[("t", d)]] if accepted[r] else 0.0)
+        request_slacks.append(x[index[("tau", window)]] if accepted[r] else 0.0)
     return Solution(
         status="feasible", objective=objective, plans=plans, accepted=list(accepted),
         request_times=request_times, request_slacks=request_slacks,

@@ -60,6 +60,17 @@ def test_initial_delay_enters_horizon():
         compute_big_m(base, g1).horizon + 7.5)
 
 
+def test_station_opening_enters_horizon():
+    # a plan may wait for the latest opening, then run as if no station waited
+    base = make_instance(n_stations=2)
+    late = make_instance(n_stations=2, over={"stations": [
+        {"pos": [50.0, 150.0], "earliest_available": 40.0},
+        {"pos": [90.0, 150.0], "earliest_available": 12.5},
+    ]})
+    assert compute_big_m(late, expand_graph(late)).horizon == pytest.approx(
+        compute_big_m(base, expand_graph(base)).horizon + 40.0)
+
+
 def test_override_replaces_both_families():
     inst = _matrix_instance(over={"config": {"weights": {
         "epsilon": 0.001, "zeta": 1.0, "eta": 10000.0, "big_m": 500.0,

@@ -7,6 +7,7 @@ import pytest
 from emdarp.generate import GenConfig, generate_document
 from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict
+from emdarp import scheduling
 from emdarp.lp import solve_lp
 from emdarp.model import compute_big_m
 from emdarp.scheduling import check_routes, load_violation, schedule_routes, timing_bound
@@ -136,6 +137,30 @@ def test_station_charge_amount():
     assert station.arrival == pytest.approx(22 + 5)
     assert res.solution.plans[0].duration == pytest.approx(
         27 + 2 + 0.11 / 0.034 + 5)
+
+
+def test_leaf_lp_states_each_condition_once(monkeypatch):
+    # the leaf LP through a station, seen where the benchmark tracer sees it
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(scheduling, "solve_lp", traced)
+    inst = _charging_instance()
+    g = expand_graph(inst)
+    assert schedule_routes(inst, g, [_chain_ids(g, ["p0", "d0", "f0^0", "h0"])], [True]).feasible
+    (args, kwargs), = calls
+    c = args[0]
+    a_eq = args[3] if len(args) > 3 else kwargs.get("A_eq")
+    bounds = args[5] if len(args) > 5 else kwargs["bounds"]
+    # t at p0, d0, f0; tau at p0; three xi; phi at p0, d0, f0, h0; Tk; T
+    assert len(c) == 13
+    assert a_eq is None or len(a_eq) == 0
+    uppers = sorted(hi for _, hi in bounds if hi is not None and math.isfinite(hi))
+    horizon = compute_big_m(inst, g).horizon
+    assert uppers == sorted([*inst.battery.caps, inst.agents[0].max_duration, horizon])
 
 
 def test_charge_spills_into_second_segment():

@@ -429,6 +429,31 @@ def test_terminal_depot_and_station_opening_match_oracle(seed):
     assert bad == [], [(c.tag, c.index, c.part, v) for c, v in bad[:8]]
 
 
+def test_station_opening_past_route_horizon(tmp_path):
+    # the only station opens 50 after the horizon of the same instance with
+    # the station open from 0; the plan must wait for it, and all three
+    # engines must find that plan
+    doc = generate_document(GenConfig(seed=24, n_requests=1, n_agents=1, n_stations=1,
+                                      preset="high-discharge", selective=False))
+    inst = instance_from_dict(doc)
+    doc["stations"][0]["earliest_available"] = compute_big_m(
+        inst, expand_graph(inst)).horizon + 50.0
+    inst = instance_from_dict(doc)
+    g = expand_graph(inst)
+    bb = branch_and_bound(inst, g)
+    oracle = exhaustive_oracle(inst, g)
+    assert bb.status == oracle.status == "optimal"
+    assert bb.objective == pytest.approx(oracle.objective, abs=1e-6)
+    assert bb.objective == pytest.approx(466.738, abs=1e-3)
+    assert validate(inst, g, bb.solution).ok
+    pytest.importorskip("scipy")
+    path = str(tmp_path / "m.mps")
+    write_mps(build_model(inst, g), path)
+    status, objective, _ = solve(read_mps(path))
+    assert status == "optimal"
+    assert objective == pytest.approx(bb.objective, abs=1e-5)
+
+
 def test_oracle_caps():
     with pytest.raises(ValueError, match="oracle caps exceeded"):
         exhaustive_oracle(make_instance(n_requests=5))
