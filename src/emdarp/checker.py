@@ -56,7 +56,9 @@ def charge_curve(soc_arrival: float, total_time: float, battery):
     """State of charge after plugging in for total_time, plus per-segment times.
 
     Charging fills each segment up to its ceiling at its rate, fastest
-    first; any time left over past a full battery is idle.
+    first; any time left over past a full battery is idle.  ``validate``
+    never calls it: it stays as the independent reference against which
+    acceptance criterion 4 checks ``BatteryModel.charge_split``.
     """
     soc = soc_arrival
     times = []

@@ -80,6 +80,18 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(EXIT_CONFIG, f"{self.prog}: error: {message}")
 
 
+def _nonnegative(convert):
+    """An argparse type: *convert* the text and reject a negative or NaN
+    value as a usage error."""
+    def parse(text):
+        value = convert(text)
+        if not value >= 0:  # false for NaN too
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def cmd_validate(args) -> int:
     inst = _load(args.instance)
     doc = {
@@ -277,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="solution.json")
     p.add_argument("--routes", default=None,
                    help="also write a plain-text route plan")
-    p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--node-limit", type=_nonnegative(int), default=None)
+    p.add_argument("--time-limit", type=_nonnegative(float), default=None)
     p.add_argument("--solver-cmd", default=None,
                    help="external solver command template with {model} and "
                         "{solution} placeholders (default: $EMDARP_SOLVER_CMD)")

@@ -7,7 +7,6 @@ dependency-free.
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
-                A_eq @ x == b_eq
                 lo <= x <= hi   (lo finite, hi may be None)
 
 The kernel is numpy: each pivot is one rank-1 update of the tableau, and the
@@ -42,13 +41,11 @@ class LpResult:
     objective: float | None
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
+def solve_lp(c, A_ub=None, b_ub=None, bounds=None) -> LpResult:
     c = np.asarray(c, dtype=float)
     n = c.size
     A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     if bounds is None:
         bounds = [(0.0, None)] * n
     lo = np.array([b[0] if b[0] is not None else 0.0 for b in bounds], dtype=float)
@@ -56,23 +53,20 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpRe
 
     # shift to x' = x - lo >= 0; finite upper bounds become <= rows
     b_ub = b_ub - A_ub @ lo
-    b_eq = b_eq - A_eq @ lo
     capped = np.flatnonzero(np.isfinite(hi))
-    m_cap = capped.size
-    m_ub, m_eq = A_ub.shape[0] + m_cap, A_eq.shape[0]
-    m = m_ub + m_eq
-    n_total = n + m_ub
+    m_ub = A_ub.shape[0]
+    m = m_ub + capped.size
+    n_total = n + m
 
     # standard form A x' + slack = b with b >= 0 after sign flips; every row
     # gets an artificial variable (simple and robust); slack columns that
     # survived the sign flip could seed the basis, but phase 1 drives the
     # artificials out regardless.
     tableau = np.zeros((m + 1, n_total + m + 1))
-    tableau[:m_ub - m_cap, :n] = A_ub
-    tableau[np.arange(m_ub - m_cap, m_ub), capped] = 1.0
-    tableau[np.arange(m_ub), np.arange(n, n_total)] = 1.0
-    tableau[m_ub:m, :n] = A_eq
-    b = np.concatenate([b_ub, hi[capped] - lo[capped], b_eq])
+    tableau[:m_ub, :n] = A_ub
+    tableau[np.arange(m_ub, m), capped] = 1.0
+    tableau[np.arange(m), np.arange(n, n_total)] = 1.0
+    b = np.concatenate([b_ub, hi[capped] - lo[capped]])
     neg = b < 0
     tableau[:m, :n_total][neg] *= -1.0
     b[neg] = -b[neg]

@@ -245,8 +245,7 @@ def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> Variable
     return cat
 
 
-def build_objective(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog,
-                    big_m: BigM):
+def build_objective(inst: Instance, graph: ExpandedGraph, big_m: BigM):
     """Objective coefficients plus the acceptance-linearization rows (tags 2-5)."""
     w = inst.weights
     M = big_m.obj
@@ -346,8 +345,7 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
     return rows
 
 
-def build_timing(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog,
-                 big_m: BigM) -> list:
+def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
     rows = []
     M = big_m.time
 
@@ -433,7 +431,7 @@ def build_timing(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog,
     return rows
 
 
-def build_capacity(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> list:
+def build_capacity(inst: Instance, graph: ExpandedGraph) -> list:
     rows = []
     loc = list(graph.lp) + list(graph.ld)
     for k, agent in enumerate(inst.agents):
@@ -473,7 +471,7 @@ def build_capacity(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -
     return rows
 
 
-def build_energy(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> list:
+def build_energy(inst: Instance, graph: ExpandedGraph) -> list:
     rows = []
     b = inst.battery
     loc = list(graph.lp) + list(graph.ld)
@@ -557,12 +555,12 @@ def build_model(inst: Instance, graph: ExpandedGraph | None = None) -> MilpModel
         graph = expand_graph(inst)
     big_m = compute_big_m(inst, graph)
     cat = build_catalog(inst, graph, big_m)
-    objective, constant, rows = build_objective(inst, graph, cat, big_m)
+    objective, constant, rows = build_objective(inst, graph, big_m)
     constraints = list(rows)
     constraints += build_flow(inst, graph, cat)
-    constraints += build_timing(inst, graph, cat, big_m)
-    constraints += build_capacity(inst, graph, cat)
-    constraints += build_energy(inst, graph, cat)
+    constraints += build_timing(inst, graph, big_m)
+    constraints += build_capacity(inst, graph)
+    constraints += build_energy(inst, graph)
 
     for c in constraints:
         for name in c.coeffs:

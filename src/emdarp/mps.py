@@ -1,8 +1,9 @@
 """Free-format MPS export for the routing model.
 
-Rows are emitted in model order as c0, c1, ... and the objective row is OBJ.
-The objective constant is carried on the RHS of the OBJ row (negated), which
-is the convention most solvers follow.
+The model is always named EMDARP.  Rows are emitted in model order as c0,
+c1, ... and the objective row is OBJ.  The objective constant is carried on
+the RHS of the OBJ row (negated), which is the convention most solvers
+follow.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from .model import EQ, GE, LE, MilpModel
 _SENSE_CODE = {LE: "L", GE: "G", EQ: "E"}
 
 
-def format_mps(model: MilpModel, name: str = "EMDARP") -> str:
-    lines = [f"NAME {name}", "ROWS", " N OBJ"]
+def format_mps(model: MilpModel) -> str:
+    lines = ["NAME EMDARP", "ROWS", " N OBJ"]
     row_names = []
     for i, c in enumerate(model.constraints):
         rn = f"c{i}"
@@ -24,13 +25,13 @@ def format_mps(model: MilpModel, name: str = "EMDARP") -> str:
 
     # column-major entries, in catalog order
     by_var: dict[str, list[tuple[str, float]]] = {v: [] for v in model.catalog.variables}
-    for name_, coef in model.objective.items():
+    for name, coef in model.objective.items():
         if coef != 0.0:
-            by_var[name_].append(("OBJ", coef))
+            by_var[name].append(("OBJ", coef))
     for rn, c in zip(row_names, model.constraints):
-        for name_, coef in c.coeffs.items():
+        for name, coef in c.coeffs.items():
             if coef != 0.0:
-                by_var[name_].append((rn, coef))
+                by_var[name].append((rn, coef))
 
     lines.append("COLUMNS")
     in_int = False
@@ -73,6 +74,6 @@ def format_mps(model: MilpModel, name: str = "EMDARP") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_mps(model: MilpModel, path: str, name: str = "EMDARP") -> None:
+def write_mps(model: MilpModel, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(format_mps(model, name))
+        fh.write(format_mps(model))

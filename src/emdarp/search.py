@@ -100,7 +100,7 @@ class _Search:
         self.leaf_screened = 0
         self.best: ScheduleResult | None = None
         self.best_obj = math.inf
-        self.frontier: list[float] = []
+        self.open_bound = math.inf  # least bound of a subtree left unexplored
         self.curves: dict = {}  # timing_bound's per-agent cache
         self.t0 = time.monotonic()
 
@@ -201,16 +201,13 @@ class _Search:
                 yield [pair for part in parts for pair in part], hubs
 
     def evaluate_leaf(self, chains, accepted):
-        """Best complete schedule for fixed chains over the placements and
-        depots that pass the SoC walks.  One whose timing bound, with each
-        station's least charging time, plus the rejection penalties cannot
-        beat the incumbent or the best schedule found so far is skipped and
-        counted in ``leaf_screened``, so a result at or above the incumbent
-        need not be the leaf's best."""
+        """Price the placements and depots of the leaf *chains* that pass the
+        SoC walks; each feasible schedule that beats the incumbent replaces
+        it.  One whose timing bound, with each station's least charging
+        time, plus the rejection penalties cannot beat the incumbent is
+        skipped and counted in ``leaf_screened``."""
         inst, g = self.inst, self.graph
         penalty = self._penalty(accepted, range(inst.n_requests))
-        best: ScheduleResult | None = None
-        cutoff = self.best_obj
         for placement, agent_hubs in self._placements(chains):
             self._check_time()
             routed = [list(c) for c in chains]
@@ -219,15 +216,14 @@ class _Search:
             for hubs in itertools.product(*agent_hubs):
                 full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
                 screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves)
-                if screen + penalty >= cutoff - _EPS:
+                if screen + penalty >= self.best_obj - _EPS:
                     self.leaf_screened += 1
                     continue
                 self.leaf_lps += 1
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
-                if res.feasible and (best is None or res.objective < best.objective - _EPS):
-                    best = res
-                    cutoff = min(cutoff, res.objective)
-        return best
+                if res.feasible and res.objective < self.best_obj - _EPS:
+                    self.best = res
+                    self.best_obj = res.objective
 
     # -- tree walk -----------------------------------------------------------
 
@@ -240,9 +236,9 @@ class _Search:
             bound = self.best_obj
         except _LimitReached:
             status = "feasible" if self.best is not None else "limit"
-            # an empty frontier means the root never branched; every
-            # objective term is nonnegative, so 0 is then the only bound
-            bound = min(self.frontier + [self.best_obj]) if self.frontier else 0.0
+            # no open bound means the root never branched; every objective
+            # term is nonnegative, so 0 is then the only bound
+            bound = min(self.open_bound, self.best_obj) if self.open_bound < math.inf else 0.0
         solution, gap = None, math.inf
         if self.best is not None:
             solution = self.best.solution
@@ -257,10 +253,7 @@ class _Search:
         self._tick()
         if depth == len(self.order):
             self.leaves += 1
-            res = self.evaluate_leaf(chains, accepted)
-            if res is not None and res.objective < self.best_obj - _EPS:
-                self.best = res
-                self.best_obj = res.objective
+            self.evaluate_leaf(chains, accepted)
             return
 
         r = self.order[depth]
@@ -285,15 +278,17 @@ class _Search:
                 children.append((bnd, self.inst.n_agents, chains, accepted))
 
         children.sort(key=lambda item: (item[0], item[1]))
-        for idx, (bnd, _, cand, acc) in enumerate(children):
+        # children are sorted, so a cut or interrupted child's bound is the
+        # least of those left unexplored
+        for bnd, _, cand, acc in children:
             if bnd >= self.best_obj - _EPS:
-                self.frontier.extend(c[0] for c in children[idx:])
+                self.open_bound = min(self.open_bound, bnd)
                 break
             try:
                 self._visit(cand, acc, depth + 1)
             except _LimitReached:
                 # the interrupted child's subtree is unfinished too
-                self.frontier.extend(c[0] for c in children[idx:])
+                self.open_bound = min(self.open_bound, bnd)
                 raise
 
 
@@ -393,29 +388,12 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
                             for (k, pos), node in sorted(zip(slot_pick, nodes),
                                                          reverse=True):
                                 full0[k].insert(pos + 1, node)
-                            hub_lists = []
-                            ok = True
-                            for k, chain in enumerate(full0):
-                                agent = inst.agents[k]
-                                if not chain:
-                                    if agent.terminal_hub is not None:
-                                        ok = False
-                                    hub_lists.append([None])
-                                elif agent.terminal_hub is not None:
-                                    hub_lists.append(
-                                        [graph.hub_node(agent.terminal_hub)])
-                                else:
-                                    hub_lists.append(
-                                        [graph.hub_node(h) for h in
-                                         range(len(inst.final_depots))])
-                            if not ok:
-                                continue
+                            # every depot ends every non-empty chain; a
+                            # pinned depot is left to check_routes
+                            hub_lists = [graph.hf if c else [None] for c in full0]
                             for hubs in itertools.product(*hub_lists):
-                                full = [list(c) for c in full0]
-                                for k, hub in enumerate(hubs):
-                                    if hub is not None:
-                                        full[k].append(hub)
-                                consider(full, accepted)
+                                consider([c if hub is None else c + [hub]
+                                          for c, hub in zip(full0, hubs)], accepted)
     if best is None:
         return SearchResult(status="infeasible", solution=None, objective=math.inf,
                             best_bound=math.inf, gap=math.inf, nodes=0, leaves=0, leaf_lps=0,

@@ -75,7 +75,6 @@ class Solution:
     request_slacks: list
     makespan: float
     engine: str = ""
-    gap: float | None = None
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -96,7 +95,7 @@ class Solution:
             status=doc["status"], objective=doc["objective"], plans=plans,
             accepted=list(doc["accepted"]), request_times=list(doc["request_times"]),
             request_slacks=list(doc["request_slacks"]), makespan=doc["makespan"],
-            engine=doc.get("engine", ""), gap=doc.get("gap"),
+            engine=doc.get("engine", ""),
         )
 
 

@@ -171,6 +171,21 @@ def test_solve_node_limit_exit_code(tmp_path, capsys):
             assert "bound" not in doc and "gap" not in doc
 
 
+@pytest.mark.parametrize("option, value", [("--node-limit", "-1"), ("--time-limit", "-1"),
+                                           ("--time-limit", "nan")])
+def test_solve_rejects_out_of_range_limits(tmp_path, capsys, option, value):
+    # a negative limit used to stop at once and exit 3, and a NaN time limit
+    # to run with no limit; both are usage errors, for either engine
+    path = write_doc(tmp_path)
+    out = tmp_path / "s.json"
+    for engine in ("builtin", "external"):
+        code, cap = run(capsys, "solve", path, "--engine", engine, option, value,
+                        "--out", str(out))
+        assert code == 4
+        assert option in cap.err and ">= 0" in cap.err
+        assert not out.exists()
+
+
 def test_solve_external_matches_builtin(tmp_path, capsys):
     pytest.importorskip("scipy")
     path = write_doc(tmp_path, n_requests=2)

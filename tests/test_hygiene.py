@@ -7,6 +7,8 @@
 - No module defines a private function, method or class (``_name``, not a
   dunder) that no module references: by name, as an attribute, in an import
   or as a string (``monkeypatch.setattr(module, "_name", ...)``).
+- No function or lambda takes a parameter, other than ``self`` or ``cls``,
+  that its body never reads.
 """
 
 import ast
@@ -75,3 +77,24 @@ REFERENCED = set().union(*(_references(tree) for tree in TREES.values()))
 def test_no_unreferenced_private_definitions(path):
     unused = _private_names(TREES[path]).items()
     assert sorted((line, name) for name, line in unused if name not in REFERENCED) == []
+
+
+def _unused_parameters(tree):
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for stmt in body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        out += [(node.lineno, getattr(node, "name", "<lambda>"), arg.arg) for arg in params
+                if arg.arg not in read and arg.arg not in ("self", "cls")]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_parameters(path):
+    assert _unused_parameters(TREES[path]) == []

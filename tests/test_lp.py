@@ -12,9 +12,20 @@ def test_simple_min():
     assert res.objective == pytest.approx(1.0)
 
 
+def _with_equalities(A_ub, b_ub, A_eq, b_eq):
+    """The rows A_ub x <= b_ub and A_eq x == b_eq, each equality as two
+    opposite inequalities: solve_lp takes inequality rows only."""
+    if A_eq is None or len(A_eq) == 0:
+        return A_ub, b_ub
+    return (np.vstack([A_ub, A_eq, -np.asarray(A_eq)]),
+            np.concatenate([b_ub, b_eq, -np.asarray(b_eq)]))
+
+
 def test_equality_and_bounds():
-    # min x + 2y s.t. x + y = 4, 1 <= x <= 3, y >= 0
-    res = solve_lp([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[4.0], bounds=[(1.0, 3.0), (0.0, None)])
+    # min x + 2y s.t. x + y = 4 (as x + y <= 4 and -x - y <= -4),
+    # 1 <= x <= 3, y >= 0
+    res = solve_lp([1.0, 2.0], A_ub=[[1.0, 1.0], [-1.0, -1.0]], b_ub=[4.0, -4.0],
+                   bounds=[(1.0, 3.0), (0.0, None)])
     assert res.status == OPTIMAL
     assert res.x == pytest.approx([3.0, 1.0])
 
@@ -98,7 +109,7 @@ def test_random_against_scipy(seed):
     A_eq = rng.normal(size=(meq, n)) if meq else None
     b_eq = rng.uniform(-1, 1, size=meq) if meq else None
 
-    ours = solve_lp(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    ours = solve_lp(c, *_with_equalities(A, b, A_eq, b_eq), bounds=bounds)
     sp_bounds = [(lo, hi) for lo, hi in bounds]
     ref = scipy_opt.linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
                             bounds=sp_bounds, method="highs")
@@ -112,7 +123,7 @@ def test_random_against_scipy(seed):
 
 
 def _check_against_scipy(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    ours = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    ours = solve_lp(c, *_with_equalities(A_ub, b_ub, A_eq, b_eq), bounds=bounds)
     # HiGHS's presolve calls some unbounded LPs infeasible: settle
     # feasibility with a zero objective, then solve without presolve
     def linprog(cost, **options):

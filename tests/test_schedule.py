@@ -347,7 +347,7 @@ def _timing_lp(inst, g, chains, horizon):
     for i, coeffs in enumerate(rows):
         for j, v in coeffs.items():
             a_ub[i, j] = v
-    res = solve_lp(c, a_ub, rhs, None, None, bounds)
+    res = solve_lp(c, a_ub, rhs, bounds=bounds)
     assert res.status in ("optimal", "infeasible")
     return res.objective if res.status == "optimal" else math.inf
 
@@ -454,7 +454,8 @@ def test_charge_split_is_least_time():
             if arrival + gained > 1.0:
                 continue
             caps = [max(0.0, b.CEILINGS[0] - arrival) / b.beta1, *b.caps[1:]]
-            least = solve_lp([1.0, 1.0, 1.0], A_eq=[b.rates], b_eq=[gained],
+            # the least time charges exactly `gained`, so -rates @ xi <= -gained
+            least = solve_lp([1.0, 1.0, 1.0], A_ub=[[-r for r in b.rates]], b_ub=[-gained],
                              bounds=[(0.0, cap) for cap in caps])
             assert least.status == "optimal", (arrival, gained)
             split = b.charge_split(arrival, gained)

@@ -5,7 +5,7 @@ import pytest
 
 from emdarp.generate import GenConfig, generate, generate_document
 from emdarp.graph import expand_graph
-from emdarp.instance import instance_from_dict
+from emdarp.instance import base_node_count, derive_costs, instance_from_dict
 from emdarp.model import build_model
 from emdarp.mps import write_mps
 from emdarp import search
@@ -23,7 +23,7 @@ from conftest import make_instance
 from test_acceptance import corpus_config
 
 
-def _random_doc_over(rng, n_requests, n_agents, n_stations, dups):
+def _random_doc_over(rng, n_requests, n_agents, n_stations):
     def pt():
         return [round(rng.uniform(0.0, 300.0), 1), round(rng.uniform(0.0, 300.0), 1)]
 
@@ -328,6 +328,44 @@ def test_undecided_must_serve_request_is_not_rejected():
     assert bb.solution.accepted == oracle.solution.accepted
 
 
+def _matrix_instance(cfg):
+    """The generated instance with matrix costs: each entry is the Euclidean
+    time between two base nodes times a factor in [0.3, 1.7], so the costs
+    are neither symmetric nor metric."""
+    doc = generate_document(cfg)
+    inst = instance_from_dict(doc)
+    cost, n = derive_costs(inst), base_node_count(inst)
+    rng = random.Random(cfg.seed)
+    doc["costs"] = {"mode": "matrix", "matrix": [
+        [0.0 if i == j else cost(i, j) * rng.uniform(0.3, 1.7) for j in range(n)]
+        for i in range(n)]}
+    return instance_from_dict(doc)
+
+
+def _charging_makeup(seed):
+    return GenConfig(seed, n_requests=3, n_agents=1, n_stations=1, duplicate_visits=1,
+                     preset="high-discharge")
+
+
+@pytest.mark.parametrize("cfg", [
+    # without the penalty-only bound on non-metric costs, the timing DP
+    # prunes the optimum at seeds 7, 19 and 31 here and 31 and 37 below, and
+    # the B&B returns a worse plan as optimal (141.704 against 98.238 at s7)
+    *[_charging_makeup(seed) for seed in (7, 19, 31, 0, 1, 2)],
+    *[GenConfig(seed, n_requests=2, n_agents=2) for seed in (31, 37, 0, 1, 2, 3)],
+], ids=lambda cfg: f"s{cfg.seed}-k{cfg.n_agents}")
+def test_non_metric_costs_match_oracle(cfg):
+    inst = _matrix_instance(cfg)
+    g = expand_graph(inst)
+    assert not g.metric
+    bb = branch_and_bound(inst, g)
+    oracle = exhaustive_oracle(inst, g)
+    assert bb.status == oracle.status
+    if bb.status == "optimal":
+        assert bb.objective == pytest.approx(oracle.objective, rel=1e-6)
+        assert validate(inst, g, bb.solution).ok
+
+
 def test_forced_charging_stop():
     # drains too much to finish on one battery; the optimum plugs in en route
     matrix = [
@@ -469,7 +507,7 @@ def test_matches_exhaustive_enumeration(seed):
     n_requests = rng.randint(1, 3)
     n_agents = rng.randint(1, 2)
     n_stations = rng.randint(0, 1)
-    over = _random_doc_over(rng, n_requests, n_agents, n_stations, dups=1 - 1)
+    over = _random_doc_over(rng, n_requests, n_agents, n_stations)
     inst = make_instance(n_requests=n_requests, n_agents=n_agents,
                          n_stations=n_stations, dups=0, over=over)
     g = expand_graph(inst)

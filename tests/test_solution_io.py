@@ -53,8 +53,11 @@ def test_solution_json_round_trip():
     chains = [[g.pickup_node(0), g.delivery_node(0), g.hf[0]]]
     _, sol = _scheduled(inst, chains, [True, False])
     doc = sol.to_dict()
+    assert "gap" not in doc
     back = Solution.from_dict(doc)
     assert back == sol
+    # files written before the field was dropped carry "gap": null
+    assert Solution.from_dict({**doc, "gap": None}) == sol
 
 
 def test_encode_satisfies_model_rows():

@@ -175,7 +175,7 @@ def test_charge_curve_properties(soc, duration):
 def test_search_solutions_always_validate(seed):
     rng = random.Random(seed)
     over = _random_doc_over(rng, n_requests=rng.randint(1, 3),
-                            n_agents=rng.randint(1, 2), n_stations=0, dups=0)
+                            n_agents=rng.randint(1, 2), n_stations=0)
     inst = make_instance(n_requests=len(over["requests"]),
                          n_agents=len(over["agents"]), n_stations=0, dups=0,
                          over=over)
