@@ -3,7 +3,12 @@
 The model minimizes the fleet mission duration plus priority-weighted
 arrival-time and time-window-slack terms and a large per-rejection penalty.
 Constraint rows carry numeric family tags (2..42 plus "fix-y", "hub",
-"omega") so solutions can be cross-checked family by family.
+"omega", "end") so solutions can be cross-checked family by family.
+
+Beyond the paper's rows, the timing columns carry three bounds that every
+route obeys (the pickup lower bound of ``build_catalog``, family 16's
+shortest path and the "end" rows of ``build_timing``).  They cut no plan
+off; they only tighten the LP relaxation the MILP solver branches on.
 """
 
 from __future__ import annotations
@@ -178,7 +183,21 @@ class MilpModel:
 
 
 def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
-    """Per-family big-M values derived from a route-length horizon."""
+    """Per-family big-M values derived from a route-length horizon.
+
+    Some optimal plan ends by the horizon.  A stop gains from waiting only
+    until its window opens (its slack ``tau``), its station opens or its
+    agent is released, so only until L, the latest of those times.  Start
+    every stop of an optimal plan as early as its rows allow, but no earlier
+    than the sooner of its old time and L: no cost rises, and each stop then
+    either starts by L or right after the stop that holds it up (its
+    predecessor on the route, or the visit before it at the same station).
+    Following that chain back to a start by L, every stop and return ends
+    within L plus the chain's work: each request's service at both of its
+    stops, each station visit's service and longest charge (which also
+    bound a visit's queueing behind the one before it), and one leg of at
+    most ``max_c`` into each stop and into the depot.
+    """
     b = inst.battery
     n_f = len(graph.f)
     max_c = 0.0
@@ -186,12 +205,12 @@ def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
         for j in range(graph.n_nodes):
             if i != j:
                 max_c = max(max_c, graph.cost(i, j))
-    # a plan waits for a station at most up to the latest opening; after it,
-    # the terms below bound the rest of the plan as they do from time 0
+    release = max([0.0, *(s.earliest_available for s in inst.stations),
+                   *(r.tw_lo for r in inst.requests),
+                   *(a.initial_delay for a in inst.agents)])
     horizon = (
-        max((s.earliest_available for s in inst.stations), default=0.0)
-        + max((a.initial_delay for a in inst.agents), default=0.0)
-        + sum(r.service_time for r in inst.requests)
+        release
+        + 2 * sum(r.service_time for r in inst.requests)
         + sum(a.station_service_time for a in inst.agents) * n_f
         + (2 * inst.n_requests + n_f + 1) * max_c
         + n_f * (b.caps[0] + b.caps[1] + b.CEILINGS[2] / b.beta3)
@@ -205,7 +224,32 @@ def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
     return m
 
 
-def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> VariableCatalog:
+def shortest_paths(graph: ExpandedGraph) -> list:
+    """Least travel time between every two nodes over any sequence of arcs
+    (Floyd-Warshall on ``graph.cost``), so it bounds a route's time between
+    two of its stops from below on matrix costs as well as metric ones."""
+    n = graph.n_nodes
+    sp = [list(row) for row in graph.cost_matrix]
+    for h in range(n):
+        via = sp[h]
+        for i in range(n):
+            d_ih = sp[i][h]
+            row = sp[i]
+            for j in range(n):
+                if d_ih + via[j] < row[j]:
+                    row[j] = d_ih + via[j]
+    return sp
+
+
+def earliest_pickup(inst: Instance, graph: ExpandedGraph, sp, r: int) -> float:
+    """No agent reaches request r's pickup before this time: it leaves its
+    start no earlier than its initial delay, and every stop on the way only
+    adds time."""
+    p = graph.pickup_node(r)
+    return min(a.initial_delay + sp[graph.start_node(k)][p] for k, a in enumerate(inst.agents))
+
+
+def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM, sp) -> VariableCatalog:
     cat = VariableCatalog()
     b = inst.battery
     H = big_m.horizon
@@ -217,7 +261,9 @@ def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> Variable
             cat.x_into.setdefault((k, j), []).append(name)
     for r in range(inst.n_requests):
         cat.add(V.y(r), 0.0, 1.0, integer=True)
-    for i in list(graph.lp) + list(graph.ld) + list(graph.f):
+    for r in range(inst.n_requests):
+        cat.add(V.t(graph.pickup_node(r)), earliest_pickup(inst, graph, sp, r), H)
+    for i in list(graph.ld) + list(graph.f):
         cat.add(V.t(i), 0.0, H)
     for r, req in enumerate(inst.requests):
         active_p = req.tw_kind == TW_PICKUP
@@ -345,7 +391,7 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
     return rows
 
 
-def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
+def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM, sp) -> list:
     rows = []
     M = big_m.time
 
@@ -367,9 +413,13 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
                 coeffs[V.x(k, i, j)] = M
             rows.append(Constraint("15", (i, j), coeffs, LE, M - s_i - graph.cost(i, j)))
 
+    # family 16: the route runs from the pickup to the delivery, and every
+    # stop on the way only adds time, so the paper's t_d >= t_p + s_r holds
+    # with the shortest path added
     for r, req in enumerate(inst.requests):
         p, d = graph.pickup_node(r), graph.delivery_node(r)
-        rows.append(Constraint("16", (r,), {V.t(p): 1.0, V.t(d): -1.0}, LE, -req.service_time))
+        rows.append(Constraint("16", (r,), {V.t(p): 1.0, V.t(d): -1.0}, LE,
+                               -req.service_time - sp[p][d]))
 
         node = p if req.tw_kind == TW_PICKUP else d
         tag = "17" if req.tw_kind == TW_PICKUP else "18"
@@ -428,6 +478,19 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
 
     for k in range(inst.n_agents):
         rows.append(Constraint("24", (k,), {V.Tk(k): 1.0, V.T: -1.0}, LE, 0.0))
+
+    # "end": an accepted request's route goes on from its delivery to a
+    # depot, which a closed route reaches no sooner than the shortest path
+    # to the nearest one; an open route's last leg takes no time.  So
+    # T >= t_d + s_r + ret_r when y_r = 1.  With y_r = 0 the right side
+    # drops to t_d - H <= 0.
+    H = big_m.horizon
+    for r, req in enumerate(inst.requests):
+        d = graph.delivery_node(r)
+        ret = 0.0 if inst.open_vrp else min(sp[d][h] for h in graph.hf)
+        m_r = H + req.service_time + ret
+        rows.append(Constraint("end", (r,), {V.t(d): 1.0, V.y(r): m_r, V.T: -1.0}, LE,
+                               m_r - req.service_time - ret))
     return rows
 
 
@@ -554,11 +617,12 @@ def build_model(inst: Instance, graph: ExpandedGraph | None = None) -> MilpModel
     if graph is None:
         graph = expand_graph(inst)
     big_m = compute_big_m(inst, graph)
-    cat = build_catalog(inst, graph, big_m)
+    sp = shortest_paths(graph)
+    cat = build_catalog(inst, graph, big_m, sp)
     objective, constant, rows = build_objective(inst, graph, big_m)
     constraints = list(rows)
     constraints += build_flow(inst, graph, cat)
-    constraints += build_timing(inst, graph, big_m)
+    constraints += build_timing(inst, graph, big_m, sp)
     constraints += build_capacity(inst, graph)
     constraints += build_energy(inst, graph)
 

@@ -8,7 +8,9 @@ actual optimization is delegated to scipy's HiGHS backend (install the
     python3 -m emdarp.tools.solve_mps MODEL.mps OUT.sol
 
 The solution file has one "name value" pair per line, preceded by an
-"objective <value>" line and "# status <status>" comment.
+"objective <value>" line and "# status <status>" comment, then HiGHS's
+own account of the search as "# nodes", "# dual_bound" (with the objective
+constant added back) and "# gap" comments.
 
 HiGHS is run at a zero relative MIP gap, so status "optimal" means HiGHS
 proved the incumbent optimal (up to its default absolute gap of 1e-6).  At
@@ -108,11 +110,21 @@ def read_mps(path: str) -> MpsProblem:
     return prob
 
 
-def solve(prob: MpsProblem):
+def solve(prob: MpsProblem, info: dict | None = None):
     """Return (status, objective, {var: value}); status in optimal/infeasible/unbounded/error.
 
     The MILP is solved to a zero relative gap: "optimal" means HiGHS closed
-    the gap and proved the returned objective optimal.
+    the gap and proved the returned objective optimal.  Presolve is off:
+    with it, HiGHS (scipy 1.17.1) cut off the optimum of a generated
+    instance and still reported "optimal", 11076.480 against 908.174
+    (seed 54 in tests/test_mps.py, whose row coefficients run from 0.005 to
+    3,349 and objective coefficients from 0.001 to 46,480).  Without
+    presolve, HiGHS matches the builtin engine on all 120 instances of that
+    test's grid.
+
+    If *info* is a dict, it receives HiGHS's node count, its dual bound
+    (objective constant included) and its relative gap, where HiGHS
+    reports them.
     """
     import numpy as np
     from scipy import optimize, sparse
@@ -152,8 +164,17 @@ def solve(prob: MpsProblem):
         constraints=optimize.LinearConstraint(a, lo, hi),
         integrality=integrality,
         bounds=optimize.Bounds(lb, ub),
-        options={"mip_rel_gap": 0.0},
+        options={"mip_rel_gap": 0.0, "presolve": False},
     )
+    if info is not None:
+        for key, attr, kind in (("nodes", "mip_node_count", int),
+                                ("dual_bound", "mip_dual_bound", float),
+                                ("gap", "mip_gap", float)):
+            value = getattr(res, attr, None)
+            if value is not None:
+                info[key] = kind(value)
+        if "dual_bound" in info:
+            info["dual_bound"] += prob.objective_constant
     if res.status == 0:
         values = {v: float(res.x[col_of[v]]) for v in prob.col_order}
         return "optimal", float(res.fun) + prob.objective_constant, values
@@ -164,9 +185,11 @@ def solve(prob: MpsProblem):
     return "error", None, None
 
 
-def write_solution(path: str, status: str, objective, values) -> None:
+def write_solution(path: str, status: str, objective, values, info: dict) -> None:
     with open(path, "w") as fh:
         fh.write(f"# status {status}\n")
+        for key, value in info.items():
+            fh.write(f"# {key} {value!r}\n")
         if status == "optimal":
             fh.write(f"objective {objective!r}\n")
             for name, val in values.items():
@@ -184,8 +207,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    status, objective, values = solve(prob)
-    write_solution(sol_path, status, objective, values)
+    info: dict = {}
+    status, objective, values = solve(prob, info)
+    write_solution(sol_path, status, objective, values, info)
     if status == "optimal":
         return 0
     if status == "infeasible":

@@ -21,7 +21,7 @@ from emdarp.instance import instance_from_dict, instance_to_dict
 from emdarp.model import build_model, compute_big_m
 from emdarp.mps import format_mps
 from emdarp.search import SearchConfig, branch_and_bound, exhaustive_oracle
-from emdarp.solution import run_external
+from emdarp.solution import encode_plan, run_external
 
 from conftest import make_doc
 
@@ -81,6 +81,9 @@ def test_criterion_1_oracle_equivalence(corpus):
 # screen prices each station's least charging time, c5-n4-s3 solves 9 leaf
 # LPs instead of 28: the other 19 could not beat the plan found before them,
 # and its nodes, leaves and optimum are unchanged (no corpus row moved).
+# Configuration 24 serves its one request, which waits for its window and
+# ends past a horizon that counted the service once and left the window
+# start out: with that horizon all three engines rejected it at 244.848.
 PINNED_CORPUS = [
     (0, "infeasible", math.inf, 2, 1, 0),
     (1, "optimal", 75.95090282199382, 5, 2, 2),
@@ -106,7 +109,7 @@ PINNED_CORPUS = [
     (21, "optimal", 68.3296002992313, 2, 1, 1),
     (22, "optimal", 38380.0, 12, 9, 1),
     (23, "optimal", 98.37832032911805, 6, 1, 1),
-    (24, "optimal", 244.84753428442193, 2, 1, 1),
+    (24, "optimal", 101.90012530862306, 2, 1, 1),
 ]
 
 
@@ -147,6 +150,25 @@ def test_criterion_2_validator_gate(corpus):
             bb.objective, abs=1e-6), f"seed {seed}"
         checked += 1
     assert checked > 0
+
+
+def test_corpus_plans_satisfy_every_row(corpus):
+    # the MILP's time bounds (pickup lower bounds, family 16's shortest path,
+    # the "end" rows) cut off no optimum: each B&B plan, rejected requests
+    # included, satisfies every row of the model at its own objective
+    results, _ = corpus
+    rejecting = set()
+    for seed, inst, bb, _oracle in results:
+        if bb.solution is None:
+            continue
+        model = build_model(inst)
+        values = encode_plan(model, bb.solution)
+        bad = model.check_feasible(values)
+        assert bad == [], (seed, [(c.tag, c.index, c.part, v) for c, v in bad[:8]])
+        assert model.objective_value(values) == pytest.approx(bb.objective, rel=1e-9)
+        if not all(bb.solution.accepted):
+            rejecting.add(seed)
+    assert rejecting == {2, 8, 10, 14, 20, 22}
 
 
 @pytest.mark.skipif(not HAVE_EXTERNAL, reason="no external MILP solver")

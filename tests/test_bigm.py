@@ -22,15 +22,16 @@ def _matrix_instance(**kw):
 
 
 def test_horizon_hand_value():
-    # delay 0 + service 2 + 3 legs * max cost 10 = 32, no station terms
+    # release 0 + service 2 at both stops + 3 legs * max cost 10 = 34, no
+    # station terms
     inst = _matrix_instance(over={"requests": [{
         "pickup": [0.0, 0.0], "delivery": [0.0, 0.0], "passengers": 1,
         "service_time": 2.0, "tw_kind": "pickup", "tw_lo": 0.0, "tw_hi": 60.0,
     }]})
     bm = compute_big_m(inst, expand_graph(inst))
-    assert bm.horizon == pytest.approx(32.0)
-    assert bm.time == pytest.approx(32.0)
-    assert bm.obj == pytest.approx(128.0)
+    assert bm.horizon == pytest.approx(34.0)
+    assert bm.time == pytest.approx(34.0)
+    assert bm.obj == pytest.approx(136.0)
 
 
 def test_horizon_charge_terms():
@@ -40,7 +41,7 @@ def test_horizon_charge_terms():
     b = inst.battery
     max_c = max(g.cost(i, j) for i in range(g.n_nodes) for j in range(g.n_nodes))
     expected = (
-        sum(r.service_time for r in inst.requests)
+        2 * sum(r.service_time for r in inst.requests)
         + 2 * inst.agents[0].station_service_time
         + (2 * 1 + 2 + 1) * max_c
         + 2 * (0.85 / b.beta1 + 0.1 / b.beta2 + 1.0 / b.beta3)
@@ -71,13 +72,33 @@ def test_station_opening_enters_horizon():
         compute_big_m(base, expand_graph(base)).horizon + 40.0)
 
 
+def test_latest_release_enters_horizon():
+    # a plan waits at most until the latest window start, opening or
+    # initial delay, so the horizon takes their maximum, not their sum
+    base = make_instance(n_stations=1)
+    late = make_instance(n_stations=1, over={
+        "stations": [{"pos": [50.0, 150.0], "earliest_available": 12.5}],
+        "agents": [dict(
+            start=[0.0, 0.0], initial_delay=7.5, cap_passengers=4, cap_equipment=2,
+            conversion=2.0, max_duration=600.0, station_service_time=2.0,
+            soc_min=0.25, soc_init=1.0, soc_target=0.85,
+        )],
+        "requests": [{
+            "pickup": [100.0, 0.0], "delivery": [100.0, 300.0], "passengers": 1,
+            "service_time": 1.0, "tw_kind": "delivery", "tw_lo": 30.0, "tw_hi": 60.0,
+        }],
+    })
+    assert compute_big_m(late, expand_graph(late)).horizon == pytest.approx(
+        compute_big_m(base, expand_graph(base)).horizon + 30.0)
+
+
 def test_override_replaces_both_families():
     inst = _matrix_instance(over={"config": {"weights": {
         "epsilon": 0.001, "zeta": 1.0, "eta": 10000.0, "big_m": 500.0,
     }}})
     bm = compute_big_m(inst, expand_graph(inst))
     assert bm.time == 500.0 and bm.obj == 500.0
-    assert bm.horizon == pytest.approx(31.0)  # service_time defaults to 1 here
+    assert bm.horizon == pytest.approx(32.0)  # service_time defaults to 1 here
 
 
 def test_horizon_overflow_rejected():

@@ -1,7 +1,7 @@
 import pytest
 
 from emdarp.graph import arc_count_closed_form, expand_graph
-from emdarp.model import V, build_model
+from emdarp.model import V, build_model, earliest_pickup, shortest_paths
 
 from conftest import make_instance
 
@@ -65,6 +65,25 @@ def test_time_continuity_row_count():
     assert model.stats.constraint_counts["16"] == 2
 
 
+@pytest.mark.parametrize("open_vrp, ret", [(False, 4.0), (True, 0.0)])
+def test_time_bounds_follow_shortest_paths(open_vrp, ret):
+    # base nodes: start, pickup, delivery, depot.  Detours beat the direct
+    # arcs, so each bound takes the shortest path: start -> pickup 5 (via the
+    # delivery), pickup -> delivery 3 and delivery -> depot 4 (via the other
+    # stop); an open route's return takes no time
+    matrix = [[0, 10, 2, 5], [10, 0, 8, 1], [2, 3, 0, 9], [5, 1, 2, 0]]
+    inst = make_instance(over={"costs": {"mode": "matrix", "matrix": matrix},
+                               "config": {"open_vrp": open_vrp}})
+    model = build_model(inst)
+    g, H = model.graph, model.big_m.horizon
+    assert model.catalog.variables[V.t(g.pickup_node(0))].lb == 5.0
+    (row16,) = [c for c in model.constraints if c.tag == "16"]
+    assert row16.rhs == -(1.0 + 3.0)
+    (end,) = [c for c in model.constraints if c.tag == "end"]
+    assert end.coeffs == {V.t(g.delivery_node(0)): 1.0, V.y(0): H + 1.0 + ret, V.T: -1.0}
+    assert end.rhs == pytest.approx(H)
+
+
 def test_forced_acceptance_rows():
     over = {"requests": [
         {"pickup": [100.0, 0.0], "delivery": [100.0, 300.0], "passengers": 1,
@@ -104,8 +123,11 @@ def _idle_values(model):
     """All agents parked, every request rejected."""
     inst, g = model.instance, model.graph
     values = {name: 0.0 for name in model.catalog.variables}
+    sp = shortest_paths(g)
     for r, req in enumerate(inst.requests):
-        values[V.t(g.delivery_node(r))] = req.service_time
+        p, d = g.pickup_node(r), g.delivery_node(r)
+        values[V.t(p)] = earliest_pickup(inst, g, sp, r)
+        values[V.t(d)] = values[V.t(p)] + req.service_time + sp[p][d]
     for k, agent in enumerate(inst.agents):
         for r, req in enumerate(inst.requests):
             values[V.u1(g.pickup_node(r), k)] = float(req.passengers)

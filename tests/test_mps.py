@@ -8,7 +8,8 @@ from emdarp.instance import instance_from_dict
 from emdarp.model import build_model
 from emdarp.mps import format_mps, write_mps
 from emdarp.search import branch_and_bound
-from emdarp.tools.solve_mps import read_mps, solve
+from emdarp.solution import parse_solution
+from emdarp.tools.solve_mps import main, read_mps, solve
 
 from conftest import make_instance
 from test_acceptance import corpus_config
@@ -95,34 +96,77 @@ def test_solve_closes_the_relative_gap(cfg, tmp_path):
     assert objective == pytest.approx(bb.objective, abs=1e-6)
 
 
+def _presolve_grid():
+    # fault 1d's make-up: with presolve, HiGHS cut off seed 54's optimum and
+    # reported 11076.480 as optimal; that case runs in tier-1, the other 119
+    # are slow
+    for seed in range(60):
+        for n_requests, n_agents in ((3, 1), (2, 2)):
+            cfg = GenConfig(seed=seed, n_requests=n_requests, n_agents=n_agents,
+                            n_stations=1, duplicate_visits=1, preset="high-discharge")
+            tier1 = (seed, n_agents) == (54, 1)
+            yield pytest.param(cfg, id=f"s{seed}-a{n_agents}",
+                               marks=() if tier1 else pytest.mark.slow)
+
+
+@pytest.mark.parametrize("cfg", list(_presolve_grid()))
+def test_solve_matches_bnb_without_presolve(cfg, tmp_path):
+    pytest.importorskip("scipy")
+    inst = generate(cfg)
+    bb = branch_and_bound(inst)
+    status, objective, _ = solve(_write_and_read(build_model(inst), tmp_path))
+    assert status == bb.status
+    if status == "optimal":
+        assert objective == pytest.approx(bb.objective, abs=1e-5)
+    if (cfg.seed, cfg.n_agents) == (54, 1):
+        assert objective == pytest.approx(908.174, abs=1e-3)
+
+
+def test_solution_file_reports_the_search(small_model, tmp_path):
+    # the solver child writes HiGHS's node count, its dual bound (objective
+    # constant included) and its gap; the count depends on the HiGHS
+    # version, so only its presence is checked
+    pytest.importorskip("scipy")
+    model_path, sol_path = tmp_path / "model.mps", tmp_path / "out.sol"
+    write_mps(small_model, str(model_path))
+    assert main([str(model_path), str(sol_path)]) == 0
+    comments = dict(line[2:].split(" ", 1) for line in sol_path.read_text().splitlines()
+                    if line.startswith("# "))
+    assert set(comments) == {"status", "nodes", "dual_bound", "gap"}
+    assert comments["status"] == "optimal" and int(comments["nodes"]) >= 0
+    parsed = parse_solution(sol_path.read_text())
+    assert float(comments["dual_bound"]) <= parsed.objective + 1e-6
+    assert 0.0 <= float(comments["gap"]) <= 1e-6
+
+
 # sha256 of the MPS text of each acceptance-corpus configuration; any change to
 # a row, a coefficient order or a number's digits shows here
 PINNED_MPS = [
-    "622e3efd6648d1b9641fcc3dc317c21abeec8da9c2a5b21aa76026b1cd06fa0d",
-    "e3ae76f348fc2e55bececd9b84347f2057df1a1f7cc00553525b9a51651a1420",
-    "a973f4a16a1eeba1c7f4d7ae23cdfcaf5933e05511250cdcd25304a79248fa95",
-    "5c8ad7d3bf06c77e4d2a1e4e31278d3f1153d45d5d448958c154cee537857569",
-    "fb0aff9ab623e796cf0415bd34983b150cc91f6bbb4cb057c1717d8a89676872",
-    "8899f2b551a159b24c383dac8d77104664e2e0725acfc9f788e43aa23859efb7",
-    "2955d06ceaee75dfb46653fa62e62558f9dc503bebef114325de7db653a58e54",
-    "1ca942ba92592a9897780e59f84c5bc6595aa5f74b353fc32d88ea9dd057cf14",
-    "41f868e49933da69aff297730b748f5b987ed08ea8b0bdd739665f04b6a9db92",
-    "1867fd7772067a4bcd400cac3e2e5c9c877e1301459476309d5ba3001e39504a",
-    "8d375434fb3a596014be908d6ce0dfa5984198a2b47d1e8cae8f93d2390641de",
-    "df24caa9cca4e5c98572b6f56f783cacd28e97d093d288a2b7b85b1ee23953e7",
-    "a73cf8314fe65a0b1531f24dc35276eda5b244a4ec606b032e028f83781b2e5d",
-    "41d972c905d617860bf83057e62f19cf7f65b5a859badac4ae9cfae56bdd8d2d",
-    "291ed9ba8491a6ae2cbc406db6dc0e9b224cb23aec3a66c72ab4bcfcbe298e8e",
-    "8a72a222548e3b2d49d44bc3edd2878ac62e31c5c2658a32dfebea76a7c4704b",
-    "3df6edd78a9016537b9a7f4828aa218997f83876ca39f9db6953e3e8986c7cf6",
-    "ac730d4a3099fa2c0b30a92baf702e8b1f8a2f8fa8bce94186b20f49500af71b",
-    "ecffa83ad1898d11331d45dbe98ca9ecfb509d603201cd36f5c6a42e28c2d6db",
-    "8097e9503ad2629e2e135b27f43cd776c3e64d215a3bca30a99f25d0708b5e04",
-    "de27ecaf80e171a24b2dace46ba2b731b33cc28fd3424b9308d1477fcde79f8e",
-    "638b3b04ecb0ab14b0bfaf3dc4cb713de56a9135882adfd757404ed52dba17ba",
-    "3c5c98df32015b9408283fa28a13a7cb7299a4102f2d4f4dfadef3382750b705",
-    "2bac1af8b50d90d1301c2b464b108748b15fbf2b004613702d492b81e50b8f28",
-    "f7acd7465b59aa0d5ac9196fcfed6cc9880fe0836d6a4c8994f69d638bd86bc8",
+    "2fdfc0f01fc4a51ec6c5e9a31c43cae6ce21fad7064c51688d2a2bfee27a7402",
+    "fdae71b6d33a73655c758310990109d63b4a1fa8c0790a168c995949f26de636",
+    "82806967c7ba4d5a8772ce1186d47aca7eac93131d463aa17e6cf99b3d77fc21",
+    "05d702cdad33e15e3244129dfeebe47c7e7a4ed7f5add92ada28f095d96d3960",
+    "de51913fd77bc1daf916f8a85e50ca37b0b4405f0a81963f654fd6c5ec728c8d",
+    "32c44b2b342ab41c7ff65fba2f431eb2a724bc22efb99f8c20e0bc82db4450e3",
+    "f6b64350daa04f093cd623f318d1099f822befb8428893d75886a7b613ae86ae",
+    "11e790c158e7fe9d17e0e66b5e4a2084574b94ba302337e81b0eec02b1ce5c7d",
+    "7641729581250715de512441e7687925521cda37cdcbd8a45c1b69371d8ef034",
+    "1ff140ca29b88a1761d8f66cf1e43c72ff77e928e8bfe29a9c0d8455822c0847",
+    "bebfce27c4647a47437e140f4dcee6dfc9ffc49ee854e35126e2d194b73685a0",
+    "20063fc311a5fe45549c1770f6bbe42ec56fc1843f939edf413b29cde5f460b2",
+    "3a85ca233e63aa776338e602892a0375f460e27bdcc78e1cb6a3e6c4f200f631",
+    "98929c18fa75c82985b9f97dc2da595abe30ffeaf1c30f743c8e094c794a5fcc",
+    "d67c60c72540855ec1dacae9ab0a422b7f936419a636a8a34840c29c7612dc51",
+    "be97402f6878f854920ef97afc2f163701e55dc0968cf0422d49173b326f484d",
+    "5d64a9e0c57b421e613b19674b1e06b74ed91d9fb9f0d713b9ff08c473de4f3a",
+    "5fe1743dcb9c6705c9bf5e1700497843b878271e68318621a1554b37098b06a3",
+    "97d85cdb0f5b2c9780b936fd6b682443edba17ba094f11967b06c77c5c73e6ce",
+    "90ebfaeabbc313f31cfb67b837070aa9d519626ade5d8bb5bc972e54f4d7a9ff",
+    "e29f1b9f0dae499f25d61e1c8773d224874730240d6d08872c175904b71d7cc9",
+    "2fcf11f6ffaaf9f8149a2f0865772431c1327c52474e20c7bd1c8b0b3b45d9c0",
+    "fa03ec955c6a8e5003e9400ffa074c444a4129084ec26b4958de4e79c134553e",
+    "7f33c7f10f4fde8ef9b4c6a8ecf236a141e304b3690fcb33db7556ffed765aae",
+    "54dc1790f325fbc3fb7a5549531627f7a1d8044465ef787d65ce689374605a6c",
 ]
 
 
@@ -137,10 +181,10 @@ def _no_hub_energy(cfg):
     # closed, high-discharge, one station with three slots
     (generate(GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
                         duplicate_visits=2, preset="high-discharge")),
-     "84a8b66af0fdf0dc577d0ec49b5abe33c8dc731f65b19b1b425106e4a3052a6b"),
+     "1b730cc6cce1d1223d187cb395f4353538012291db7797ee8ebb824dd888705c"),
     # open routes whose leg into the depot draws no energy
     (_no_hub_energy(corpus_config(1)),
-     "dca70f4b76ff774c84598362f4d6d3356ef2ef9d871587f61ab3d51000cb0e48"),
+     "fa075bcb1c20d3fb9bb53867d9ea1e528f0f3709695be97163cb37b481383a87"),
 ], ids=[f"corpus-{i}" for i in range(len(PINNED_MPS))] + ["c5-n4-s3", "corpus-1-no-hub-energy"])
 def test_mps_text_pinned(inst, digest):
     assert hashlib.sha256(format_mps(build_model(inst)).encode()).hexdigest() == digest

@@ -468,14 +468,14 @@ def test_terminal_depot_and_station_opening_match_oracle(seed):
 
 
 def test_station_opening_past_route_horizon(tmp_path):
-    # the only station opens 50 after the horizon of the same instance with
-    # the station open from 0; the plan must wait for it, and all three
-    # engines must find that plan
+    # the only station opens late, long after a plan that did not charge
+    # would end; the plan must wait for it, and all three engines must find
+    # that plan.  The opening is 50 past the horizon of the same instance
+    # with the station open from 0, as that horizon read when it counted
+    # each request's service once and no window start.
     doc = generate_document(GenConfig(seed=24, n_requests=1, n_agents=1, n_stations=1,
                                       preset="high-discharge", selective=False))
-    inst = instance_from_dict(doc)
-    doc["stations"][0]["earliest_available"] = compute_big_m(
-        inst, expand_graph(inst)).horizon + 50.0
+    doc["stations"][0]["earliest_available"] = 429.59643513521326
     inst = instance_from_dict(doc)
     g = expand_graph(inst)
     bb = branch_and_bound(inst, g)
@@ -490,6 +490,39 @@ def test_station_opening_past_route_horizon(tmp_path):
     status, objective, _ = solve(read_mps(path))
     assert status == "optimal"
     assert objective == pytest.approx(bb.objective, abs=1e-5)
+
+
+def _long_service():
+    doc = generate_document(GenConfig(seed=3, n_requests=1, n_agents=1, n_stations=0,
+                                      duplicate_visits=0))
+    doc["requests"][0]["service_time"] = 40.0
+    return instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("inst, want", [
+    # the request waits for its window start before a long drive
+    pytest.param(generate(corpus_config(24)), 101.90012530862306, id="corpus-24"),
+    # service at both stops takes longer than the drive
+    pytest.param(_long_service(), 138.08202303374057, id="service-40"),
+])
+def test_horizon_covers_served_request(inst, want, tmp_path):
+    # a horizon that counted each service once and no window start ended
+    # before the plan that serves the request, so all three engines
+    # rejected it (244.848 and 49830.0)
+    g = expand_graph(inst)
+    bb = branch_and_bound(inst, g)
+    oracle = exhaustive_oracle(inst, g)
+    assert bb.status == oracle.status == "optimal"
+    assert bb.solution.accepted == [True]
+    assert bb.objective == pytest.approx(want, rel=1e-12)
+    assert oracle.objective == pytest.approx(want, rel=1e-12)
+    assert validate(inst, g, bb.solution).ok
+    pytest.importorskip("scipy")
+    path = str(tmp_path / "m.mps")
+    write_mps(build_model(inst, g), path)
+    status, objective, _ = solve(read_mps(path))
+    assert status == "optimal"
+    assert objective == pytest.approx(want, abs=1e-5)
 
 
 def test_oracle_caps():
