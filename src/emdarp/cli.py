@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="audit a solution against an instance")
     p.add_argument("instance")
     p.add_argument("solution")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_nonnegative(float), default=1e-6)
     common(p)
     p.set_defaults(func=cmd_check)
 

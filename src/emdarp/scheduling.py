@@ -8,10 +8,11 @@ charging durations.  Charging durations are canonicalized afterwards: the
 charge acquired is poured into the fastest segments first, which is never
 slower and pins down the segment indicator values.
 
-``timing_bound`` prices the timing part by an exact dynamic program instead
+``agent_curve`` prices one agent's timing by an exact dynamic program instead
 of the LP, each station of a complete chain taking the least charging time
-that the state-of-charge rows allow it; the branch-and-bound uses it as its
-node bound and as a screen before each leaf LP.
+that the state-of-charge rows allow it, and ``timing_bound`` merges the
+agents' curves; the branch-and-bound uses it as its node bound and as a
+screen before each leaf LP.
 """
 
 from __future__ import annotations
@@ -147,12 +148,11 @@ def load_violation(inst: Instance, graph: ExpandedGraph, k: int, chain, loads: d
     return None
 
 
-def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
-                 cache: dict) -> float:
+def timing_bound(curves) -> float:
     """Exact minimum of ``T + sum_r lambda_r (epsilon (t_p + t_d) + zeta tau)``
-    over the timing rows of a routing, without rejection penalties, each
-    station of a complete chain taking its least charging time;
-    ``math.inf`` when no schedule fits.
+    over the timing rows of a routing, without rejection penalties, given
+    the ``agent_curve`` of each agent with stops; ``math.inf`` when one of
+    them is None (its chain does not fit).
 
     The rows are the timing rows of ``schedule_routes`` with each station's
     charging durations ``xi`` summed to a fixed least time: a stop is
@@ -161,24 +161,12 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
     departure is its arrival plus the agent's station service time plus its
     least charging time), an agent's return ``Tk`` is at most
     ``max_duration`` and at most the makespan ``T``, and ``T`` is at most
-    *horizon*.  A chain that ends at a depot returns over that leg, one
+    the horizon.  A chain that ends at a depot returns over that leg, one
     without a depot over its cheapest depot leg.  Every stop comes before
-    the return, so every stop time and ``Tk`` are at most *horizon* too; the
-    DP clips at it.
-
-    Least charging time.  Only a complete chain (one that ends at a depot)
-    charges.  On it, the leaf LP's SoC rows cap a station's arrival SoC at
-    ``soc_init``, or 1.0 out of the previous station, less the drains of the
-    legs in between (``soc_ceilings``, at the departure loads that
-    ``load_violation`` records for the chain).  Every SoC on the way
-    is at least ``soc_min``, so the departure SoC is at least ``soc_target``
-    and at least ``soc_min`` plus the drains up to the next station or the
-    depot.  The ``xi`` rows cap segment 1 at ``CEILINGS[0]`` less the
-    arrival SoC and segments 2 and 3 at their widths, so the LP charges
-    from its arrival SoC to its departure SoC for at least
-    ``BatteryModel.charge_time`` of them.  That time never rises with the
-    arrival SoC and never falls with the departure SoC, so at the two bounds
-    it is at most what the LP spends at the station.
+    the return, so every stop time and ``Tk`` are at most the horizon too;
+    the DP clips at it.  Agents meet only in the makespan, so the optimum is
+    the least ``T + sum_k G_k(min(T, cap_k))``, where ``cap_k =
+    min(max_duration, horizon)``, over the merged breakpoints.
 
     Validity.  A partial routing holds only pickups and deliveries, each
     placed request's two stops in one chain, pickup first.  There these rows
@@ -189,30 +177,10 @@ def timing_bound(inst: Instance, graph: ExpandedGraph, chains, horizon: float,
     penalties: every LP schedule spends at least the least time charging at
     each station, which can only delay later stops, and dropping the
     state-of-charge, slot-order and station opening rows from a relaxation
-    can only lower its minimum.
-
-    Method: the soft-time-window scheduling DP of Ibaraki et al.
-    (Transportation Science 39(2), 2005) and Hashimoto et al. (Discrete
-    Applied Mathematics 154(16), 2006).  Per agent, a forward pass over
-    convex piecewise-linear functions gives ``G_k(x)``, the cheapest cost of
-    the agent's stops with ``Tk <= x``: at each stop shift by the previous
-    service time plus the leg, take the prefix minimum, add the stop's cost
-    and clip at the horizon.  Agents meet only in the makespan, so the
-    optimum is the least ``T + sum_k G_k(min(T, cap_k))``, where ``cap_k =
-    min(max_duration, horizon)``, over the merged breakpoints.
-
-    *cache* keeps ``G_k`` by ``(agent, chain)``.  Reuse it only for the same
-    instance, graph and horizon."""
-    curves = []
-    for k, chain in enumerate(chains):
-        if not chain:
-            continue
-        key = (k, tuple(chain))
-        if key not in cache:
-            cache[key] = _agent_curve(inst, graph, k, chain, horizon)
-        if cache[key] is None:
-            return math.inf
-        curves.append(cache[key])
+    can only lower its minimum."""
+    curves = list(curves)
+    if any(curve is None for curve in curves):
+        return math.inf
     if not curves:
         return 0.0
     start = max(xs[0] for xs, _ in curves)
@@ -242,33 +210,46 @@ def soc_ceilings(inst: Instance, graph: ExpandedGraph, k: int, route, loads,
     return out
 
 
-def _least_charge(inst: Instance, graph: ExpandedGraph, k: int, chain) -> dict:
-    """Least charging time at each station of agent *k*'s *chain*, by
-    position (see ``timing_bound``); empty unless the chain ends at a
-    depot."""
-    if not graph.is_hub(chain[-1]):
-        return {}
-    stations = [pos for pos, node in enumerate(chain) if graph.is_station(node)]
-    if not stations:
-        return {}
+def _least_charge(inst: Instance, graph: ExpandedGraph, k: int, chain, socs) -> dict:
+    """Least charging time at each station of agent *k*'s complete *chain*,
+    by position, from its ``soc_ceilings`` *socs* (see ``agent_curve``)."""
     agent, b = inst.agents[k], inst.battery
-    loads = {}
-    load_violation(inst, graph, k, chain, loads)
-    socs = soc_ceilings(inst, graph, k, chain, loads)
     out, after = {}, socs[-1]  # 1.0 less the drains from the last station to the depot
-    for pos in reversed(stations):
-        out[pos] = b.charge_time(socs[pos], max(agent.soc_target, agent.soc_min + 1.0 - after))
-        after = socs[pos]
+    for pos in reversed(range(len(chain))):
+        if graph.is_station(chain[pos]):
+            out[pos] = b.charge_time(socs[pos],
+                                     max(agent.soc_target, agent.soc_min + 1.0 - after))
+            after = socs[pos]
     return out
 
 
-def _agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float):
-    """``G_k`` as convex, nonincreasing breakpoints ``(xs, ys)`` from the
-    earliest return to the duration cap, constant beyond; None when the
-    chain does not fit."""
+def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float,
+                socs=()):
+    """``G_k(x)``, the cheapest cost of agent *k*'s non-empty *chain* with
+    ``Tk <= x`` under the rows of ``timing_bound``, as convex, nonincreasing
+    breakpoints ``(xs, ys)`` from the earliest return to ``min(max_duration,
+    horizon)``, constant beyond; None when the chain does not fit.
+
+    Method: the soft-time-window scheduling DP of Ibaraki et al.
+    (Transportation Science 39(2), 2005) and Hashimoto et al. (Discrete
+    Applied Mathematics 154(16), 2006): at each stop, shift by the previous
+    service time plus the leg, take the prefix minimum, add the stop's cost
+    and clip at *horizon*.
+
+    Least charging time.  Given *socs*, the ``soc_ceilings`` of a complete
+    chain (one that ends at a depot) at its ``load_violation`` loads, each
+    station charges; without them none does.  The leaf LP caps a station's
+    arrival SoC at that ceiling, and every SoC on the way is at least
+    ``soc_min``, so the departure SoC is at least ``soc_target`` and at
+    least ``soc_min`` plus the drains up to the next station or the depot.
+    The ``xi`` rows cap segment 1 at ``CEILINGS[0]`` less the arrival SoC
+    and segments 2 and 3 at their widths, so the LP charges between the two
+    for at least ``BatteryModel.charge_time``.  That time never rises with
+    the arrival SoC and never falls with the departure SoC, so at the two
+    bounds it is at most what the LP spends at the station."""
     agent = inst.agents[k]
     w = inst.weights
-    charge = _least_charge(inst, graph, k, chain)
+    charge = _least_charge(inst, graph, k, chain, socs) if socs else {}
     xs, ys = [agent.initial_delay], [0.0]
     prev, service, depot = graph.start_node(k), 0.0, None
     for pos, node in enumerate(chain):

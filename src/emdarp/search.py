@@ -9,13 +9,14 @@ the rejection penalties already committed; that bound is only valid when arc
 costs satisfy the triangle inequality, so on non-metric instances it
 degrades to the penalties alone.  Charging stops and terminal depots are
 decided at the leaves.  There each agent's stop sets pass a best-case
-state-of-charge walk on their own, per depot; the survivors are combined
-across agents and given duplicate slots.  Each placement then passes the same
-DP on the complete routing, where a station also takes the least charging
-time its state-of-charge bounds allow: a lower bound on its LP.  A placement
-whose bound cannot beat the best plan so far is skipped (``leaf_screened``);
-the others run the full scheduling LP (``leaf_lps``), so the simplex runs
-only at the leaves.
+state-of-charge walk on their own, per depot; each depot that passes keeps
+the DP curve of its completed chain, each station taking the least charging
+time that walk allows.  Each (agent, chain) is walked once per solve.  The
+survivors are combined across agents and given duplicate slots, and each
+placement merges its agents' curves into a lower bound on its LP.  A
+placement whose bound cannot beat the best plan so far is skipped
+(``leaf_screened``); the others run the full scheduling LP (``leaf_lps``),
+so the simplex runs only at the leaves.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and
@@ -35,7 +36,7 @@ from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
 from .model import compute_big_m
 from .scheduling import (
-    ScheduleResult, load_violation, schedule_routes, soc_ceilings, timing_bound,
+    ScheduleResult, agent_curve, load_violation, schedule_routes, soc_ceilings, timing_bound,
 )
 from .solution import Solution
 
@@ -101,7 +102,8 @@ class _Search:
         self.best: ScheduleResult | None = None
         self.best_obj = math.inf
         self.open_bound = math.inf  # least bound of a subtree left unexplored
-        self.curves: dict = {}  # timing_bound's per-agent cache
+        self.curves: dict = {}  # (agent, chain of pickups and deliveries) -> agent_curve
+        self.stop_sets: dict = {}  # (agent, leaf chain) -> _agent_stop_sets
         self.t0 = time.monotonic()
 
     # -- limits ---------------------------------------------------------------
@@ -128,23 +130,35 @@ class _Search:
         penalty = self._penalty(accepted, self.order[:depth])
         if not self.graph.metric:
             return penalty  # capacity is screened at insertion; only penalties are safe
-        return timing_bound(self.inst, self.graph, chains, self.big_m.horizon,
-                            self.curves) + penalty
+        return timing_bound(self._known(self.curves, k, chain, self._curve)
+                            for k, chain in enumerate(chains) if chain) + penalty
+
+    def _curve(self, k, chain):
+        return agent_curve(self.inst, self.graph, k, chain, self.big_m.horizon)
+
+    def _known(self, table: dict, k, chain, walk):
+        """``walk(k, chain)``, once per (agent, chain), kept in *table*."""
+        key = (k, tuple(chain))
+        if key not in table:
+            table[key] = walk(k, chain)
+        return table[key]
 
     # -- leaf evaluation --------------------------------------------------------
 
     def _agent_stop_sets(self, k, chain):
-        """(stops, depots) for each set of (position, station) stops in the
+        """(stops, ends) for each set of (position, station) stops in the
         charging gaps of agent *k*'s *chain* whose best-case SoC walk
-        (``soc_ceilings``) reaches some of the agent's depots: its pinned
-        depot, else every depot.  An idle agent has the one option
-        ``([], [None])``, or none when its depot is pinned.  A stop walks as
-        slot 0 of its station, which is exact: ``expand_graph`` gives every
-        duplicate its station's base-node costs (``base_of``)."""
-        inst, g = self.inst, self.graph
+        (``soc_ceilings``) reaches some of the agent's depots (its pinned
+        depot, else every depot), with each such (depot, ``agent_curve`` of
+        the completed chain) in *ends*.  An idle agent has the one option
+        ``([], [(None, None)])``, or none when its depot is pinned.  A stop is
+        walked and timed as slot 0 of its station, which is exact: every
+        duplicate has its station's base-node costs (``base_of``), and the DP
+        has no slot-order or opening rows."""
+        inst, g, horizon = self.inst, self.graph, self.big_m.horizon
         agent = inst.agents[k]
         if not chain:
-            return [] if agent.terminal_hub is not None else [([], [None])]
+            return [] if agent.terminal_hub is not None else [([], [(None, None)])]
         hubs = list(g.hf) if agent.terminal_hub is None else [g.hub_node(agent.terminal_hub)]
         loads = {}  # every leaf chain passed load_violation at insertion
         load_violation(inst, g, k, chain, loads)
@@ -158,23 +172,27 @@ class _Search:
                     route = list(chain)
                     for pos, st in reversed(stops):
                         route.insert(pos + 1, g.f_node(st, 0))
-                    alive = [hub for hub in hubs if soc_ceilings(
-                        inst, g, k, route + [hub], loads, floor)[-1] >= floor]
-                    if alive:
-                        out.append((stops, alive))
-        return out
+                    ends = []
+                    for full in (route + [hub] for hub in hubs):
+                        socs = soc_ceilings(inst, g, k, full, loads, floor)
+                        if socs[-1] >= floor:
+                            ends.append((full[-1], agent_curve(inst, g, k, full, horizon, socs)))
+                    if ends:
+                        out.append((stops, ends))
+        return tuple(out)  # kept all solve long: a tuple is the smaller record
 
     def _placements(self, chains):
         """Every charging placement of the leaf *chains* that passes each
         agent's SoC walk, as a list of ((agent, position) gap, station node)
-        pairs with the depots left to each agent: by stop count, then gap
+        pairs with the ends left to each agent: by stop count, then gap
         subset, then the station of each picked gap, then the duplicate slots
         of each station in order of first appearance.  A station takes its
         slots from the front, and one agent's visits to it take increasing
         slots: gaps are in route order, so only cross-agent interleavings are
         choices."""
         max_visits = self.inst.duplicate_visits + 1
-        per_agent = [self._agent_stop_sets(k, chain) for k, chain in enumerate(chains)]
+        per_agent = [self._known(self.stop_sets, k, chain, self._agent_stop_sets)
+                     for k, chain in enumerate(chains)]
         combos = []
         for parts in itertools.product(*per_agent):
             stops = [((k, pos), st) for k, (own, _) in enumerate(parts) for pos, st in own]
@@ -182,9 +200,9 @@ class _Search:
             if all(stations.count(st) <= max_visits for st in stations):
                 # gaps sort by (agent, position), which is route order
                 combos.append(((len(stops), [gap for gap, _ in stops], stations),
-                               stops, [hubs for _, hubs in parts]))
+                               stops, [ends for _, ends in parts]))
         combos.sort(key=lambda combo: combo[0])
-        for _, stops, hubs in combos:
+        for _, stops, ends in combos:
             per_station: dict[int, list] = {}
             for gap, st in stops:
                 per_station.setdefault(st, []).append(gap)
@@ -198,27 +216,27 @@ class _Search:
                      for perm in itertools.permutations(range(len(visits)))
                      if all(perm[a] < perm[b] for a, b in same_agent)])
             for parts in itertools.product(*slot_choices):
-                yield [pair for part in parts for pair in part], hubs
+                yield [pair for part in parts for pair in part], ends
 
     def evaluate_leaf(self, chains, accepted):
         """Price the placements and depots of the leaf *chains* that pass the
         SoC walks; each feasible schedule that beats the incumbent replaces
-        it.  One whose timing bound, with each station's least charging
-        time, plus the rejection penalties cannot beat the incumbent is
-        skipped and counted in ``leaf_screened``."""
+        it.  One whose timing bound (its agents' curves merged) plus the
+        rejection penalties cannot beat the incumbent is skipped and counted
+        in ``leaf_screened``."""
         inst, g = self.inst, self.graph
         penalty = self._penalty(accepted, range(inst.n_requests))
-        for placement, agent_hubs in self._placements(chains):
+        for placement, agent_ends in self._placements(chains):
             self._check_time()
             routed = [list(c) for c in chains]
             for (k, pos), node in sorted(placement, reverse=True):
                 routed[k].insert(pos + 1, node)
-            for hubs in itertools.product(*agent_hubs):
-                full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
-                screen = timing_bound(inst, g, full, self.big_m.horizon, self.curves)
+            for ends in itertools.product(*agent_ends):
+                screen = timing_bound(curve for hub, curve in ends if hub is not None)
                 if screen + penalty >= self.best_obj - _EPS:
                     self.leaf_screened += 1
                     continue
+                full = [c if hub is None else c + [hub] for c, (hub, _) in zip(routed, ends)]
                 self.leaf_lps += 1
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                 if res.feasible and res.objective < self.best_obj - _EPS:
@@ -303,7 +321,7 @@ def branch_and_bound(inst: Instance, graph: ExpandedGraph | None = None,
 
 ORACLE_MAX_REQUESTS = 4
 ORACLE_MAX_AGENTS = 2
-ORACLE_MAX_STATION_NODES = 2
+ORACLE_MAX_STATION_NODES = 3
 
 
 def _interleavings(pairs):

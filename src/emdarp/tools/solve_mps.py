@@ -123,8 +123,8 @@ def solve(prob: MpsProblem, info: dict | None = None):
     test's grid.
 
     If *info* is a dict, it receives HiGHS's node count, its dual bound
-    (objective constant included) and its relative gap, where HiGHS
-    reports them.
+    (objective constant included) and its relative gap.  On an infeasible
+    model scipy (1.17.1) returns all three as None, so *info* stays empty.
     """
     import numpy as np
     from scipy import optimize, sparse

@@ -1,6 +1,7 @@
 import pytest
 
 from emdarp.instance import instance_from_dict
+from emdarp.scheduling import agent_curve, load_violation, soc_ceilings, timing_bound
 
 
 def make_doc(n_requests=1, n_agents=1, n_stations=0, dups=0, n_depots=1, **over):
@@ -74,6 +75,25 @@ def _deep_update(doc, over):
             _deep_update(doc[key], val)
         else:
             doc[key] = val
+
+
+def fresh_curve(inst, graph, k, chain, horizon):
+    """Agent *k*'s ``agent_curve`` walked from scratch: a chain that ends at
+    a depot charges from the ``soc_ceilings`` at its own ``load_violation``
+    loads."""
+    socs = ()
+    if graph.is_hub(chain[-1]):
+        loads = {}
+        load_violation(inst, graph, k, chain, loads)
+        socs = soc_ceilings(inst, graph, k, chain, loads)
+    return agent_curve(inst, graph, k, chain, horizon, socs)
+
+
+def routing_bound(inst, graph, chains, horizon):
+    """``timing_bound`` of a routing, over a fresh curve of each agent with
+    stops."""
+    return timing_bound(fresh_curve(inst, graph, k, chain, horizon)
+                        for k, chain in enumerate(chains) if chain)
 
 
 @pytest.fixture

@@ -131,6 +131,30 @@ def test_check_flags_tampered_soc(tmp_path, capsys):
     assert any(v["tag"] == "40" for v in report["violations"])
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_check_rejects_out_of_range_tol(tmp_path, capsys, tol):
+    # no gap is ever above a NaN tolerance, so `--tol nan` used to report a
+    # tampered plan clean and exit 0; a NaN or negative tolerance is a usage
+    # error, and the same plan fails at the default tolerance
+    path = write_doc(tmp_path)
+    sol_path = tmp_path / "plan.json"
+    code, _ = run(capsys, "solve", path, "--out", str(sol_path))
+    assert code == 0
+    doc = json.loads(sol_path.read_text())
+    doc["objective"] += 1000.0
+    for plan in doc["plans"]:
+        for rec in plan["visits"]:
+            rec["arrival"] += 500.0
+            rec["departure"] += 500.0
+    sol_path.write_text(json.dumps(doc))
+    code, cap = run(capsys, "check", path, str(sol_path), "--tol", tol)
+    assert code == 4
+    assert "--tol" in cap.err and ">= 0" in cap.err
+    code, cap = run(capsys, "check", path, str(sol_path))
+    assert code == 1
+    assert "VIOLATIONS" in cap.out
+
+
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     path = write_doc(tmp_path, over={
         "requests": [dict(make_doc()["requests"][0], passengers=9)],

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 
@@ -13,7 +15,7 @@ from emdarp.model import compute_big_m
 from emdarp.scheduling import check_routes, load_violation, schedule_routes, timing_bound
 from emdarp.search import branch_and_bound, exhaustive_oracle
 
-from conftest import make_doc, make_instance
+from conftest import fresh_curve, make_doc, make_instance, routing_bound
 
 
 def _chain_ids(g, labels):
@@ -220,7 +222,7 @@ def test_partial_bound_is_lower_bound():
     full = [_chain_ids(g, ["p0", "d0", "p1", "d1", "h0"])]
     part = [_chain_ids(g, ["p0", "d0", "p1", "d1"])]
     res_full = schedule_routes(inst, g, full, [True, True])
-    part_bound = timing_bound(inst, g, part, compute_big_m(inst, g).horizon, {})
+    part_bound = routing_bound(inst, g, part, compute_big_m(inst, g).horizon)
     assert res_full.feasible and math.isfinite(part_bound)
     assert part_bound <= res_full.objective + 1e-9
 
@@ -251,6 +253,16 @@ def test_load_violation_reasons():
     assert loads == {p(3): (2.0, 1.0), d(3): (0.0, 0.0)}
 
 
+def test_only_check_routes_walks_loads():
+    # the curve builder charges from SoC ceilings its caller already walked,
+    # so in this module only check_routes runs the load walk
+    tree = ast.parse(inspect.getsource(scheduling))
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for call in ast.walk(fn) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "load_violation"}
+    assert callers == {"check_routes"}
+
+
 @pytest.mark.parametrize("conversion, overlap", [(2.0, False), (1.0, True)])
 def test_conversion_decides_visit_order(conversion, overlap):
     # both aboard at once: 3 passengers and 1 equipment unit, 5 seats when
@@ -277,10 +289,10 @@ def test_partial_objective_carries_no_rejection_penalty():
     g = expand_graph(inst)
     part = [_chain_ids(g, ["p0", "d0"])]
     horizon = compute_big_m(inst, g).horizon
-    bound = timing_bound(inst, g, part, horizon, {})
+    bound = routing_bound(inst, g, part, horizon)
     assert math.isfinite(bound)
     assert bound < inst.weights.eta
-    assert timing_bound(inst, g, [[]], horizon, {}) == 0.0
+    assert routing_bound(inst, g, [[]], horizon) == 0.0
     full = schedule_routes(inst, g, [_chain_ids(g, ["p0", "d0", "h0"])], [True, False])
     assert bound <= full.objective - inst.weights.eta + 1e-9
 
@@ -400,7 +412,7 @@ def test_timing_bound_equals_timing_lp():
             chains = _random_routing(rng, inst, g, complete=rng.random() < 0.5)
             horizon = full_horizon if rng.random() < 0.5 else rng.uniform(10.0, 150.0)
             want = _timing_lp(inst, g, chains, horizon)
-            got = timing_bound(inst, g, chains, horizon, {})
+            got = routing_bound(inst, g, chains, horizon)
             charged = any(g.is_station(node) for chain in chains for node in chain)
             if math.isinf(want):
                 assert got == math.inf, (case, chains, horizon)
@@ -439,7 +451,7 @@ def test_timing_bound_prices_least_charge(soc_target, charge):
     g = expand_graph(inst)
     chains = [_chain_ids(g, ["p0", "d0", "f0^0", "h0"])]
     assert load_violation(inst, g, 0, chains[0], {}) is None
-    bound = timing_bound(inst, g, chains, compute_big_m(inst, g).horizon, {})
+    bound = routing_bound(inst, g, chains, compute_big_m(inst, g).horizon)
     assert bound == pytest.approx(27 + 2 + charge + 5 + 0.001 * (10 + 21), rel=1e-12)
     res = schedule_routes(inst, g, chains, [True])
     assert res.feasible and bound == pytest.approx(res.objective, rel=1e-9)
@@ -467,27 +479,14 @@ def test_charge_split_is_least_time():
 
 
 def test_timing_bound_cache_is_per_agent_chain():
-    inst = make_instance(n_requests=2, n_agents=2)
-    g = expand_graph(inst)
-    horizon = compute_big_m(inst, g).horizon
-    cache = {}
-    a = [g.pickup_node(0), g.delivery_node(0)]
-    b = [g.pickup_node(1), g.delivery_node(1)]
-    both = timing_bound(inst, g, [a, b], horizon, cache)
-    assert set(cache) == {(0, tuple(a)), (1, tuple(b))}
-    assert timing_bound(inst, g, [a, b], horizon, {}) == both
-    assert timing_bound(inst, g, [b, a], horizon, cache) == timing_bound(inst, g, [b, a],
-                                                                         horizon, {})
-    # a complete chain with a station, priced inside one routing, serves
-    # another routing that shares it: the cached G_0 holds the chain's least
-    # charging time, as a fresh cache prices it (segment-1 case above)
+    # a complete chain with a station, its curve walked once, serves two
+    # routings: the curve holds the chain's least charging time (segment-1
+    # case above)
     inst = _charging_instance(n_agents=2)
     g = expand_graph(inst)
     horizon = compute_big_m(inst, g).horizon
-    chain = _chain_ids(g, ["p0", "d0", "f0^0", "h0"])
-    cache = {}
-    assert timing_bound(inst, g, [chain, [g.hf[0]]], horizon, cache) == pytest.approx(
+    curve = fresh_curve(inst, g, 0, _chain_ids(g, ["p0", "d0", "f0^0", "h0"]), horizon)
+    assert timing_bound([curve, fresh_curve(inst, g, 1, [g.hf[0]], horizon)]) == pytest.approx(
         40 + 0.001 * (10 + 21), rel=1e-12)  # agent 1 returns at 40
-    alone = timing_bound(inst, g, [chain, []], horizon, cache)
-    assert alone == timing_bound(inst, g, [chain, []], horizon, {})
-    assert alone == pytest.approx(27 + 2 + 0.11 / 0.034 + 5 + 0.001 * (10 + 21), rel=1e-12)
+    assert timing_bound([curve]) == pytest.approx(
+        27 + 2 + 0.11 / 0.034 + 5 + 0.001 * (10 + 21), rel=1e-12)

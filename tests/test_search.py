@@ -10,7 +10,7 @@ from emdarp.model import build_model
 from emdarp.mps import write_mps
 from emdarp import search
 from emdarp.model import compute_big_m
-from emdarp.scheduling import load_violation, schedule_routes, timing_bound
+from emdarp.scheduling import load_violation, schedule_routes
 from emdarp.checker import validate
 from emdarp.search import (
     SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _charging_gaps,
@@ -19,7 +19,7 @@ from emdarp.search import (
 from emdarp.solution import encode_plan
 from emdarp.tools.solve_mps import read_mps, solve
 
-from conftest import make_instance
+from conftest import fresh_curve, make_instance, routing_bound
 from test_acceptance import corpus_config
 
 
@@ -108,7 +108,7 @@ def _brute_force_placements(g, gaps):
     (["ppdd", "pdpd"], [(0, 3), (1, 1), (1, 3)]),
 ], ids=["gaps0", "gaps1"])
 def test_leaf_placements_match_brute_force(n_stations, dups, shapes, gaps):
-    # the oracle covers at most two station nodes; this covers three and four.
+    # the oracle covers at most three station nodes; this covers three and four.
     # Each agent serves two requests, and a delivery that empties the vehicle
     # opens a gap.  A near-zero discharge keeps every stop set through the
     # SoC walk.
@@ -247,8 +247,9 @@ def test_leaf_placements_keep_order(make, shows):
     for chains in leaves:
         reference = _reference_leaf_sequence(search, chains)
         hub_opts = _depot_options(inst, g, chains)
-        got = [(placement, hubs) for placement, agent_hubs in search._placements(chains)
-               for hubs in itertools.product(*agent_hubs)]
+        got = [(placement, tuple(hub for hub, _ in ends))
+               for placement, agent_ends in search._placements(chains)
+               for ends in itertools.product(*agent_ends)]
         assert got == [(placement, hubs) for placement, hubs, ok in reference if ok]
         if any(not ok for _, _, ok in reference):
             seen.add("walk")
@@ -531,7 +532,7 @@ def test_oracle_caps():
     with pytest.raises(ValueError, match="oracle caps exceeded"):
         exhaustive_oracle(make_instance(n_agents=3))
     with pytest.raises(ValueError, match="oracle caps exceeded"):
-        exhaustive_oracle(make_instance(n_stations=1, dups=2))
+        exhaustive_oracle(make_instance(n_stations=1, dups=3))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -630,11 +631,24 @@ def _sweep():
                            marks=() if n_requests == 2 else pytest.mark.slow)
 
 
-@pytest.mark.parametrize("cfg", list(_sweep()))
+def _makeup_slice():
+    # the criterion-5 make-up, 2 agents and 1 station with 3 slots, where
+    # the leaf walks and curves act on up to three charging stops
+    grid = itertools.product((2, 3), ("high-discharge", "typical"), (True, False),
+                             (False, True))
+    for seed, (n_requests, preset, selective, open_vrp) in enumerate(grid):
+        cfg = GenConfig(seed=seed, n_requests=n_requests, n_agents=2, n_stations=1,
+                        duplicate_visits=2, preset=preset, selective=selective,
+                        open_vrp=open_vrp)
+        yield pytest.param(cfg, id=f"c5-s{seed}",
+                           marks=() if n_requests == 2 else pytest.mark.slow)
+
+
+@pytest.mark.parametrize("cfg", [*_sweep(), *_makeup_slice()])
 def test_differential_sweep(cfg):
-    # the 96 two-request configurations run in tier-1; the other 144 are
-    # marked slow, and `-m ''` runs the whole grid (about ten minutes, mostly
-    # the oracle)
+    # the 96 two-request configurations of the grid and the 8 of the make-up
+    # slice run in tier-1; the other 144 + 8 are marked slow, and `-m ''`
+    # runs them all (about ten minutes, mostly the oracle)
     inst = generate(cfg)
     g = expand_graph(inst)
     bb = branch_and_bound(inst, g)
@@ -655,14 +669,14 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
     inst = generate(cfg)
     g = expand_graph(inst)
     horizon = compute_big_m(inst, g).horizon
-    cache, priced = {}, []
+    priced = []
 
     def audited(inst, graph, chains, accepted, big_m=None):
         res = schedule_routes(inst, graph, chains, accepted, big_m=big_m)
         if res.feasible:
             penalty = sum(req.priority * inst.weights.eta
                           for req, acc in zip(inst.requests, accepted) if not acc)
-            bound = timing_bound(inst, graph, chains, horizon, cache) + penalty
+            bound = routing_bound(inst, graph, chains, horizon) + penalty
             assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), chains
             priced.append(chains)
         return res
@@ -674,32 +688,61 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_timing_bound_below_leaf_lps(seed):
-    # the same on the criterion-5 make-up, beyond the oracle's caps: at every
+    # the same on the criterion-5 make-up, where the oracle takes ~20 s: at every
     # leaf the search visits, each (placement, depots) pair it prices or
-    # screens, most with two or more stations in one chain
+    # screens, most with two or more stations in one chain.  The curve the
+    # search holds for each end, walked and timed at slot 0, is the routed
+    # chain's own with its real slots
     inst = generate(GenConfig(seed=seed, n_requests=4, n_agents=2, n_stations=1,
                               duplicate_visits=2, preset="high-discharge"))
-    priced = []
+    priced, later_slots = [], 0
 
     class Audited(_Search):
         def evaluate_leaf(self, chains, accepted):
-            g = self.graph
+            nonlocal later_slots
+            g, horizon = self.graph, self.big_m.horizon
             penalty = self._penalty(accepted, range(inst.n_requests))
-            for placement, agent_hubs in self._placements(chains):
+            for placement, agent_ends in self._placements(chains):
                 routed = [list(c) for c in chains]
                 for (k, pos), node in sorted(placement, reverse=True):
                     routed[k].insert(pos + 1, node)
-                for hubs in itertools.product(*agent_hubs):
-                    full = [c if hub is None else c + [hub] for c, hub in zip(routed, hubs)]
+                for ends in itertools.product(*agent_ends):
+                    full = [c if hub is None else c + [hub] for c, (hub, _) in zip(routed, ends)]
+                    for k, (hub, curve) in enumerate(ends):
+                        if hub is not None:
+                            assert curve == fresh_curve(inst, g, k, full[k], horizon), full
+                            later_slots += any(g.is_station(node) and g.station_of(node)[1] > 0
+                                               for node in full[k])
                     res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                     if res.feasible:
-                        bound = timing_bound(inst, g, full, self.big_m.horizon, {}) + penalty
+                        bound = routing_bound(inst, g, full, horizon) + penalty
                         assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), full
                         priced.append(full)
             return super().evaluate_leaf(chains, accepted)
 
     Audited(inst, expand_graph(inst), SearchConfig()).run()
-    assert len(priced) >= 50
+    assert len(priced) >= 50 and later_slots >= 50
+
+
+def test_each_leaf_chain_walked_once():
+    # sibling leaves share all but one chain, and the search keeps each
+    # (agent, leaf chain)'s stop sets and curves for the whole solve
+    inst = generate(GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
+                              duplicate_visits=2, preset="high-discharge"))
+    walks = []
+
+    class Counting(_Search):
+        def _agent_stop_sets(self, k, chain):
+            walks.append((k, tuple(chain)))
+            return super()._agent_stop_sets(k, chain)
+
+    counts = []
+    for _ in range(2):  # a second solve walks its chains afresh
+        walks.clear()
+        assert Counting(inst, expand_graph(inst), SearchConfig()).run().leaves == 105
+        assert len(set(walks)) == len(walks)
+        counts.append(len(walks))
+    assert counts[0] == counts[1] < 2 * 105, counts
 
 
 @pytest.mark.parametrize("cfg", [
