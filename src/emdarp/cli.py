@@ -165,7 +165,8 @@ def cmd_solve(args) -> int:
             node_limit=args.node_limit, time_limit=args.time_limit))
         sol, status = result.solution, result.status
         search = {"nodes": result.nodes, "leaves": result.leaves,
-                  "leaf_lps": result.leaf_lps, "leaf_screened": result.leaf_screened}
+                  "leaf_lps": result.leaf_lps, "leaf_screened": result.leaf_screened,
+                  "energy_pruned": result.energy_pruned}
     else:
         sol, status = _solve_external(inst, args)
     search_line = "  ".join(f"{key}: {val}" for key, val in search.items())
@@ -306,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random seeded instance")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--requests", type=int, default=3)
-    p.add_argument("--agents", type=int, default=2)
-    p.add_argument("--stations", type=int, default=0)
-    p.add_argument("--dups", type=int, default=0)
+    p.add_argument("--requests", type=_nonnegative(int), default=3)
+    p.add_argument("--agents", type=_nonnegative(int), default=2)
+    p.add_argument("--stations", type=_nonnegative(int), default=0)
+    p.add_argument("--dups", type=_nonnegative(int), default=0)
     p.add_argument("--preset", choices=sorted(_PRESETS), default="typical")
     p.add_argument("--area", type=float, default=2000.0)
     sel = p.add_mutually_exclusive_group()

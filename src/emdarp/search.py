@@ -5,18 +5,20 @@ Branching fixes one request at a time (highest priority first): either
 reject it or insert its pickup/delivery pair into one agent's chain at every
 position pair where that chain passes ``scheduling.load_violation``.
 Interior nodes are bounded by the exact timing DP of ``timing_bound`` plus
-the rejection penalties already committed; that bound is only valid when arc
-costs satisfy the triangle inequality, so on non-metric instances it
-degrades to the penalties alone.  Charging stops and terminal depots are
-decided at the leaves.  There each agent's stop sets pass a best-case
-state-of-charge walk on their own, per depot; each depot that passes keeps
-the DP curve of its completed chain, each station taking the least charging
-time that walk allows.  Each (agent, chain) is walked once per solve.  The
-survivors are combined across agents and given duplicate slots, and each
-placement merges its agents' curves into a lower bound on its LP.  A
-placement whose bound cannot beat the best plan so far is skipped
-(``leaf_screened``); the others run the full scheduling LP (``leaf_lps``),
-so the simplex runs only at the leaves.
+the rejection penalties already committed, and a child whose changed chain
+no completion can drive within its state-of-charge floor is cut where it
+is made (``_Search._energy_ok``, counted in ``energy_pruned``).  Both rest on
+the triangle inequality, so on non-metric instances the bound degrades to
+the penalties alone and the energy screen is off.  Charging stops and
+terminal depots are decided at the leaves.  There each agent's stop sets
+pass a best-case state-of-charge walk on their own, per depot; each depot
+that passes keeps the DP curve of its completed chain, each station taking
+the least charging time that walk allows.  Each (agent, chain) is walked
+once per solve.  The survivors are combined across agents and given
+duplicate slots, and each placement merges its agents' curves into a lower
+bound on its LP.  A placement whose bound cannot beat the best plan so far
+is skipped (``leaf_screened``); the others run the full scheduling LP
+(``leaf_lps``), so the simplex runs only at the leaves.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and
@@ -60,6 +62,7 @@ class SearchResult:
     leaves: int
     leaf_lps: int  # schedule_routes calls made at the leaves
     leaf_screened: int  # (placement, depots) pairs the timing screen skipped
+    energy_pruned: int  # children cut at insertion by the energy screen (_energy_ok)
 
 
 class _LimitReached(Exception):
@@ -99,11 +102,21 @@ class _Search:
         self.leaves = 0
         self.leaf_lps = 0
         self.leaf_screened = 0
+        self.energy_pruned = 0
         self.best: ScheduleResult | None = None
         self.best_obj = math.inf
         self.open_bound = math.inf  # least bound of a subtree left unexplored
         self.curves: dict = {}  # (agent, chain of pickups and deliveries) -> agent_curve
         self.stop_sets: dict = {}  # (agent, leaf chain) -> _agent_stop_sets
+        # per node v, over each station's slot-0 node f (duplicates share its
+        # base_of costs): the most charge left on reaching v out of a station,
+        # and the least an empty vehicle drains from v to a station
+        slot0 = [graph.f_node(st, 0) for st in range(inst.n_stations)]
+        alpha0 = inst.battery.alpha0
+        self.refill = [max((1.0 - alpha0 * graph.energy_cost(f, v) for f in slot0),
+                           default=-math.inf) for v in range(graph.n_nodes)]
+        self.reach = [min((alpha0 * graph.energy_cost(v, f) for f in slot0), default=math.inf)
+                      for v in range(graph.n_nodes)]
         self.t0 = time.monotonic()
 
     # -- limits ---------------------------------------------------------------
@@ -142,6 +155,51 @@ class _Search:
         if key not in table:
             table[key] = walk(k, chain)
         return table[key]
+
+    def _energy_ok(self, k, chain, loads):
+        """False when no completion of agent *k*'s *chain* of pickups and
+        deliveries (departure *loads* as ``load_violation`` records them)
+        keeps its state of charge at or above ``soc_min``.
+
+        The walk keeps, at each node, the highest SoC any completion can
+        arrive with: ``soc_init`` at the start, less each leg's
+        ``BatteryModel.drain`` at the chain's departure load; where the chain
+        runs empty (the start included) and some station is reachable at or
+        above ``soc_min`` (``reach``), also up to ``refill`` at the next node.
+        At the end some allowed depot must be reached, directly or through a
+        station.
+
+        Validity.  A completion inserts more requests, then charging stops,
+        then a depot; the chain's nodes keep their order.  Between two
+        consecutive chain nodes a and b the completion carries at least the
+        chain's load after a, since inserted requests only add load, so it
+        stops at a station there only if the chain runs empty after a (or
+        before its first node).  Under the triangle inequality its detour
+        costs at least the direct leg, and ``drain`` never falls with the
+        load (validation keeps ``alpha1`` and ``alpha2`` above 0), so it
+        drains at least ``drain(a -> b)``; with stations in between, at least
+        ``alpha0 * energy_cost(a, f)`` up to the first station f and at least
+        ``alpha0 * energy_cost(f', b)`` after the last one f', which charges
+        to at most 1.0.  So each value the walk keeps is at least the
+        completion's SoC there, and a complete chain whose leaf has a
+        placement that passes ``soc_ceilings`` passes here too."""
+        g, b = self.graph, self.inst.battery
+        agent = self.inst.agents[k]
+        floor = agent.soc_min - _EPS
+        soc, prev = agent.soc_init, g.start_node(k)
+        for node in chain:
+            load = loads.get(prev, (0.0, 0.0))
+            via_station = load == (0.0, 0.0) and soc - self.reach[prev] >= floor
+            soc -= b.drain(g.energy_cost(prev, node), load)
+            if via_station:
+                soc = max(soc, self.refill[node])
+            if soc < floor:
+                return False
+            prev = node
+        via_station = soc - self.reach[prev] >= floor  # every placed request is delivered
+        hubs = g.hf if agent.terminal_hub is None else [g.hub_node(agent.terminal_hub)]
+        return any(soc - b.drain(g.energy_cost(prev, hub), loads.get(prev, (0.0, 0.0))) >= floor
+                   or (via_station and self.refill[hub] >= floor) for hub in hubs)
 
     # -- leaf evaluation --------------------------------------------------------
 
@@ -265,7 +323,8 @@ class _Search:
         return SearchResult(status=status, solution=solution, objective=self.best_obj,
                             best_bound=bound, gap=gap, nodes=self.nodes,
                             leaves=self.leaves, leaf_lps=self.leaf_lps,
-                            leaf_screened=self.leaf_screened)
+                            leaf_screened=self.leaf_screened,
+                            energy_pruned=self.energy_pruned)
 
     def _visit(self, chains, accepted, depth):
         self._tick()
@@ -280,10 +339,15 @@ class _Search:
         children = []
         for k in range(self.inst.n_agents):
             for new_chain in _insertions(chains[k], p, d):
-                # capacity is all an insertion can break: a request sits once in one
-                # chain, pickup first, so every arc is admissible (the one pruned arc
-                # is d_r -> p_r), and a reject child changes no chain
-                if load_violation(self.inst, self.graph, k, new_chain, {}) is not None:
+                # of the discrete rules, capacity is all an insertion can break: a
+                # request sits once in one chain, pickup first, so every arc is
+                # admissible (the one pruned arc is d_r -> p_r), and a reject child
+                # changes no chain; the energy screen reads the loads it records
+                loads = {}
+                if load_violation(self.inst, self.graph, k, new_chain, loads) is not None:
+                    continue
+                if self.graph.metric and not self._energy_ok(k, new_chain, loads):
+                    self.energy_pruned += 1
                     continue
                 cand = list(chains)
                 cand[k] = new_chain
@@ -415,8 +479,9 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
     if best is None:
         return SearchResult(status="infeasible", solution=None, objective=math.inf,
                             best_bound=math.inf, gap=math.inf, nodes=0, leaves=0, leaf_lps=0,
-                            leaf_screened=0)
+                            leaf_screened=0, energy_pruned=0)
     best.solution.status = "optimal"
     return SearchResult(status="optimal", solution=best.solution,
                         objective=best.objective, best_bound=best.objective,
-                        gap=0.0, nodes=0, leaves=0, leaf_lps=0, leaf_screened=0)
+                        gap=0.0, nodes=0, leaves=0, leaf_lps=0, leaf_screened=0,
+                        energy_pruned=0)

@@ -72,61 +72,71 @@ def test_criterion_1_oracle_equivalence(corpus):
 
 
 # (corpus configuration, status, objective, nodes, leaves, leaf LPs,
-# placements screened) of the builtin branch-and-bound.  Any change to the
-# simplex pivot path, the search order or the leaf screen shows here first;
-# move a value only with an oracle-checked reason.
+# placements screened, children cut by the energy screen) of the builtin
+# branch-and-bound.  Any change to the simplex pivot path, the search order
+# or the leaf screen shows here first; move a value only with an
+# oracle-checked reason.
 # Every feasible configuration counts the leaf of its optimum: the search
 # finds its incumbent itself, so that leaf is visited, not pruned by a bound
-# against a plan found beforehand.  Configuration 20 also visits one
-# infeasible leaf whose bound is not below the optimum.  Since the leaf
-# screen prices each station's least charging time, c5-n4-s3 solves 9 leaf
-# LPs instead of 28: the other 19 could not beat the plan found before them,
-# and its nodes, leaves and optimum are unchanged (no corpus row moved).
+# against a plan found beforehand.  Since the leaf screen prices each
+# station's least charging time, c5-n4-s3 solves 9 leaf LPs instead of 28:
+# the other 19 could not beat the plan found before them, and its nodes,
+# leaves and optimum did not move then (no corpus row moved).
+# Since the energy screen cuts a child whose changed chain no completion can
+# drive within its SoC floor, nodes and leaves fell on 0, 2, 6, 8, 10, 12,
+# 14, 20, 22 and c5-n4-s3 (131/105 to 67/52; corpus 20 from 55/44 to 4/1,
+# without the infeasible leaf whose bound was not below the optimum).  The
+# screen never cuts a subtree with a placement that passes the leaf walk, so
+# every status, objective, leaf LP and screened count stayed, and the
+# solution JSON is byte-identical.  On the infeasible 0, 6 and 12 the one
+# request's only insertion is cut, so the root is the only node.
 # Configuration 24 serves its one request, which waits for its window and
 # ends past a horizon that counted the service once and left the window
 # start out: with that horizon all three engines rejected it at 244.848.
 PINNED_CORPUS = [
-    (0, "infeasible", math.inf, 2, 1, 0, 0),
-    (1, "optimal", 75.95090282199382, 5, 2, 2, 8),
-    (2, "optimal", 46866.514517902186, 24, 19, 1, 0),
-    (3, "optimal", 26.503600418424124, 2, 1, 1, 1),
-    (4, "optimal", 102.6518700367318, 3, 1, 1, 0),
-    (5, "optimal", 108.59203901496076, 6, 1, 1, 8),
-    (6, "infeasible", math.inf, 2, 1, 0, 0),
-    (7, "optimal", 31.912626748998253, 3, 1, 1, 4),
-    (8, "optimal", 59478.56383295095, 32, 25, 1, 0),
-    (9, "optimal", 53.998970166119065, 2, 1, 1, 1),
-    (10, "optimal", 13136.895189141156, 5, 3, 1, 0),
-    (11, "optimal", 97.6998197055721, 7, 2, 2, 8),
-    (12, "infeasible", math.inf, 2, 1, 0, 0),
-    (13, "optimal", 120.7954416165867, 4, 1, 1, 4),
-    (14, "optimal", 42235.52106893448, 20, 13, 1, 0),
-    (15, "optimal", 91.39680108513518, 2, 1, 1, 1),
-    (16, "optimal", 77.51597279378826, 3, 1, 1, 0),
-    (17, "optimal", 63.301546540667104, 7, 2, 2, 8),
-    (18, "optimal", 71.01363988981916, 2, 1, 1, 0),
-    (19, "optimal", 101.46247707021979, 4, 1, 1, 3),
-    (20, "optimal", 37681.78037721325, 55, 44, 1, 0),
-    (21, "optimal", 68.3296002992313, 2, 1, 1, 1),
-    (22, "optimal", 38380.0, 12, 9, 1, 0),
-    (23, "optimal", 98.37832032911805, 6, 1, 1, 8),
-    (24, "optimal", 101.90012530862306, 2, 1, 1, 0),
+    (0, "infeasible", math.inf, 1, 0, 0, 0, 1),
+    (1, "optimal", 75.95090282199382, 5, 2, 2, 8, 0),
+    (2, "optimal", 46866.514517902186, 4, 1, 1, 0, 4),
+    (3, "optimal", 26.503600418424124, 2, 1, 1, 1, 0),
+    (4, "optimal", 102.6518700367318, 3, 1, 1, 0, 3),
+    (5, "optimal", 108.59203901496076, 6, 1, 1, 8, 0),
+    (6, "infeasible", math.inf, 1, 0, 0, 0, 1),
+    (7, "optimal", 31.912626748998253, 3, 1, 1, 4, 0),
+    (8, "optimal", 59478.56383295095, 6, 1, 1, 0, 10),
+    (9, "optimal", 53.998970166119065, 2, 1, 1, 1, 0),
+    (10, "optimal", 13136.895189141156, 3, 1, 1, 0, 2),
+    (11, "optimal", 97.6998197055721, 7, 2, 2, 8, 0),
+    (12, "infeasible", math.inf, 1, 0, 0, 0, 1),
+    (13, "optimal", 120.7954416165867, 4, 1, 1, 4, 0),
+    (14, "optimal", 42235.52106893448, 6, 1, 1, 0, 6),
+    (15, "optimal", 91.39680108513518, 2, 1, 1, 1, 0),
+    (16, "optimal", 77.51597279378826, 3, 1, 1, 0, 0),
+    (17, "optimal", 63.301546540667104, 7, 2, 2, 8, 0),
+    (18, "optimal", 71.01363988981916, 2, 1, 1, 0, 0),
+    (19, "optimal", 101.46247707021979, 4, 1, 1, 3, 0),
+    (20, "optimal", 37681.78037721325, 4, 1, 1, 0, 2),
+    (21, "optimal", 68.3296002992313, 2, 1, 1, 1, 0),
+    (22, "optimal", 38380.0, 3, 1, 1, 0, 2),
+    (23, "optimal", 98.37832032911805, 6, 1, 1, 8, 0),
+    (24, "optimal", 101.90012530862306, 2, 1, 1, 0, 0),
 ]
 
 
-@pytest.mark.parametrize("config, status, objective, nodes, leaves, leaf_lps, screened", [
-    *[(corpus_config(seed), *rest) for seed, *rest in PINNED_CORPUS],
-    # the criterion-5 make-up at 4 requests: 105 of 131 nodes are leaves
-    (GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
-               duplicate_visits=2, preset="high-discharge"),
-     "optimal", 148.93221199334377, 131, 105, 9, 258),
-], ids=[f"corpus-{row[0]}" for row in PINNED_CORPUS] + ["c5-n4-s3"])
-def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps, screened):
+@pytest.mark.parametrize(
+    "config, status, objective, nodes, leaves, leaf_lps, screened, energy_pruned", [
+        *[(corpus_config(seed), *rest) for seed, *rest in PINNED_CORPUS],
+        # the criterion-5 make-up at 4 requests: 52 of 67 nodes are leaves
+        (GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
+                   duplicate_visits=2, preset="high-discharge"),
+         "optimal", 148.93221199334377, 67, 52, 9, 258, 56),
+    ], ids=[f"corpus-{row[0]}" for row in PINNED_CORPUS] + ["c5-n4-s3"])
+def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps, screened,
+                           energy_pruned):
     result = branch_and_bound(generate(config))
     assert result.status == status
     assert result.objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
-    assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened) == (
-        nodes, leaves, leaf_lps, screened)
+    assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened,
+            result.energy_pruned) == (nodes, leaves, leaf_lps, screened, energy_pruned)
 
 
 def test_bnb_prices_every_placement():

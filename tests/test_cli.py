@@ -94,6 +94,17 @@ def test_gen_round_trip(tmp_path, capsys):
     assert len(inst.stations) == 1 and inst.duplicate_visits == 1
 
 
+@pytest.mark.parametrize("flag", ["--requests", "--agents", "--stations", "--dups"])
+def test_gen_rejects_negative_counts(tmp_path, capsys, flag):
+    # `gen --requests -1` and `--agents -1` used to exit 0 and write an
+    # instance; a negative count is a usage error, caught before generation
+    out = tmp_path / "g.json"
+    code, cap = run(capsys, "gen", "--seed", "1", flag, "-1", "--out", str(out))
+    assert code == 4
+    assert flag in cap.err and ">= 0" in cap.err
+    assert not out.exists()
+
+
 def test_solve_then_check_clean(tmp_path, capsys):
     path = write_doc(tmp_path)
     sol_path = tmp_path / "plan.json"
@@ -102,7 +113,7 @@ def test_solve_then_check_clean(tmp_path, capsys):
                     "--routes", str(routes))
     assert code == 0
     assert "status: optimal" in cap.out
-    assert "\nnodes: 2  leaves: 1  leaf_lps: 1  leaf_screened: 0\n" in cap.out
+    assert "\nnodes: 2  leaves: 1  leaf_lps: 1  leaf_screened: 0  energy_pruned: 0\n" in cap.out
     assert "v0 -> p0 -> d0 -> h0" in routes.read_text().replace(
         "agent 0: ", "")
     code, cap = run(capsys, "check", path, str(sol_path))
