@@ -54,14 +54,28 @@ def _load(path: str):
         raise _Exit(EXIT_VALIDATION, f"instance rejected: {exc}")
 
 
-def _load_solution(path: str) -> Solution:
+def _load_solution(path: str, inst, graph) -> Solution:
+    """The solution at *path*, which must hold the plan of each agent of
+    *inst* in agent order, a value per request, and only nodes of its
+    expanded *graph*."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return Solution.from_dict(json.load(fh))
+            sol = Solution.from_dict(json.load(fh))
     except OSError as exc:
         raise _Exit(EXIT_CONFIG, f"cannot read solution: {exc}")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise _Exit(EXIT_CONFIG, f"solution file malformed: {exc}")
+    sizes = {"plans": inst.n_agents, "accepted": inst.n_requests,
+             "request_times": inst.n_requests, "request_slacks": inst.n_requests}
+    faults = [f"{key} has {len(getattr(sol, key))} entries, needs {size}"
+              for key, size in sizes.items() if len(getattr(sol, key)) != size]
+    faults += [f"plan {k} is for agent {plan.agent}"
+               for k, plan in enumerate(sol.plans) if plan.agent != k]
+    faults += [f"visit to node {rec.node}, out of range"
+               for plan in sol.plans for rec in plan.visits if rec.node not in range(graph.n_nodes)]
+    if faults:
+        raise _Exit(EXIT_CONFIG, f"solution file malformed: {faults[0]}")
+    return sol
 
 
 class _Exit(Exception):
@@ -217,8 +231,8 @@ def format_routes(sol: Solution) -> str:
 
 def cmd_check(args) -> int:
     inst = _load(args.instance)
-    report = validate(inst, expand_graph(inst), _load_solution(args.solution),
-                      tol=args.tol)
+    graph = expand_graph(inst)
+    report = validate(inst, graph, _load_solution(args.solution, inst, graph), tol=args.tol)
     doc = report.to_dict()
     lines = [f"checked: {'clean' if report.ok else 'VIOLATIONS'}",
              f"objective recomputed: {report.objective_recomputed:.6f} "
@@ -254,9 +268,10 @@ def cmd_gen(args) -> int:
 
 def cmd_plot(args) -> int:
     inst = _load(args.instance)
-    sol = _load_solution(args.solution) if args.solution else None
+    graph = expand_graph(inst)
+    sol = _load_solution(args.solution, inst, graph) if args.solution else None
     try:
-        write_svg(inst, expand_graph(inst), args.out, sol)
+        write_svg(inst, graph, args.out, sol)
     except OSError as exc:
         raise _Exit(EXIT_CONFIG, f"cannot write SVG: {exc}")
     _emit(args, {"out": args.out}, f"wrote {args.out}")

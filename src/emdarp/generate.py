@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .instance import Instance, instance_from_dict
 
 PRESETS = ("typical", "high-discharge")
+TW_WIDTH = (20.0, 60.0)  # minutes
+PRIORITY = (1.0, 5.0)
 
 
 @dataclass
@@ -31,10 +33,8 @@ class GenConfig:
     n_stations: int = 0
     duplicate_visits: int = 0
     area: float = 2000.0  # square side in meters
-    tw_width: tuple = (20.0, 60.0)  # minutes
     passengers: tuple = (1, 2)
     equipment: tuple = (0, 1)
-    priority: tuple = (1.0, 5.0)
     preset: str = "typical"
     selective: bool = True
     open_vrp: bool = False
@@ -84,8 +84,8 @@ def generate(config: GenConfig) -> Instance:
         service = round(rng.uniform(0.5, 2.0), 3)
         side = rng.choice(["pickup", "delivery"])
         tw_lo = round(rng.uniform(0.0, 2.0 * diag_minutes), 3)
-        width = round(rng.uniform(*config.tw_width), 3)
-        prio = round(rng.uniform(*config.priority), 3)
+        width = round(rng.uniform(*TW_WIDTH), 3)
+        prio = round(rng.uniform(*PRIORITY), 3)
         requests.append({
             "pickup": pickup, "delivery": delivery,
             "passengers": q1, "equipment": q2, "service_time": service,

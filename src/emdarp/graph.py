@@ -168,11 +168,8 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
 
     # expanded -> base node mapping (station duplicates share their base node)
     base_of = list(range(K + 2 * R))
-    for visit in range(inst.duplicate_visits + 1):
-        for st in range(m):
-            base_of.append(K + 2 * R + st)
-    for q in range(n_hf):
-        base_of.append(K + 2 * R + m + q)
+    base_of += [K + 2 * R + st for _ in range(inst.duplicate_visits + 1) for st in range(m)]
+    base_of += [K + 2 * R + m + q for q in range(n_hf)]
 
     base_cost = derive_costs(inst)
     cost_rows = tuple(
@@ -180,38 +177,18 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
         for i in range(n_nodes)
     )
 
-    arcs: list[tuple[int, int]] = []
-    for i in lp:
-        for j in lp:
-            if i != j:
-                arcs.append((i, j))
-    for i in lp:
-        for j in ld:
-            arcs.append((i, j))
-    for i in ld:
-        for j in lp:
-            if i - ld.start != j - lp.start:  # d^r -> p^r can never be feasible
-                arcs.append((i, j))
-    for i in ld:
-        for j in ld:
-            if i != j:
-                arcs.append((i, j))
-    for i in ld:
-        for j in f:
-            arcs.append((i, j))
-    for i in ld:
-        for j in hf:
-            arcs.append((i, j))
-    for i in f:
-        for j in lp:
-            arcs.append((i, j))
-    for i in f:
-        for j in hf:
-            arcs.append((i, j))
-
+    # class pair by class pair, as in the module docstring; the MILP's x
+    # columns follow this order
+    arcs = [(i, j) for i in lp for j in lp if i != j]
+    arcs += [(i, j) for i in lp for j in ld]
+    arcs += [(i, j) for i in ld for j in lp
+             if i - ld.start != j - lp.start]  # d^r -> p^r can never be feasible
+    arcs += [(i, j) for i in ld for j in ld if i != j]
+    arcs += [(i, j) for i in ld for j in f]
+    arcs += [(i, j) for i in ld for j in hf]
+    arcs += [(i, j) for i in f for j in lp]
+    arcs += [(i, j) for i in f for j in hf]
     start_arcs = tuple(tuple((h0[k], j) for j in lp) for k in range(K))
-
-    metric = _is_metric(cost_rows, n_nodes)
 
     return ExpandedGraph(
         instance=inst,
@@ -221,7 +198,7 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
         arcs=tuple(arcs),
         start_arcs=start_arcs,
         base_of=tuple(base_of),
-        metric=metric,
+        metric=_is_metric(cost_rows, n_nodes),
     )
 
 

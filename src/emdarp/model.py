@@ -244,9 +244,11 @@ def shortest_paths(graph: ExpandedGraph) -> list:
 def earliest_pickup(inst: Instance, graph: ExpandedGraph, sp, r: int) -> float:
     """No agent reaches request r's pickup before this time: it leaves its
     start no earlier than its initial delay, and every stop on the way only
-    adds time."""
+    adds time.  With no agent no request is served (flow rows 7 and 8 force
+    ``y_r = 0``), so any bound holds and this one is 0."""
     p = graph.pickup_node(r)
-    return min(a.initial_delay + sp[graph.start_node(k)][p] for k, a in enumerate(inst.agents))
+    return min((a.initial_delay + sp[graph.start_node(k)][p] for k, a in enumerate(inst.agents)),
+               default=0.0)
 
 
 def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM, sp) -> VariableCatalog:

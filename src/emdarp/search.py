@@ -3,7 +3,9 @@ reference enumerator.
 
 Branching fixes one request at a time (highest priority first): either
 reject it or insert its pickup/delivery pair into one agent's chain at every
-position pair where that chain passes ``scheduling.load_violation``.
+position pair where that chain passes ``scheduling.load_violation``.  For
+each pickup position the delivery moves later until the first overload,
+since every later delivery overloads too.
 Interior nodes are bounded by the exact timing DP of ``timing_bound`` plus
 the rejection penalties already committed, and a child whose changed chain
 no completion can drive within its state-of-charge floor is cut where it
@@ -81,16 +83,6 @@ def _charging_gaps(graph: ExpandedGraph, chain, loads):
             if graph.is_delivery(node) and loads[node] == (0.0, 0.0)]
 
 
-def _insertions(chain, p, d):
-    """All chains obtained by inserting pickup p and delivery d (p first)."""
-    out = []
-    for ip in range(len(chain) + 1):
-        with_p = chain[:ip] + [p] + chain[ip:]
-        for jd in range(ip + 1, len(with_p) + 1):
-            out.append(with_p[:jd] + [d] + with_p[jd:])
-    return out
-
-
 class _Search:
     def __init__(self, inst: Instance, graph: ExpandedGraph, config: SearchConfig):
         self.inst = inst
@@ -108,6 +100,9 @@ class _Search:
         self.open_bound = math.inf  # least bound of a subtree left unexplored
         self.curves: dict = {}  # (agent, chain of pickups and deliveries) -> agent_curve
         self.stop_sets: dict = {}  # (agent, leaf chain) -> _agent_stop_sets
+        # the depots each agent may end at: its pinned depot, else every depot
+        self.hubs = [list(graph.hf) if agent.terminal_hub is None
+                     else [graph.hub_node(agent.terminal_hub)] for agent in inst.agents]
         # per node v, over each station's slot-0 node f (duplicates share its
         # base_of costs): the most charge left on reaching v out of a station,
         # and the least an empty vehicle drains from v to a station
@@ -197,27 +192,24 @@ class _Search:
                 return False
             prev = node
         via_station = soc - self.reach[prev] >= floor  # every placed request is delivered
-        hubs = g.hf if agent.terminal_hub is None else [g.hub_node(agent.terminal_hub)]
         return any(soc - b.drain(g.energy_cost(prev, hub), loads.get(prev, (0.0, 0.0))) >= floor
-                   or (via_station and self.refill[hub] >= floor) for hub in hubs)
+                   or (via_station and self.refill[hub] >= floor) for hub in self.hubs[k])
 
     # -- leaf evaluation --------------------------------------------------------
 
     def _agent_stop_sets(self, k, chain):
         """(stops, ends) for each set of (position, station) stops in the
         charging gaps of agent *k*'s *chain* whose best-case SoC walk
-        (``soc_ceilings``) reaches some of the agent's depots (its pinned
-        depot, else every depot), with each such (depot, ``agent_curve`` of
-        the completed chain) in *ends*.  An idle agent has the one option
-        ``([], [(None, None)])``, or none when its depot is pinned.  A stop is
-        walked and timed as slot 0 of its station, which is exact: every
-        duplicate has its station's base-node costs (``base_of``), and the DP
-        has no slot-order or opening rows."""
+        (``soc_ceilings``) reaches some of the agent's depots (``hubs``), with
+        each such (depot, ``agent_curve`` of the completed chain) in *ends*.
+        An idle agent has the one option ``([], [(None, None)])``, or none
+        when its depot is pinned.  A stop is walked and timed as slot 0 of its
+        station, which is exact: every duplicate has its station's base-node
+        costs (``base_of``), and the DP has no slot-order or opening rows."""
         inst, g, horizon = self.inst, self.graph, self.big_m.horizon
         agent = inst.agents[k]
         if not chain:
             return [] if agent.terminal_hub is not None else [([], [(None, None)])]
-        hubs = list(g.hf) if agent.terminal_hub is None else [g.hub_node(agent.terminal_hub)]
         loads = {}  # every leaf chain passed load_violation at insertion
         load_violation(inst, g, k, chain, loads)
         positions = _charging_gaps(g, chain, loads)
@@ -231,7 +223,7 @@ class _Search:
                     for pos, st in reversed(stops):
                         route.insert(pos + 1, g.f_node(st, 0))
                     ends = []
-                    for full in (route + [hub] for hub in hubs):
+                    for full in (route + [hub] for hub in self.hubs[k]):
                         socs = soc_ceilings(inst, g, k, full, loads, floor)
                         if socs[-1] >= floor:
                             ends.append((full[-1], agent_curve(inst, g, k, full, horizon, socs)))
@@ -337,23 +329,29 @@ class _Search:
         p, d = self.graph.pickup_node(r), self.graph.delivery_node(r)
         acc = accepted[:r] + [True] + accepted[r + 1:]
         children = []
-        for k in range(self.inst.n_agents):
-            for new_chain in _insertions(chains[k], p, d):
-                # of the discrete rules, capacity is all an insertion can break: a
-                # request sits once in one chain, pickup first, so every arc is
-                # admissible (the one pruned arc is d_r -> p_r), and a reject child
-                # changes no chain; the energy screen reads the loads it records
-                loads = {}
-                if load_violation(self.inst, self.graph, k, new_chain, loads) is not None:
-                    continue
-                if self.graph.metric and not self._energy_ok(k, new_chain, loads):
-                    self.energy_pruned += 1
-                    continue
-                cand = list(chains)
-                cand[k] = new_chain
-                bnd = self._bound(cand, acc, depth + 1)
-                if bnd < self.best_obj - _EPS:
-                    children.append((bnd, k, cand, acc))
+        for k, chain in enumerate(chains):
+            for ip in range(len(chain) + 1):
+                with_p = chain[:ip] + [p] + chain[ip:]
+                for jd in range(ip + 1, len(with_p) + 1):
+                    new_chain = with_p[:jd] + [d] + with_p[jd:]
+                    # capacity is the one discrete rule an insertion can break (a
+                    # request sits once in one chain, pickup first, so the one pruned
+                    # arc, d_r -> p_r, never appears); the energy screen reads the
+                    # loads it records.  Stops outside p..d keep the parent's loads,
+                    # which pass, and each stop inside carries them plus r's load
+                    # whatever jd is; a later jd only widens p..d, so once one jd
+                    # overloads, every later one does (integer loads: exact in floats)
+                    loads = {}
+                    if load_violation(self.inst, self.graph, k, new_chain, loads) is not None:
+                        break
+                    if self.graph.metric and not self._energy_ok(k, new_chain, loads):
+                        self.energy_pruned += 1
+                        continue
+                    cand = list(chains)
+                    cand[k] = new_chain
+                    bnd = self._bound(cand, acc, depth + 1)
+                    if bnd < self.best_obj - _EPS:
+                        children.append((bnd, k, cand, acc))
         if self.inst.selective and not self.inst.requests[r].force_accept:
             bnd = self._bound(chains, accepted, depth + 1)  # r stays False: rejected
             if bnd < self.best_obj - _EPS:

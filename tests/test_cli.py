@@ -8,6 +8,9 @@ import pytest
 
 from emdarp.cli import main
 from emdarp.instance import load_instance
+from emdarp.model import build_model
+from emdarp.search import branch_and_bound, exhaustive_oracle
+from emdarp.solution import encode_plan
 
 from conftest import make_doc
 
@@ -164,6 +167,69 @@ def test_check_rejects_out_of_range_tol(tmp_path, capsys, tol):
     code, cap = run(capsys, "check", path, str(sol_path))
     assert code == 1
     assert "VIOLATIONS" in cap.out
+
+
+def _first_visit(doc):
+    return next(plan for plan in doc["plans"] if plan["visits"])["visits"][0]
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda doc: doc["plans"].pop(), id="fewer-plans"),
+    pytest.param(lambda doc: doc["accepted"].pop(), id="short-accepted"),
+    pytest.param(lambda doc: doc["request_slacks"].pop(), id="short-request-slacks"),
+    pytest.param(lambda doc: doc["plans"][0].update(agent=2), id="agent-out-of-range"),
+    pytest.param(lambda doc: doc["plans"].reverse(), id="plans-out-of-order"),
+    pytest.param(lambda doc: _first_visit(doc).update(node=99), id="node-out-of-range"),
+])
+def test_check_rejects_misshaped_solution(tmp_path, capsys, tamper):
+    # each of these but one used to end `check` with an IndexError traceback,
+    # and a plan for an unknown agent `plot --solution` too.  Plans out of
+    # agent order were misread: here as false violations, and as an
+    # IndexError where a plan is shorter than the one at its agent's index
+    path = write_doc(tmp_path, n_requests=2, n_agents=2)
+    sol_path = tmp_path / "plan.json"
+    code, _ = run(capsys, "solve", path, "--out", str(sol_path))
+    assert code == 0
+    doc = json.loads(sol_path.read_text())
+    tamper(doc)
+    sol_path.write_text(json.dumps(doc))
+    for argv in (["check", path, str(sol_path)],
+                 ["plot", path, "--solution", str(sol_path), "--out", str(tmp_path / "r.svg")]):
+        code, cap = run(capsys, *argv)
+        assert code == 4
+        assert "solution file malformed" in cap.err
+    assert not (tmp_path / "r.svg").exists()
+
+
+@pytest.mark.parametrize("open_vrp", [False, True], ids=["closed", "open"])
+@pytest.mark.parametrize("selective", [True, False], ids=["selective", "nonselective"])
+def test_zero_agents(tmp_path, capsys, selective, open_vrp):
+    # an instance with no agent is valid: every engine rejects each request
+    # when it may, and proves it infeasible when it may not.  The MILP's
+    # earliest pickup used to take min() over no agent, so `build` and the
+    # external engine crashed
+    pytest.importorskip("scipy")
+    doc = make_doc(n_requests=2, n_agents=0)
+    doc["config"].update(selective=selective, open_vrp=open_vrp)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    inst = load_instance(str(path))
+    bb, oracle = branch_and_bound(inst), exhaustive_oracle(inst)
+    assert bb.status == oracle.status == ("optimal" if selective else "infeasible")
+    assert run(capsys, "build", str(path), "--out", str(tmp_path / "m.mps"))[0] == 0
+    sol_path = tmp_path / "plan.json"
+    code, _ = run(capsys, "solve", str(path), "--engine", "external", "--solver-cmd",
+                  SOLVER_CMD, "--out", str(sol_path))
+    assert code == (0 if selective else 2)
+    if selective:
+        sol = json.loads(sol_path.read_text())
+        assert not any(sol["accepted"])
+        assert sol["objective"] == pytest.approx(oracle.objective, abs=1e-5)
+        assert oracle.objective == bb.objective
+        encode_plan(build_model(inst), bb.solution)
+        assert run(capsys, "check", str(path), str(sol_path))[0] == 0
+        assert run(capsys, "plot", str(path), "--solution", str(sol_path),
+                   "--out", str(tmp_path / "r.svg"))[0] == 0
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):

@@ -9,6 +9,9 @@
   or as a string (``monkeypatch.setattr(module, "_name", ...)``).
 - No function or lambda takes a parameter, other than ``self`` or ``cls``,
   that its body never reads.
+- No module under ``src/emdarp`` defines a public top-level function or
+  class that no module under ``src/``, ``tests/`` or ``perfbench/`` names,
+  as an identifier, an attribute, an import or a string.
 """
 
 import ast
@@ -77,6 +80,19 @@ REFERENCED = set().union(*(_references(tree) for tree in TREES.values()))
 def test_no_unreferenced_private_definitions(path):
     unused = _private_names(TREES[path]).items()
     assert sorted((line, name) for name, line in unused if name not in REFERENCED) == []
+
+
+NAMED = REFERENCED.union(*(_references(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+                           for p in (ROOT / "perfbench").rglob("*.py")))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.is_relative_to(ROOT / "src" / "emdarp")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreferenced_public_definitions(path):
+    public = [(node.lineno, node.name) for node in TREES[path].body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert [(line, name) for line, name in public if name not in NAMED] == []
 
 
 def _unused_parameters(tree):

@@ -13,8 +13,7 @@ from emdarp.model import compute_big_m
 from emdarp.scheduling import load_violation, schedule_routes
 from emdarp.checker import validate
 from emdarp.search import (
-    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _charging_gaps,
-    _insertions, _Search,
+    SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _charging_gaps, _Search,
 )
 from emdarp.solution import encode_plan
 from emdarp.tools.solve_mps import read_mps, solve
@@ -73,13 +72,64 @@ def test_request_order_by_priority():
     assert request_order(inst) == [1, 2, 0]
 
 
-def test_insertions_cover_all_position_pairs():
-    chains = _insertions([10, 11], 1, 2)
-    assert len(chains) == 6  # 3 pickup slots before each, triangular pairs
-    assert [1, 2, 10, 11] in chains
-    assert [10, 1, 11, 2] in chains
-    for chain in chains:
-        assert chain.index(1) < chain.index(2)
+def test_insertion_children_match_brute_force(monkeypatch):
+    # at every interior node the search asks the energy screen about exactly
+    # the chains a brute force keeps: each agent, each (pickup, delivery)
+    # position pair of the parent chain, in that order, filtered by
+    # load_violation.  So stopping the delivery loop at the first overload
+    # loses no child
+    configs = [*map(corpus_config, range(25)),
+               GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
+                         duplicate_visits=2, preset="high-discharge")]
+    checked = 0
+    for cfg in configs:
+        inst = generate(cfg)
+        g = expand_graph(inst)
+        assert g.metric  # else no chain reaches the energy screen
+        nodes = []
+
+        class Recording(_Search):
+            def _visit(self, chains, accepted, depth):
+                # a node asks about all its children before it visits one
+                self.asked = []
+                nodes.append((chains, depth, self.asked))
+                super()._visit(chains, accepted, depth)
+
+            def _energy_ok(self, k, chain, loads):
+                self.asked.append((k, chain))
+                return super()._energy_ok(k, chain, loads)
+
+        recording = Recording(inst, g, SearchConfig())
+        recording.run()
+        for chains, depth, asked in nodes:
+            if depth == len(recording.order):
+                continue
+            r = recording.order[depth]
+            p, d = g.pickup_node(r), g.delivery_node(r)
+            kept = []
+            for k, chain in enumerate(chains):
+                for ip, jd in itertools.combinations(range(len(chain) + 2), 2):
+                    cand = list(chain)
+                    cand.insert(ip, p)
+                    cand.insert(jd, d)
+                    if load_violation(inst, g, k, cand, {}) is None:
+                        kept.append((k, cand))
+            assert asked == kept, (cfg, chains, r)
+            checked += len(kept)
+    assert checked >= 300, checked
+
+    # the break's saving, pinned: the criterion-5 make-up at n = 6 walked
+    # 44,604 chains when every position pair was built and walked
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return load_violation(*args)
+
+    monkeypatch.setattr(search, "load_violation", counted)
+    branch_and_bound(generate(GenConfig(seed=1, n_requests=6, n_agents=2, n_stations=1,
+                                        duplicate_visits=2, preset="high-discharge")))
+    assert len(calls) == 14_944
 
 
 def _brute_force_placements(g, gaps):
