@@ -106,14 +106,28 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
     a = _Audit(inst, graph, sol, tol)
     g = graph
 
-    # -- assignment structure -------------------------------------------------
-    position: dict[int, tuple[int, int]] = {}
+    # -- one plan per agent, read by its agent --------------------------------
+    plans = {}
     for plan in sol.plans:
+        if plan.agent not in range(inst.n_agents):
+            a.eq("plan", (plan.agent,), 1.0, 0.0, "plan for an unknown agent")
+        elif plan.agent in plans:
+            a.eq("plan", (plan.agent,), 2.0, 1.0, "agent planned twice")
+        else:
+            plans[plan.agent] = plan
+    for k in sorted(set(range(inst.n_agents)) - set(plans)):
+        a.eq("plan", (k,), 0.0, 1.0, "agent without a plan")
+
+    # -- assignment structure -------------------------------------------------
+    position: dict[int, tuple[int, int]] = {}  # node -> (agent, position)
+    records = {}  # node -> its visit record
+    for plan in plans.values():
         for pos, rec in enumerate(plan.visits):
             if not g.is_hub(rec.node):
                 if rec.node in position:
                     a.eq("7", (rec.node,), 2.0, 1.0, f"{g.label(rec.node)} visited twice")
                 position[rec.node] = (plan.agent, pos)
+                records[rec.node] = rec
 
     for r, req in enumerate(inst.requests):
         p, d = g.pickup_node(r), g.delivery_node(r)
@@ -144,8 +158,8 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
             a.eq("10", (st,), float(got[-1]), float(len(got) - 1),
                  "duplicates not used in index order")
 
-    for k, agent in enumerate(inst.agents):
-        plan = sol.plans[k]
+    for k, plan in plans.items():
+        agent = inst.agents[k]
         nodes = plan.nodes
         if agent.terminal_hub is not None:
             want = g.hub_node(agent.terminal_hub)
@@ -164,7 +178,7 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
             prev = rec.node
 
     # -- timing ----------------------------------------------------------------
-    for plan in sol.plans:
+    for plan in plans.values():
         k = plan.agent
         agent = inst.agents[k]
         prev = g.start_node(k)
@@ -198,12 +212,9 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
             a.eq("3", (r,), sol.request_times[r], 0.0, "rejected ride time")
             a.eq("5", (r,), sol.request_slacks[r], 0.0, "rejected slack")
             continue
-        if p not in position or d not in position:
+        if p not in records or d not in records:
             continue
-        kp, ip = position[p]
-        kd, id_ = position[d]
-        rp = sol.plans[kp].visits[ip]
-        rd = sol.plans[kd].visits[id_]
+        rp, rd = records[p], records[d]
         a.ge("16", (r, "time"), rd.arrival, rp.arrival + req.service_time)
         a.eq("2", (r,), sol.request_times[r], rp.arrival + rd.arrival, "arrival sum")
         windowed = rp if req.tw_kind == TW_PICKUP else rd
@@ -213,20 +224,19 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
         a.eq("4", (r,), sol.request_slacks[r], windowed.slack, "slack total")
 
     # station availability and shared-plug sequencing
-    recs = {node: sol.plans[k].visits[pos] for node, (k, pos) in position.items()}
     for st in range(inst.n_stations):
         w = inst.stations[st].earliest_available
         first = g.f_node(st, 0)
-        if w > 0 and first in recs:
-            a.ge("omega", (st,), recs[first].arrival, w, "station opening")
+        if w > 0 and first in records:
+            a.ge("omega", (st,), records[first].arrival, w, "station opening")
         for visit in range(1, inst.duplicate_visits + 1):
             cur, prev = g.f_node(st, visit), g.f_node(st, visit - 1)
-            if cur in recs and prev in recs:
-                a.ge("20", (st, visit), recs[cur].arrival, recs[prev].departure,
+            if cur in records and prev in records:
+                a.ge("20", (st, visit), records[cur].arrival, records[prev].departure,
                      "one vehicle per plug")
 
     # -- loads -------------------------------------------------------------------
-    for plan in sol.plans:
+    for plan in plans.values():
         agent = inst.agents[plan.agent]
         u1 = u2 = 0.0
         prev_rec = None
@@ -260,7 +270,7 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
 
     # -- energy -------------------------------------------------------------------
     b = inst.battery
-    for plan in sol.plans:
+    for plan in plans.values():
         k = plan.agent
         agent = inst.agents[k]
         prev = g.start_node(k)

@@ -245,14 +245,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    config = GenConfig(
-        seed=args.seed, n_requests=args.requests, n_agents=args.agents,
-        n_stations=args.stations, duplicate_visits=args.dups,
-        preset=_PRESETS[args.preset], selective=args.selective,
-        open_vrp=args.open_vrp, area=args.area,
-    )
     try:
-        inst = generate(config)
+        inst = generate(GenConfig(
+            seed=args.seed, n_requests=args.requests, n_agents=args.agents,
+            n_stations=args.stations, duplicate_visits=args.dups,
+            preset=_PRESETS[args.preset], selective=args.selective,
+            open_vrp=args.open_vrp, area=args.area,
+        ))
     except (ValueError, InstanceError) as exc:
         raise _Exit(EXIT_CONFIG, f"generation config rejected: {exc}")
     try:

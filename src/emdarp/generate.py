@@ -18,11 +18,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from .instance import Instance, instance_from_dict
+from .instance import Instance, instance_from_dict, instance_to_dict
 
 PRESETS = ("typical", "high-discharge")
 TW_WIDTH = (20.0, 60.0)  # minutes
 PRIORITY = (1.0, 5.0)
+# demands fit every agent's capacity (4 seats, 2 equipment slots)
+PASSENGERS = (1, 2)
+EQUIPMENT = (0, 1)
 
 
 @dataclass
@@ -33,8 +36,6 @@ class GenConfig:
     n_stations: int = 0
     duplicate_visits: int = 0
     area: float = 2000.0  # square side in meters
-    passengers: tuple = (1, 2)
-    equipment: tuple = (0, 1)
     preset: str = "typical"
     selective: bool = True
     open_vrp: bool = False
@@ -42,6 +43,8 @@ class GenConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ValueError(f"unknown battery preset {self.preset!r}")
+        if not 0.0 < self.area < math.inf:
+            raise ValueError(f"area must be positive and finite, got {self.area!r}")
 
 
 def battery_for(preset: str, area: float) -> dict:
@@ -66,21 +69,13 @@ def generate(config: GenConfig) -> Instance:
     def pt():
         return [round(rng.uniform(0.0, area), 3), round(rng.uniform(0.0, area), 3)]
 
-    # demands stay within every agent's capacity so a lone request is always
-    # physically loadable
-    cap_passengers, cap_equipment = 4, 2
-    lo_q1, hi_q1 = config.passengers
-    lo_q2, hi_q2 = config.equipment
-    hi_q1 = min(hi_q1, cap_passengers)
-    hi_q2 = min(hi_q2, cap_equipment)
-
     diag_minutes = math.sqrt(2.0) * area / 60.0
     requests = []
     for _ in range(config.n_requests):
         pickup = pt()
         delivery = pt()
-        q1 = rng.randint(lo_q1, hi_q1)
-        q2 = rng.randint(lo_q2, hi_q2)
+        q1 = rng.randint(*PASSENGERS)
+        q2 = rng.randint(*EQUIPMENT)
         service = round(rng.uniform(0.5, 2.0), 3)
         side = rng.choice(["pickup", "delivery"])
         tw_lo = round(rng.uniform(0.0, 2.0 * diag_minutes), 3)
@@ -99,7 +94,7 @@ def generate(config: GenConfig) -> Instance:
         delay = round(rng.uniform(0.0, 2.0), 3)
         agents.append({
             "start": start, "initial_delay": delay,
-            "cap_passengers": cap_passengers, "cap_equipment": cap_equipment,
+            "cap_passengers": 4, "cap_equipment": 2,
             "conversion": 2.0, "station_service_time": 2.0,
             "soc_min": 0.25, "soc_init": 1.0, "soc_target": 0.85,
         })
@@ -128,5 +123,4 @@ def generate(config: GenConfig) -> Instance:
 
 def generate_document(config: GenConfig) -> dict:
     """Same as generate() but returning the raw instance document."""
-    from .instance import instance_to_dict
     return instance_to_dict(generate(config))

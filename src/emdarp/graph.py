@@ -14,11 +14,15 @@ Admissible arcs follow the class topology: H0->Lp (only out of the owning
 agent's start node), Lp->Lp, Lp->Ld, Ld->Lp, Ld->Ld, Ld->F, Ld->Hf, F->Lp,
 F->Hf.  The arc from a request's delivery back to its own pickup is pruned:
 pickup always precedes delivery, so it can never be traversed.
+
+``least_time`` and ``least_energy`` hold the least cost between every two
+nodes over any node sequence, which bounds a route between two of its stops
+on any costs, metric or not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .instance import Instance, base_positions, derive_costs
 
@@ -36,7 +40,8 @@ class ExpandedGraph:
     arcs: tuple[tuple[int, int], ...]          # agent-independent arcs
     start_arcs: tuple[tuple[tuple[int, int], ...], ...]  # per agent: (v^k, j) arcs
     base_of: tuple[int, ...]                   # expanded node -> base node
-    metric: bool                                # symmetric + triangle inequality
+    least_time: tuple[tuple[float, ...], ...]    # least time_cost over any node sequence
+    least_energy: tuple[tuple[float, ...], ...]  # least energy_cost over any node sequence
 
     # -- node classification ------------------------------------------------
 
@@ -190,7 +195,7 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
     arcs += [(i, j) for i in f for j in hf]
     start_arcs = tuple(tuple((h0[k], j) for j in lp) for k in range(K))
 
-    return ExpandedGraph(
+    graph = ExpandedGraph(
         instance=inst,
         n_nodes=n_nodes,
         h0=h0, lp=lp, ld=ld, f=f, hf=hf,
@@ -198,22 +203,27 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
         arcs=tuple(arcs),
         start_arcs=start_arcs,
         base_of=tuple(base_of),
-        metric=_is_metric(cost_rows, n_nodes),
+        least_time=(), least_energy=(),
     )
+    least_time, least_energy = _least_costs(cost_rows, graph.time_cost, graph.energy_cost)
+    return replace(graph, least_time=least_time, least_energy=least_energy)
 
 
-def _is_metric(c, n: int, tol: float = 1e-9) -> bool:
-    """Symmetry plus triangle inequality over all node triples."""
-    for i in range(n):
-        for j in range(n):
-            if abs(c[i][j] - c[j][i]) > tol:
-                return False
-    for i in range(n):
-        for j in range(n):
-            for h in range(n):
-                if c[i][j] > c[i][h] + c[h][j] + tol:
-                    return False
-    return True
+def _least_costs(cost_rows, *arc_costs):
+    """Per arc cost kind, Floyd-Warshall on *cost_rows* capped by the arc's
+    own cost, which is lower only on an open route's free leg into a depot."""
+    n = len(cost_rows)
+    least = [list(row) for row in cost_rows]
+    for h in range(n):
+        via = least[h]
+        for i in range(n):
+            d_ih = least[i][h]
+            row = least[i]
+            for j in range(n):
+                if d_ih + via[j] < row[j]:
+                    row[j] = d_ih + via[j]
+    return [tuple(tuple(min(c, arc_cost(i, j)) for j, c in enumerate(row))
+                  for i, row in enumerate(least)) for arc_cost in arc_costs]
 
 
 def arc_count_closed_form(graph: ExpandedGraph) -> int:

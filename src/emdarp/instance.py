@@ -267,7 +267,7 @@ def validate_instance(inst: Instance) -> None:
             raise ValidationError(f"{where}.cap_equipment", "must be >= 1")
         if a.conversion < 1:
             raise ValidationError(f"{where}.conversion", "must be >= 1")
-        if a.max_duration < 0:
+        if not a.max_duration >= 0:  # false for NaN too
             raise ValidationError(f"{where}.max_duration", "must be >= 0")
         if a.station_service_time < 0:
             raise ValidationError(f"{where}.station_service_time", "must be >= 0")
@@ -353,12 +353,20 @@ def _check_keys(doc: dict, allowed: set, where: str, required: set | None = None
             raise ParseError(where, f"missing keys: {sorted(missing)}")
 
 
+def _finite(value, where: str) -> float:
+    """*value* as a float, rejected if NaN or infinite (``json.load`` reads both)."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValidationError(where, f"must be finite, got {value!r}")
+    return number
+
+
 def _point(value, where: str) -> tuple[float, float] | None:
     if value is None:
         return None
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ParseError(where, f"expected [x, y] coordinates, got {value!r}")
-    return (float(value[0]), float(value[1]))
+    return (_finite(value[0], f"{where}[0]"), _finite(value[1], f"{where}[1]"))
 
 
 def instance_from_dict(doc: dict) -> Instance:
@@ -377,16 +385,16 @@ def instance_from_dict(doc: dict) -> Instance:
         _check_keys(rd, _REQUEST_KEYS, where,
                     required={"passengers", "tw_kind", "tw_lo", "tw_hi"})
         requests.append(Request(
-            id=int(rd.get("id", idx)),
+            id=int(_finite(rd.get("id", idx), f"{where}.id")),
             pickup_pos=_point(rd.get("pickup"), f"{where}.pickup"),
             delivery_pos=_point(rd.get("delivery"), f"{where}.delivery"),
-            passengers=int(rd["passengers"]),
-            equipment=int(rd.get("equipment", 0)),
-            service_time=float(rd.get("service_time", 0.0)),
+            passengers=int(_finite(rd["passengers"], f"{where}.passengers")),
+            equipment=int(_finite(rd.get("equipment", 0), f"{where}.equipment")),
+            service_time=_finite(rd.get("service_time", 0.0), f"{where}.service_time"),
             tw_kind=str(rd["tw_kind"]),
-            tw_lo=float(rd["tw_lo"]),
-            tw_hi=float(rd["tw_hi"]),
-            priority=float(rd.get("priority", 1.0)),
+            tw_lo=_finite(rd["tw_lo"], f"{where}.tw_lo"),
+            tw_hi=_finite(rd["tw_hi"], f"{where}.tw_hi"),
+            priority=_finite(rd.get("priority", 1.0), f"{where}.priority"),
             force_accept=bool(rd.get("force_accept", False)),
         ))
 
@@ -395,18 +403,20 @@ def instance_from_dict(doc: dict) -> Instance:
         where = f"agents[{idx}]"
         _check_keys(ad, _AGENT_KEYS, where, required={"cap_passengers", "cap_equipment"})
         agents.append(Agent(
-            id=int(ad.get("id", idx)),
+            id=int(_finite(ad.get("id", idx), f"{where}.id")),
             start_pos=_point(ad.get("start"), f"{where}.start"),
-            initial_delay=float(ad.get("initial_delay", 0.0)),
-            cap_passengers=int(ad["cap_passengers"]),
-            cap_equipment=int(ad["cap_equipment"]),
-            conversion=float(ad.get("conversion", 1.0)),
-            max_duration=float(ad.get("max_duration", math.inf)),
-            station_service_time=float(ad.get("station_service_time", 0.0)),
-            soc_min=float(ad.get("soc_min", 0.25)),
-            soc_init=float(ad.get("soc_init", 1.0)),
-            soc_target=float(ad.get("soc_target", 0.85)),
-            terminal_hub=(None if ad.get("terminal_hub") is None else int(ad["terminal_hub"])),
+            initial_delay=_finite(ad.get("initial_delay", 0.0), f"{where}.initial_delay"),
+            cap_passengers=int(_finite(ad["cap_passengers"], f"{where}.cap_passengers")),
+            cap_equipment=int(_finite(ad["cap_equipment"], f"{where}.cap_equipment")),
+            conversion=_finite(ad.get("conversion", 1.0), f"{where}.conversion"),
+            max_duration=float(ad.get("max_duration", math.inf)),  # +inf: no shift limit
+            station_service_time=_finite(ad.get("station_service_time", 0.0),
+                                         f"{where}.station_service_time"),
+            soc_min=_finite(ad.get("soc_min", 0.25), f"{where}.soc_min"),
+            soc_init=_finite(ad.get("soc_init", 1.0), f"{where}.soc_init"),
+            soc_target=_finite(ad.get("soc_target", 0.85), f"{where}.soc_target"),
+            terminal_hub=(None if ad.get("terminal_hub") is None
+                          else int(_finite(ad["terminal_hub"], f"{where}.terminal_hub"))),
         ))
 
     stations = []
@@ -414,9 +424,10 @@ def instance_from_dict(doc: dict) -> Instance:
         where = f"stations[{idx}]"
         _check_keys(sd, _STATION_KEYS, where)
         stations.append(Station(
-            id=int(sd.get("id", idx)),
+            id=int(_finite(sd.get("id", idx), f"{where}.id")),
             pos=_point(sd.get("pos"), f"{where}.pos"),
-            earliest_available=float(sd.get("earliest_available", 0.0)),
+            earliest_available=_finite(sd.get("earliest_available", 0.0),
+                                       f"{where}.earliest_available"),
         ))
 
     depots = tuple(_point(p, f"depots[{i}]") for i, p in enumerate(doc.get("depots", [])))
@@ -425,21 +436,23 @@ def instance_from_dict(doc: dict) -> Instance:
     _check_keys(costs, _COSTS_KEYS, "costs", required={"mode"})
     matrix = None
     if costs.get("matrix") is not None:
-        matrix = tuple(tuple(float(v) for v in row) for row in costs["matrix"])
+        matrix = tuple(tuple(_finite(v, f"costs.matrix[{i}][{j}]") for j, v in enumerate(row))
+                       for i, row in enumerate(costs["matrix"]))
 
     bat = doc["battery"]
     _check_keys(bat, _BATTERY_KEYS, "battery", required=_BATTERY_KEYS)
-    battery = BatteryModel(**{k: float(bat[k]) for k in _BATTERY_KEYS})
+    battery = BatteryModel(**{k: _finite(bat[k], f"battery.{k}") for k in _BATTERY_KEYS})
 
     cfg = doc["config"]
     _check_keys(cfg, _CONFIG_KEYS, "config", required={"duplicate_visits"})
     wd = cfg.get("weights", {})
     _check_keys(wd, _WEIGHT_KEYS, "config.weights")
     weights = ObjectiveWeights(
-        epsilon=float(wd.get("epsilon", 1e-3)),
-        zeta=float(wd.get("zeta", 1.0)),
-        eta=float(wd.get("eta", 1e4)),
-        big_m_override=(None if wd.get("big_m") is None else float(wd["big_m"])),
+        epsilon=_finite(wd.get("epsilon", 1e-3), "config.weights.epsilon"),
+        zeta=_finite(wd.get("zeta", 1.0), "config.weights.zeta"),
+        eta=_finite(wd.get("eta", 1e4), "config.weights.eta"),
+        big_m_override=(None if wd.get("big_m") is None
+                        else _finite(wd["big_m"], "config.weights.big_m")),
     )
 
     inst = Instance(
@@ -447,7 +460,7 @@ def instance_from_dict(doc: dict) -> Instance:
         agents=tuple(agents),
         stations=tuple(stations),
         final_depots=depots,
-        duplicate_visits=int(cfg["duplicate_visits"]),
+        duplicate_visits=int(_finite(cfg["duplicate_visits"], "config.duplicate_visits")),
         cost_mode=str(costs["mode"]),
         cost_matrix=matrix,
         battery=battery,

@@ -6,9 +6,10 @@ Constraint rows carry numeric family tags (2..42 plus "fix-y", "hub",
 "omega", "end") so solutions can be cross-checked family by family.
 
 Beyond the paper's rows, the timing columns carry three bounds that every
-route obeys (the pickup lower bound of ``build_catalog``, family 16's
-shortest path and the "end" rows of ``build_timing``).  They cut no plan
-off; they only tighten the LP relaxation the MILP solver branches on.
+route obeys, over the graph's ``least_time`` (the pickup lower bound of
+``build_catalog``, family 16 and the "end" rows of ``build_timing``).  They
+cut no plan off; they only tighten the LP relaxation the MILP solver
+branches on.
 """
 
 from __future__ import annotations
@@ -200,11 +201,7 @@ def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
     """
     b = inst.battery
     n_f = len(graph.f)
-    max_c = 0.0
-    for i in range(graph.n_nodes):
-        for j in range(graph.n_nodes):
-            if i != j:
-                max_c = max(max_c, graph.cost(i, j))
+    max_c = max((c for row in graph.cost_matrix for c in row), default=0.0)
     release = max([0.0, *(s.earliest_available for s in inst.stations),
                    *(r.tw_lo for r in inst.requests),
                    *(a.initial_delay for a in inst.agents)])
@@ -224,34 +221,17 @@ def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
     return m
 
 
-def shortest_paths(graph: ExpandedGraph) -> list:
-    """Least travel time between every two nodes over any sequence of arcs
-    (Floyd-Warshall on ``graph.cost``), so it bounds a route's time between
-    two of its stops from below on matrix costs as well as metric ones."""
-    n = graph.n_nodes
-    sp = [list(row) for row in graph.cost_matrix]
-    for h in range(n):
-        via = sp[h]
-        for i in range(n):
-            d_ih = sp[i][h]
-            row = sp[i]
-            for j in range(n):
-                if d_ih + via[j] < row[j]:
-                    row[j] = d_ih + via[j]
-    return sp
-
-
-def earliest_pickup(inst: Instance, graph: ExpandedGraph, sp, r: int) -> float:
+def earliest_pickup(inst: Instance, graph: ExpandedGraph, r: int) -> float:
     """No agent reaches request r's pickup before this time: it leaves its
     start no earlier than its initial delay, and every stop on the way only
     adds time.  With no agent no request is served (flow rows 7 and 8 force
     ``y_r = 0``), so any bound holds and this one is 0."""
     p = graph.pickup_node(r)
-    return min((a.initial_delay + sp[graph.start_node(k)][p] for k, a in enumerate(inst.agents)),
-               default=0.0)
+    return min((a.initial_delay + graph.least_time[graph.start_node(k)][p]
+                for k, a in enumerate(inst.agents)), default=0.0)
 
 
-def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM, sp) -> VariableCatalog:
+def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> VariableCatalog:
     cat = VariableCatalog()
     b = inst.battery
     H = big_m.horizon
@@ -264,7 +244,7 @@ def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM, sp) -> Vari
     for r in range(inst.n_requests):
         cat.add(V.y(r), 0.0, 1.0, integer=True)
     for r in range(inst.n_requests):
-        cat.add(V.t(graph.pickup_node(r)), earliest_pickup(inst, graph, sp, r), H)
+        cat.add(V.t(graph.pickup_node(r)), earliest_pickup(inst, graph, r), H)
     for i in list(graph.ld) + list(graph.f):
         cat.add(V.t(i), 0.0, H)
     for r, req in enumerate(inst.requests):
@@ -393,7 +373,7 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
     return rows
 
 
-def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM, sp) -> list:
+def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
     rows = []
     M = big_m.time
 
@@ -417,11 +397,11 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM, sp) -> list:
 
     # family 16: the route runs from the pickup to the delivery, and every
     # stop on the way only adds time, so the paper's t_d >= t_p + s_r holds
-    # with the shortest path added
+    # with the least time added
     for r, req in enumerate(inst.requests):
         p, d = graph.pickup_node(r), graph.delivery_node(r)
         rows.append(Constraint("16", (r,), {V.t(p): 1.0, V.t(d): -1.0}, LE,
-                               -req.service_time - sp[p][d]))
+                               -req.service_time - graph.least_time[p][d]))
 
         node = p if req.tw_kind == TW_PICKUP else d
         tag = "17" if req.tw_kind == TW_PICKUP else "18"
@@ -482,14 +462,13 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM, sp) -> list:
         rows.append(Constraint("24", (k,), {V.Tk(k): 1.0, V.T: -1.0}, LE, 0.0))
 
     # "end": an accepted request's route goes on from its delivery to a
-    # depot, which a closed route reaches no sooner than the shortest path
-    # to the nearest one; an open route's last leg takes no time.  So
-    # T >= t_d + s_r + ret_r when y_r = 1.  With y_r = 0 the right side
-    # drops to t_d - H <= 0.
+    # depot, no sooner than the least time to the nearest one (0 on open
+    # routes).  So T >= t_d + s_r + ret_r when y_r = 1; with y_r = 0 the
+    # right side drops to t_d - H <= 0.
     H = big_m.horizon
     for r, req in enumerate(inst.requests):
         d = graph.delivery_node(r)
-        ret = 0.0 if inst.open_vrp else min(sp[d][h] for h in graph.hf)
+        ret = min((graph.least_time[d][h] for h in graph.hf), default=0.0)
         m_r = H + req.service_time + ret
         rows.append(Constraint("end", (r,), {V.t(d): 1.0, V.y(r): m_r, V.T: -1.0}, LE,
                                m_r - req.service_time - ret))
@@ -619,12 +598,11 @@ def build_model(inst: Instance, graph: ExpandedGraph | None = None) -> MilpModel
     if graph is None:
         graph = expand_graph(inst)
     big_m = compute_big_m(inst, graph)
-    sp = shortest_paths(graph)
-    cat = build_catalog(inst, graph, big_m, sp)
+    cat = build_catalog(inst, graph, big_m)
     objective, constant, rows = build_objective(inst, graph, big_m)
     constraints = list(rows)
     constraints += build_flow(inst, graph, cat)
-    constraints += build_timing(inst, graph, big_m, sp)
+    constraints += build_timing(inst, graph, big_m)
     constraints += build_capacity(inst, graph)
     constraints += build_energy(inst, graph)
 

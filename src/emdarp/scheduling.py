@@ -11,8 +11,8 @@ slower and pins down the segment indicator values.
 ``agent_curve`` prices one agent's timing by an exact dynamic program instead
 of the LP, each station of a complete chain taking the least charging time
 that the state-of-charge rows allow it, and ``timing_bound`` merges the
-agents' curves; the branch-and-bound uses it as its node bound and as a
-screen before each leaf LP.
+agents' curves; the branch-and-bound uses it as its node bound (legs at
+their least times) and as a screen before each leaf LP.
 """
 
 from __future__ import annotations
@@ -161,18 +161,18 @@ def timing_bound(curves) -> float:
     departure is its arrival plus the agent's station service time plus its
     least charging time), an agent's return ``Tk`` is at most
     ``max_duration`` and at most the makespan ``T``, and ``T`` is at most
-    the horizon.  A chain that ends at a depot returns over that leg, one
-    without a depot over its cheapest depot leg.  Every stop comes before
-    the return, so every stop time and ``Tk`` are at most the horizon too;
-    the DP clips at it.  Agents meet only in the makespan, so the optimum is
+    the horizon.  A chain that ends at a depot takes its own legs; one
+    without a depot takes each leg's ``least_time`` and its least return.
+    Every stop comes before the return, so every stop time and ``Tk`` are at
+    most the horizon too; the DP clips at it.  Agents meet only in the makespan, so the optimum is
     the least ``T + sum_k G_k(min(T, cap_k))``, where ``cap_k =
     min(max_duration, horizon)``, over the merged breakpoints.
 
     Validity.  A partial routing holds only pickups and deliveries, each
-    placed request's two stops in one chain, pickup first.  There these rows
-    are the whole timing LP, so the value is its optimum; under the triangle
-    inequality no completion (more requests, charging stops, a depot) makes
-    any stop earlier, so it bounds every completion's routing cost.  On a
+    placed request's two stops in one chain, pickup first.  A completion
+    (more requests, charging stops, a depot) keeps their order, and between
+    two of them takes at least their least time on any costs, so no stop
+    is earlier than here and the value bounds its routing cost.  On a
     complete routing it is at most the leaf LP's optimum less the rejection
     penalties: every LP schedule spends at least the least time charging at
     each station, which can only delay later stops, and dropping the
@@ -250,13 +250,13 @@ def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: fl
     agent = inst.agents[k]
     w = inst.weights
     charge = _least_charge(inst, graph, k, chain, socs) if socs else {}
+    depot = chain[-1] if graph.is_hub(chain[-1]) else None
+    # a chain with no depot yet may still get stops between two of its own
+    leg_time = graph.time_cost if depot is not None else lambda i, j: graph.least_time[i][j]
     xs, ys = [agent.initial_delay], [0.0]
-    prev, service, depot = graph.start_node(k), 0.0, None
-    for pos, node in enumerate(chain):
-        if graph.is_hub(node):
-            depot = node
-            break
-        if not _advance(xs, ys, service + graph.time_cost(prev, node), horizon):
+    prev, service = graph.start_node(k), 0.0
+    for pos, node in enumerate(chain if depot is None else chain[:-1]):
+        if not _advance(xs, ys, service + leg_time(prev, node), horizon):
             return None
         if graph.is_station(node):
             service = agent.station_service_time + charge.get(pos, 0.0)
@@ -269,10 +269,7 @@ def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: fl
                            req.priority * w.zeta if window else 0.0, req.tw_lo, req.tw_hi)
             service = req.service_time
         prev = node
-    if depot is not None:
-        leg = graph.time_cost(prev, depot)
-    else:
-        leg = min((graph.time_cost(prev, h) for h in graph.hf), default=0.0)
+    leg = min((leg_time(prev, h) for h in (graph.hf if depot is None else [depot])), default=0.0)
     if not _advance(xs, ys, service + leg, min(agent.max_duration, horizon)):
         return None
     return xs, ys

@@ -9,14 +9,14 @@ since every later delivery overloads too.
 Interior nodes are bounded by the exact timing DP of ``timing_bound`` plus
 the rejection penalties already committed, and a child whose changed chain
 no completion can drive within its state-of-charge floor is cut where it
-is made (``_Search._energy_ok``, counted in ``energy_pruned``).  Both rest on
-the triangle inequality, so on non-metric instances the bound degrades to
-the penalties alone and the energy screen is off.  Charging stops and
-terminal depots are decided at the leaves.  There each agent's stop sets
-pass a best-case state-of-charge walk on their own, per depot; each depot
-that passes keeps the DP curve of its completed chain, each station taking
-the least charging time that walk allows.  Each (agent, chain) is walked
-once per solve.  The survivors are combined across agents and given
+is made (``_Search._energy_ok``, counted in ``energy_pruned``).  Both price
+a partial chain's legs at their least costs, which a completion's route
+between two chain stops never undercuts, metric costs or not.  Charging
+stops and terminal depots are decided at the leaves.  There each agent's
+stop sets pass a best-case state-of-charge walk on their own, per depot;
+each depot that passes keeps the DP curve of its completed chain, each
+station taking the least charging time that walk allows.  Each (agent,
+chain) is walked once per solve.  The survivors are combined across agents and given
 duplicate slots, and each placement merges its agents' curves into a lower
 bound on its LP.  A placement whose bound cannot beat the best plan so far
 is skipped (``leaf_screened``); the others run the full scheduling LP
@@ -107,10 +107,10 @@ class _Search:
         # base_of costs): the most charge left on reaching v out of a station,
         # and the least an empty vehicle drains from v to a station
         slot0 = [graph.f_node(st, 0) for st in range(inst.n_stations)]
-        alpha0 = inst.battery.alpha0
-        self.refill = [max((1.0 - alpha0 * graph.energy_cost(f, v) for f in slot0),
-                           default=-math.inf) for v in range(graph.n_nodes)]
-        self.reach = [min((alpha0 * graph.energy_cost(v, f) for f in slot0), default=math.inf)
+        alpha0, least = inst.battery.alpha0, graph.least_energy
+        self.refill = [max((1.0 - alpha0 * least[f][v] for f in slot0), default=-math.inf)
+                       for v in range(graph.n_nodes)]
+        self.reach = [min((alpha0 * least[v][f] for f in slot0), default=math.inf)
                       for v in range(graph.n_nodes)]
         self.t0 = time.monotonic()
 
@@ -136,8 +136,6 @@ class _Search:
     def _bound(self, chains, accepted, depth):
         """Lower bound for the subtree; math.inf means provably infeasible."""
         penalty = self._penalty(accepted, self.order[:depth])
-        if not self.graph.metric:
-            return penalty  # capacity is screened at insertion; only penalties are safe
         return timing_bound(self._known(self.curves, k, chain, self._curve)
                             for k, chain in enumerate(chains) if chain) + penalty
 
@@ -158,23 +156,23 @@ class _Search:
 
         The walk keeps, at each node, the highest SoC any completion can
         arrive with: ``soc_init`` at the start, less each leg's
-        ``BatteryModel.drain`` at the chain's departure load; where the chain
-        runs empty (the start included) and some station is reachable at or
-        above ``soc_min`` (``reach``), also up to ``refill`` at the next node.
-        At the end some allowed depot must be reached, directly or through a
-        station.
+        ``BatteryModel.drain`` of its least energy cost (``least_energy``)
+        at the chain's departure load; where the chain runs empty (the start
+        included) and some station is reachable at or above ``soc_min``
+        (``reach``), also up to ``refill`` at the next node.  At the end some
+        allowed depot must be reached, directly or through a station.
 
         Validity.  A completion inserts more requests, then charging stops,
         then a depot; the chain's nodes keep their order.  Between two
         consecutive chain nodes a and b the completion carries at least the
         chain's load after a, since inserted requests only add load, so it
         stops at a station there only if the chain runs empty after a (or
-        before its first node).  Under the triangle inequality its detour
-        costs at least the direct leg, and ``drain`` never falls with the
-        load (validation keeps ``alpha1`` and ``alpha2`` above 0), so it
-        drains at least ``drain(a -> b)``; with stations in between, at least
-        ``alpha0 * energy_cost(a, f)`` up to the first station f and at least
-        ``alpha0 * energy_cost(f', b)`` after the last one f', which charges
+        before its first node).  Its path from a to b costs at least their
+        least energy cost, whatever the costs are; ``drain`` is linear in
+        the cost and never falls with the load (validation keeps ``alpha1``
+        and ``alpha2`` above 0), so it drains at least the walk's leg; with
+        stations in between, at least ``alpha0`` times the least cost from a
+        to the first station f and from the last one f' to b, which charges
         to at most 1.0.  So each value the walk keeps is at least the
         completion's SoC there, and a complete chain whose leaf has a
         placement that passes ``soc_ceilings`` passes here too."""
@@ -185,14 +183,14 @@ class _Search:
         for node in chain:
             load = loads.get(prev, (0.0, 0.0))
             via_station = load == (0.0, 0.0) and soc - self.reach[prev] >= floor
-            soc -= b.drain(g.energy_cost(prev, node), load)
+            soc -= b.drain(g.least_energy[prev][node], load)
             if via_station:
                 soc = max(soc, self.refill[node])
             if soc < floor:
                 return False
             prev = node
         via_station = soc - self.reach[prev] >= floor  # every placed request is delivered
-        return any(soc - b.drain(g.energy_cost(prev, hub), loads.get(prev, (0.0, 0.0))) >= floor
+        return any(soc - b.drain(g.least_energy[prev][hub], loads.get(prev, (0.0, 0.0))) >= floor
                    or (via_station and self.refill[hub] >= floor) for hub in self.hubs[k])
 
     # -- leaf evaluation --------------------------------------------------------
@@ -344,7 +342,7 @@ class _Search:
                     loads = {}
                     if load_violation(self.inst, self.graph, k, new_chain, loads) is not None:
                         break
-                    if self.graph.metric and not self._energy_ok(k, new_chain, loads):
+                    if not self._energy_ok(k, new_chain, loads):
                         self.energy_pruned += 1
                         continue
                     cand = list(chains)

@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import dataclass, asdict
 
 from .instance import TW_PICKUP
-from .model import MilpModel, V, earliest_pickup, shortest_paths
+from .model import MilpModel, V, earliest_pickup
 from .mps import write_mps
 
 BINARY_TOL = 1e-4
@@ -275,15 +275,14 @@ def encode_plan(model: MilpModel, solution: Solution) -> dict:
     (see the state-of-charge convention below).
 
     Deactivated variables take their conventional values: a rejected
-    request's pickup sits at its earliest time and its delivery a shortest
-    path and a service later (the model's time bounds, which the horizon
+    request's pickup sits at its earliest time and its delivery its least
+    time and a service later (the model's time bounds, which the horizon
     leaves room for), unused load trackers carry the node demand, and idle
     state-of-charge variables rest halfway between the agent floor and a
     full battery.
     """
     inst, g = model.instance, model.graph
     values = {name: 0.0 for name in model.catalog.variables}
-    sp = shortest_paths(g)
 
     visited_pairs: set[tuple[int, int]] = set()
     for plan in solution.plans:
@@ -318,8 +317,8 @@ def encode_plan(model: MilpModel, solution: Solution) -> dict:
             values[V.Tr(r)] = values[V.t(p)] + values[V.t(d)]
             values[V.Dr(r)] = values[V.tau(p)] + values[V.tau(d)]
         else:
-            values[V.t(p)] = earliest_pickup(inst, g, sp, r)
-            values[V.t(d)] = values[V.t(p)] + req.service_time + sp[p][d]
+            values[V.t(p)] = earliest_pickup(inst, g, r)
+            values[V.t(d)] = values[V.t(p)] + req.service_time + g.least_time[p][d]
             node = p if req.tw_kind == TW_PICKUP else d
             t_node = values[V.t(node)]
             values[V.tau(node)] = max(0.0, req.tw_lo - t_node, t_node - req.tw_hi)

@@ -165,7 +165,7 @@ def test_criterion_2_validator_gate(corpus):
 
 
 def test_corpus_plans_satisfy_every_row(corpus):
-    # the MILP's time bounds (pickup lower bounds, family 16's shortest path,
+    # the MILP's time bounds (pickup lower bounds, family 16's least time,
     # the "end" rows) cut off no optimum: each B&B plan, rejected requests
     # included, satisfies every row of the model at its own objective
     results, _ = corpus

@@ -1,7 +1,7 @@
 import pytest
 
 from emdarp.graph import arc_count_closed_form, expand_graph
-from emdarp.model import V, build_model, earliest_pickup, shortest_paths
+from emdarp.model import V, build_model, earliest_pickup
 
 from conftest import make_instance
 
@@ -68,7 +68,7 @@ def test_time_continuity_row_count():
 @pytest.mark.parametrize("open_vrp, ret", [(False, 4.0), (True, 0.0)])
 def test_time_bounds_follow_shortest_paths(open_vrp, ret):
     # base nodes: start, pickup, delivery, depot.  Detours beat the direct
-    # arcs, so each bound takes the shortest path: start -> pickup 5 (via the
+    # arcs, so each bound takes the least time: start -> pickup 5 (via the
     # delivery), pickup -> delivery 3 and delivery -> depot 4 (via the other
     # stop); an open route's return takes no time
     matrix = [[0, 10, 2, 5], [10, 0, 8, 1], [2, 3, 0, 9], [5, 1, 2, 0]]
@@ -123,11 +123,10 @@ def _idle_values(model):
     """All agents parked, every request rejected."""
     inst, g = model.instance, model.graph
     values = {name: 0.0 for name in model.catalog.variables}
-    sp = shortest_paths(g)
     for r, req in enumerate(inst.requests):
         p, d = g.pickup_node(r), g.delivery_node(r)
-        values[V.t(p)] = earliest_pickup(inst, g, sp, r)
-        values[V.t(d)] = values[V.t(p)] + req.service_time + sp[p][d]
+        values[V.t(p)] = earliest_pickup(inst, g, r)
+        values[V.t(d)] = values[V.t(p)] + req.service_time + g.least_time[p][d]
     for k, agent in enumerate(inst.agents):
         for r, req in enumerate(inst.requests):
             values[V.u1(g.pickup_node(r), k)] = float(req.passengers)

@@ -50,6 +50,60 @@ def test_validate_rejects_bad_instance(tmp_path, capsys):
     assert "rejected" in out.err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("requests", 0, "service_time"), NAN),
+    (("requests", 0, "tw_hi"), INF),
+    (("requests", 0, "priority"), INF),
+    (("requests", 0, "pickup", 0), NAN),
+    (("agents", 0, "initial_delay"), NAN),
+    (("agents", 0, "max_duration"), NAN),
+    (("agents", 0, "station_service_time"), INF),
+    (("agents", 0, "start", 1), -INF),
+    (("stations", 0, "earliest_available"), NAN),
+    (("stations", 0, "pos", 0), INF),
+    (("depots", 0, 1), NAN),
+    (("costs", "matrix", 0, 1), INF),
+    (("battery", "alpha0"), INF),
+    (("battery", "alpha1"), NAN),
+    (("battery", "beta1"), INF),
+    (("config", "weights", "eta"), INF),
+    (("config", "weights", "big_m"), NAN),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, keys, value):
+    # json.load reads NaN and Infinity, and each of these instances used to
+    # pass `validate`; the B&B then raised, answered as if the field were
+    # absent, or fed inf to the simplex
+    doc = make_doc(n_stations=1)
+    doc["config"]["weights"]["big_m"] = 500.0
+    n = 5  # base nodes: start, pickup, delivery, station, depot
+    doc["costs"] = {"mode": "matrix",
+                    "matrix": [[0.0 if i == j else 10.0 for j in range(n)] for i in range(n)]}
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 1
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+    assert f"instance rejected: {field}: must be" in out.err
+
+
+def test_unlimited_shift_is_valid(tmp_path, capsys):
+    # +inf, the default max_duration, means no shift limit; as Infinity it
+    # round-trips through an instance file
+    doc = make_doc()
+    doc["agents"][0]["max_duration"] = INF
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path))[0] == 0
+    assert load_instance(str(path)).agents[0].max_duration == INF
+
+
 def test_missing_file_is_config_error(tmp_path, capsys):
     code, out = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 4
@@ -95,6 +149,17 @@ def test_gen_round_trip(tmp_path, capsys):
     inst = load_instance(str(out1))
     assert not inst.selective and inst.open_vrp
     assert len(inst.stations) == 1 and inst.duplicate_visits == 1
+
+
+@pytest.mark.parametrize("area", ["0", "-5", "nan", "inf"])
+def test_gen_rejects_bad_area(tmp_path, capsys, area):
+    # `--area 0` used to end in a ZeroDivisionError traceback; the others
+    # failed only because the windows drawn happened to fail validation
+    out = tmp_path / "g.json"
+    code, cap = run(capsys, "gen", "--seed", "1", "--area", area, "--out", str(out))
+    assert code == 4
+    assert "area must be positive and finite" in cap.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--requests", "--agents", "--stations", "--dups"])

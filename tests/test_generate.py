@@ -71,8 +71,7 @@ def test_battery_presets_scale_with_area():
 
 def test_demands_within_capacity():
     for seed in range(6):
-        inst = generate(GenConfig(seed=seed, n_requests=5,
-                                  passengers=(1, 9), equipment=(0, 9)))
+        inst = generate(GenConfig(seed=seed, n_requests=5))
         for r in inst.requests:
             assert all(r.passengers <= a.cap_passengers for a in inst.agents)
             assert all(r.equipment <= a.cap_equipment for a in inst.agents)

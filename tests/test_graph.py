@@ -1,8 +1,15 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
+import pytest
+
+from emdarp.generate import generate
 from emdarp.graph import arc_count_closed_form, expand_graph
 
 from conftest import make_instance
+from test_acceptance import corpus_config
 
 
 def test_station_duplication_m1_n2():
@@ -88,6 +95,41 @@ def test_gamma_bijection_and_mu():
     assert all(g.mu(i) == -1 for i in g.ld)
 
 
-def test_euclidean_costs_are_metric():
-    g = expand_graph(make_instance(n_requests=2, n_stations=1))
-    assert g.metric
+def _workload_configs():
+    """The GenConfig of every spec of the benchmark's workloads."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [cfg for workload in module.WORKLOADS for _, _, cfg, _, _ in module._specs(workload)]
+
+
+def test_least_costs_equal_euclidean_arc_costs():
+    # on Euclidean costs the least tables are the arc costs bit for bit, so
+    # every bound and screen that reads them gives what the arc costs give
+    configs = [*map(corpus_config, range(25)), *_workload_configs()]
+    assert len(configs) == 25 + 16
+    for cfg in configs:
+        g = expand_graph(generate(cfg))
+        for i, j in itertools.product(range(g.n_nodes), repeat=2):
+            assert g.least_time[i][j] == g.time_cost(i, j), (cfg, i, j)
+            assert g.least_energy[i][j] == g.energy_cost(i, j), (cfg, i, j)
+
+
+@pytest.mark.parametrize("open_vrp, soc_to_hub", [(False, True), (True, True), (True, False)])
+def test_least_costs_take_detours(open_vrp, soc_to_hub):
+    # base nodes: start, pickup, delivery, depot.  Detours beat the direct
+    # arcs start -> pickup (2 + 3 via the delivery) and delivery -> depot
+    # (3 + 1 via the pickup); an open route reaches a depot in no time, and
+    # without open_vrp_soc_to_hub without discharging
+    matrix = [[0, 10, 2, 5], [10, 0, 8, 1], [2, 3, 0, 9], [5, 1, 2, 0]]
+    g = expand_graph(make_instance(over={
+        "costs": {"mode": "matrix", "matrix": matrix},
+        "config": {"open_vrp": open_vrp, "open_vrp_soc_to_hub": soc_to_hub}}))
+    v, p, d, h = g.start_node(0), g.pickup_node(0), g.delivery_node(0), g.hf[0]
+    for table in (g.least_time, g.least_energy):
+        assert (table[v][p], table[p][d], table[d][p]) == (5.0, 3.0, 3.0)
+    assert [g.least_time[i][h] for i in (v, p, d)] == ([0.0] * 3 if open_vrp else [5.0, 1.0, 4.0])
+    free = open_vrp and not soc_to_hub
+    assert [g.least_energy[i][h] for i in (v, p, d)] == ([0.0] * 3 if free else [5.0, 1.0, 4.0])

@@ -85,7 +85,6 @@ def test_insertion_children_match_brute_force(monkeypatch):
     for cfg in configs:
         inst = generate(cfg)
         g = expand_graph(inst)
-        assert g.metric  # else no chain reaches the energy screen
         nodes = []
 
         class Recording(_Search):
@@ -405,22 +404,38 @@ def _charging_makeup(seed):
 
 
 @pytest.mark.parametrize("cfg", [
-    # without the penalty-only bound on non-metric costs, the timing DP
-    # prunes the optimum at seeds 7, 19 and 31 here and 31 and 37 below, and
-    # the B&B returns a worse plan as optimal (141.704 against 98.238 at s7)
+    # a timing DP over direct arc times prunes the optimum at seeds 7, 19 and
+    # 31 here and 31 and 37 below, and the B&B returns a worse plan as
+    # optimal (141.704 against 98.238 at s7); one over least times does not
     *[_charging_makeup(seed) for seed in (7, 19, 31, 0, 1, 2)],
     *[GenConfig(seed, n_requests=2, n_agents=2) for seed in (31, 37, 0, 1, 2, 3)],
 ], ids=lambda cfg: f"s{cfg.seed}-k{cfg.n_agents}")
 def test_non_metric_costs_match_oracle(cfg):
     inst = _matrix_instance(cfg)
     g = expand_graph(inst)
-    assert not g.metric
+    c = g.cost_matrix
+    assert any(c[i][j] > c[i][h] + c[h][j]
+               for i, j, h in itertools.product(range(g.n_nodes), repeat=3))
     bb = branch_and_bound(inst, g)
     oracle = exhaustive_oracle(inst, g)
     assert bb.status == oracle.status
     if bb.status == "optimal":
         assert bb.objective == pytest.approx(oracle.objective, rel=1e-6)
         assert validate(inst, g, bb.solution).ok
+
+
+def test_matrix_costs_bound_and_screen_pinned():
+    # the criterion-5 make-up on matrix costs: the node bound and the energy
+    # screen act on them too.  With the bound cut to the rejection penalties
+    # and the screen off, the search took 833 nodes, 768 leaves and 21 leaf
+    # LPs, and screened 789 placements
+    inst = _matrix_instance(GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
+                                      duplicate_visits=2, preset="high-discharge"))
+    result = branch_and_bound(inst)
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(118.59501388943329, rel=1e-12)
+    assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened,
+            result.energy_pruned) == (172, 137, 10, 254, 66)
 
 
 def test_forced_charging_stop():
@@ -710,12 +725,7 @@ def _makeup_slice():
                                marks=() if n_requests == 2 else pytest.mark.slow)
 
 
-@pytest.mark.parametrize("cfg", [*_sweep(), *_makeup_slice()])
-def test_differential_sweep(cfg):
-    # the 96 two-request configurations of the grid and the 8 + 8 of the
-    # make-up slice run in tier-1; the other 144 + 16 are marked slow, and
-    # `-m ''` runs them all (about ten minutes, mostly the oracle)
-    inst = generate(cfg)
+def _matches_oracle(inst):
     g = expand_graph(inst)
     bb = branch_and_bound(inst, g)
     oracle = exhaustive_oracle(inst, g)
@@ -725,22 +735,43 @@ def test_differential_sweep(cfg):
         assert validate(inst, g, bb.solution).ok
 
 
+@pytest.mark.parametrize("cfg", [*_sweep(), *_makeup_slice()])
+def test_differential_sweep(cfg):
+    # the 96 two-request configurations of the grid and the 8 + 8 of the
+    # make-up slice run in tier-1; the other 144 + 16 are marked slow, and
+    # `-m ''` runs them all (about ten minutes, mostly the oracle)
+    _matches_oracle(generate(cfg))
+
+
+@pytest.mark.parametrize("cfg", [*_sweep(), *_makeup_slice()])
+def test_differential_sweep_matrix_costs(cfg):
+    # the same configurations on asymmetric, non-metric matrix costs, where
+    # the node bound and the energy screen price a partial chain's legs at
+    # their least costs, not at its arc costs; the same 112 run in tier-1
+    _matches_oracle(_matrix_instance(cfg))
+
+
 def test_energy_screen_keeps_every_optimal_subrouting():
     # the interior energy screen is a necessary condition: every sub-routing
     # of an optimal plan (each agent's pickups and deliveries in plan order,
     # restricted to any non-empty subset of its requests) is a node the
-    # search may pass through, so it must fit and pass the screen
+    # search may pass through, so it must fit and pass the screen.  On
+    # matrix costs the plans are the oracle's, found without the screen; a
+    # screen over arc energy costs cuts optimal sub-routings at s101 and s152
     configs = [*map(corpus_config, range(25)), *(p.values[0] for p in _makeup_slice()),
                *(GenConfig(seed=1, n_requests=n, n_agents=2, n_stations=1,
                            duplicate_visits=2, preset="high-discharge") for n in (5, 6))]
+    matrix_configs = [*(_charging_makeup(seed) for seed in (7, 19, 31, 0, 1, 2)),
+                      *(p.values[0] for p in _makeup_slice() if p.values[0].n_requests == 2),
+                      *(p.values[0] for p in _sweep() if p.id in ("s101", "s152"))]
+    cases = [(cfg, generate(cfg), branch_and_bound) for cfg in configs]
+    cases += [(cfg, _matrix_instance(cfg), exhaustive_oracle) for cfg in matrix_configs]
     checked = 0
-    for cfg in configs:
-        inst = generate(cfg)
+    for cfg, inst, solve in cases:
         g = expand_graph(inst)
-        result = branch_and_bound(inst, g)
+        result = solve(inst, g)
         if result.solution is None:
             continue
-        assert g.metric
         screen = _Search(inst, g, SearchConfig())
         for k, plan in enumerate(result.solution.plans):
             chain = [v.node for v in plan.visits if g.is_pickup(v.node) or g.is_delivery(v.node)]
@@ -752,7 +783,7 @@ def test_energy_screen_keeps_every_optimal_subrouting():
                     assert load_violation(inst, g, k, sub, loads) is None, (cfg, sub)
                     assert screen._energy_ok(k, sub, loads), (cfg, sub)
                     checked += 1
-    assert checked >= 150, checked
+    assert checked >= 230, checked
 
 
 @pytest.mark.parametrize("n_requests, objective, counts", [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emdarp.checker import charge_curve, validate
+from emdarp.generate import GenConfig, generate
 from emdarp.graph import expand_graph
 from emdarp.model import build_model
 from emdarp.scheduling import schedule_routes
@@ -69,6 +70,40 @@ def test_tampered_arrival_flagged():
     report = validate(inst, g, bad)
     assert not report.ok
     assert any(v.tag in ("15", "16", "2") for v in report.violations)
+
+
+def _bnb_solved(seed, n_requests):
+    inst = generate(GenConfig(seed=seed, n_requests=n_requests, n_agents=2))
+    g = expand_graph(inst)
+    sol = branch_and_bound(inst, g).solution
+    report = validate(inst, g, sol)
+    assert report.ok, report.to_dict()["violations"]
+    return inst, g, sol, report
+
+
+@pytest.mark.parametrize("seed, n_requests", [(1, 2), (2, 1)])
+def test_plans_read_by_agent(seed, n_requests):
+    # each plan is read by its agent, not by its place in the list: reversed,
+    # a clean plan used to show false family-2 "arrival sum" violations
+    # (seed 1) or raise IndexError (seed 2)
+    inst, g, sol, clean = _bnb_solved(seed, n_requests)
+    report = validate(inst, g, _tamper(sol, lambda s: s.plans.reverse()))
+    assert report.ok, report.to_dict()["violations"]
+    assert report.counters == clean.counters
+
+
+@pytest.mark.parametrize("tamper, want", [
+    (lambda s: s.plans.pop(), [((1,), "agent without a plan")]),
+    (lambda s: s.plans.append(copy.deepcopy(s.plans[0])), [((0,), "agent planned twice")]),
+    (lambda s: setattr(s.plans[1], "agent", 2),
+     [((2,), "plan for an unknown agent"), ((1,), "agent without a plan")]),
+], ids=["dropped", "repeated", "unknown"])
+def test_plan_per_agent_flagged(tamper, want):
+    # a missing, repeated or unknown agent is a violation, not a crash (a
+    # dropped plan used to raise IndexError)
+    inst, g, sol, _ = _bnb_solved(2, 1)
+    report = validate(inst, g, _tamper(sol, tamper))
+    assert [(v.index, v.note) for v in report.violations if v.tag == "plan"] == want
 
 
 def test_tampered_window_flagged():
