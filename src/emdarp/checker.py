@@ -103,6 +103,9 @@ class _Audit:
 
 def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
              tol: float = 1e-6) -> ValidationReport:
+    """Audit *sol* against every row family.  A solution without a value
+    per request, or with a visit to a node outside *graph*, gets only its
+    ``plan`` violations and a NaN objective: nothing else can be read."""
     a = _Audit(inst, graph, sol, tol)
     g = graph
 
@@ -117,6 +120,17 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
             plans[plan.agent] = plan
     for k in sorted(set(range(inst.n_agents)) - set(plans)):
         a.eq("plan", (k,), 0.0, 1.0, "agent without a plan")
+    faults = [((key,), f"{key} has {len(getattr(sol, key))} entries, needs {inst.n_requests}")
+              for key in ("accepted", "request_times", "request_slacks")
+              if len(getattr(sol, key)) != inst.n_requests]
+    faults += [((plan.agent, rec.node), "visit to a node outside the graph")
+               for plan in plans.values() for rec in plan.visits
+               if rec.node not in range(g.n_nodes)]
+    if faults:
+        for index, note in faults:
+            a.eq("plan", index, 1.0, 0.0, note)
+        return ValidationReport(ok=False, violations=a.violations, objective_recomputed=math.nan,
+                                objective_delta=math.nan, counters=a.counters)
 
     # -- assignment structure -------------------------------------------------
     position: dict[int, tuple[int, int]] = {}  # node -> (agent, position)

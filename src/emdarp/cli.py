@@ -55,15 +55,15 @@ def _load(path: str):
 
 
 def _load_solution(path: str, inst, graph) -> Solution:
-    """The solution at *path*, which must hold the plan of each agent of
-    *inst* in agent order, a value per request, and only nodes of its
-    expanded *graph*."""
+    """The solution at *path*, which must hold each field by its JSON type,
+    the plan of each agent of *inst* in agent order, a value per request,
+    and only nodes of its expanded *graph*."""
     try:
         with open(path, encoding="utf-8") as fh:
             sol = Solution.from_dict(json.load(fh))
     except OSError as exc:
         raise _Exit(EXIT_CONFIG, f"cannot read solution: {exc}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, InstanceError) as exc:
         raise _Exit(EXIT_CONFIG, f"solution file malformed: {exc}")
     sizes = {"plans": inst.n_agents, "accepted": inst.n_requests,
              "request_times": inst.n_requests, "request_slacks": inst.n_requests}

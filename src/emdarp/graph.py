@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .instance import Instance, base_positions, derive_costs
+from .instance import TW_PICKUP, Instance, base_positions, derive_costs
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,10 @@ class ExpandedGraph:
 
     def delivery_node(self, r: int) -> int:
         return self.ld[r]
+
+    def window_node(self, r: int) -> int:
+        """The stop of request *r* that carries its time window."""
+        return self.lp[r] if self.instance.requests[r].tw_kind == TW_PICKUP else self.ld[r]
 
     def gamma(self, i: int) -> int:
         """Request served at location node *i* (pickup or delivery)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from typing import ClassVar
 
 
@@ -49,8 +49,8 @@ class Request:
     tw_kind: str  # TW_PICKUP or TW_DELIVERY
     tw_lo: float
     tw_hi: float
-    priority: float = 1.0
-    force_accept: bool = False
+    priority: float
+    force_accept: bool
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class Agent:
     soc_min: float
     soc_init: float
     soc_target: float
-    terminal_hub: int | None = None
+    terminal_hub: int | None
 
     @property
     def combined_cap(self) -> float:
@@ -135,15 +135,15 @@ class BatteryModel:
 class Station:
     id: int
     pos: tuple[float, float] | None
-    earliest_available: float = 0.0
+    earliest_available: float
 
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    epsilon: float = 1e-3
-    zeta: float = 1.0
-    eta: float = 1e4
-    big_m_override: float | None = None
+    epsilon: float
+    zeta: float
+    eta: float
+    big_m_override: float | None
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,12 @@ class Instance:
     cost_mode: str  # "euclidean" | "matrix"
     cost_matrix: tuple[tuple[float, ...], ...] | None
     battery: BatteryModel
-    weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
-    selective: bool = True
-    open_vrp: bool = False
-    time_unit: str = "minutes"
-    open_vrp_soc_to_hub: bool = True
-    integer_loads: bool = True
+    weights: ObjectiveWeights
+    selective: bool
+    open_vrp: bool
+    time_unit: str
+    open_vrp_soc_to_hub: bool
+    integer_loads: bool
 
     @property
     def n_requests(self) -> int:
@@ -239,40 +239,14 @@ def derive_costs(inst: Instance):
 
 
 def validate_instance(inst: Instance) -> None:
-    """Check every instance invariant; raise ValidationError naming the field."""
+    """Check the rules that relate two or more fields, raising
+    ValidationError naming the field; ``instance_from_dict`` checks the rest."""
     for idx, r in enumerate(inst.requests):
-        where = f"requests[{idx}]"
-        if r.passengers < 1:
-            raise ValidationError(f"{where}.passengers", "must be >= 1")
-        if r.equipment < 0:
-            raise ValidationError(f"{where}.equipment", "must be >= 0")
-        if r.service_time < 0:
-            raise ValidationError(f"{where}.service_time", "must be >= 0")
-        if r.tw_kind not in (TW_PICKUP, TW_DELIVERY):
-            raise ValidationError(f"{where}.tw_kind", f"must be pickup or delivery, got {r.tw_kind!r}")
         if not r.tw_hi > r.tw_lo:
-            raise ValidationError(f"{where}.tw_hi", f"time window upper bound {r.tw_hi} must exceed lower bound {r.tw_lo}")
-        if r.tw_lo < 0:
-            raise ValidationError(f"{where}.tw_lo", "must be >= 0")
-        if r.priority < 1:
-            raise ValidationError(f"{where}.priority", "must be >= 1")
+            raise ValidationError(f"requests[{idx}].tw_hi", f"time window upper bound {r.tw_hi} must exceed lower bound {r.tw_lo}")
 
     for idx, a in enumerate(inst.agents):
         where = f"agents[{idx}]"
-        if a.initial_delay < 0:
-            raise ValidationError(f"{where}.initial_delay", "must be >= 0")
-        if a.cap_passengers < 1:
-            raise ValidationError(f"{where}.cap_passengers", "must be >= 1")
-        if a.cap_equipment < 1:
-            raise ValidationError(f"{where}.cap_equipment", "must be >= 1")
-        if a.conversion < 1:
-            raise ValidationError(f"{where}.conversion", "must be >= 1")
-        if not a.max_duration >= 0:  # false for NaN too
-            raise ValidationError(f"{where}.max_duration", "must be >= 0")
-        if a.station_service_time < 0:
-            raise ValidationError(f"{where}.station_service_time", "must be >= 0")
-        if not 0 < a.soc_min <= 1:
-            raise ValidationError(f"{where}.soc_min", "must be in (0, 1]")
         if not a.soc_min <= a.soc_init <= 1:
             raise ValidationError(f"{where}.soc_init", f"must be in [soc_min={a.soc_min}, 1]")
         if not a.soc_min <= a.soc_target <= 1:
@@ -283,32 +257,16 @@ def validate_instance(inst: Instance) -> None:
             raise ValidationError(f"{where}.terminal_hub", f"depot index {a.terminal_hub} out of range")
 
     b = inst.battery
-    for name in ("alpha0", "alpha1", "alpha2", "beta1", "beta2", "beta3"):
-        if getattr(b, name) <= 0:
-            raise ValidationError(f"battery.{name}", "must be strictly positive")
     if not b.beta3 < b.beta2 < b.beta1:
         raise ValidationError("battery", "charging rates must strictly decrease (beta1 > beta2 > beta3)")
 
-    for idx, s in enumerate(inst.stations):
-        if s.earliest_available < 0:
-            raise ValidationError(f"stations[{idx}].earliest_available", "must be >= 0")
-
-    if inst.duplicate_visits < 0:
-        raise ValidationError("config.duplicate_visits", "must be >= 0")
     if not inst.open_vrp and not inst.final_depots:
         raise ValidationError("depots", "closed-VRP instances need at least one final depot")
 
     w = inst.weights
     if not 0 < w.epsilon < w.zeta < w.eta:
         raise ValidationError("config.weights", f"need 0 < epsilon < zeta < eta, got ({w.epsilon}, {w.zeta}, {w.eta})")
-    if w.big_m_override is not None and w.big_m_override <= 0:
-        raise ValidationError("config.weights.big_m", "must be positive")
 
-    if inst.time_unit not in TIME_UNIT_SECONDS:
-        raise ValidationError("meta.time_unit", f"unknown time unit {inst.time_unit!r}")
-
-    if inst.cost_mode not in ("euclidean", "matrix"):
-        raise ValidationError("costs.mode", f"must be 'euclidean' or 'matrix', got {inst.cost_mode!r}")
     derive_costs(inst)  # raises on a misshapen matrix or missing coordinates
     if inst.cost_mode == "matrix":
         m = inst.cost_matrix
@@ -321,228 +279,240 @@ def validate_instance(inst: Instance) -> None:
 
 
 # --- document schema ---------------------------------------------------------
+#
+# Each document object is one Table of rows (key, attribute, default, kind),
+# in the order instance_to_dict writes them.  A kind reads a JSON value,
+# checking its JSON type and the field's own range, and writes the attribute
+# back.  A missing key reads as its default, and a key whose default is null
+# may be null: MISSING marks a required key, _POSITION an id that defaults to
+# the object's place in its list.  A row without an attribute is a section
+# whose fields belong to its holder.
 
-_TOP_KEYS = {"meta", "requests", "agents", "stations", "depots", "costs", "battery", "config"}
-_META_KEYS = {"time_unit"}
-_REQUEST_KEYS = {
-    "id", "pickup", "delivery", "passengers", "equipment", "service_time",
-    "tw_kind", "tw_lo", "tw_hi", "priority", "force_accept",
-}
-_AGENT_KEYS = {
-    "id", "start", "initial_delay", "cap_passengers", "cap_equipment", "conversion",
-    "max_duration", "station_service_time", "soc_min", "soc_init", "soc_target",
-    "terminal_hub",
-}
-_STATION_KEYS = {"id", "pos", "earliest_available"}
-_COSTS_KEYS = {"mode", "matrix"}
-_BATTERY_KEYS = {"alpha0", "alpha1", "alpha2", "beta1", "beta2", "beta3"}
-_CONFIG_KEYS = {
-    "duplicate_visits", "selective", "open_vrp", "weights",
-    "open_vrp_soc_to_hub", "integer_loads",
-}
-_WEIGHT_KEYS = {"epsilon", "zeta", "eta", "big_m"}
+_POSITION = object()
+_OMIT = object()  # written for a key that stays out of the document
 
 
-def _check_keys(doc: dict, allowed: set, where: str, required: set | None = None) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(where, f"unknown keys: {sorted(unknown)}")
-    if required:
-        missing = required - set(doc)
+class Kind:
+    """A field's JSON type: ``read(value, path)`` checks a value and returns
+    the attribute, raising InstanceError naming *path*; ``write`` turns the
+    attribute back into a JSON value."""
+
+    __slots__ = ("read", "write")
+
+    def __init__(self, read, write=lambda value: value):
+        self.read = read
+        self.write = write
+
+
+def number(rule=None, message="", finite=True) -> Kind:
+    """A JSON number read as a float, finite unless *finite* is false, and
+    rejected with *message* unless it passes *rule*."""
+    def read(value, where):
+        if not isinstance(value, (float, int)) or type(value) is bool:
+            raise ParseError(where, f"must be a number, got {value!r}")
+        try:
+            real = float(value)
+        except OverflowError:  # an integer past the largest float
+            real = math.inf
+        if finite and not math.isfinite(real):
+            raise ValidationError(where, f"must be finite, got {value!r}")
+        if rule is not None and not rule(real):
+            raise ValidationError(where, message)
+        return real
+    return Kind(read)
+
+
+def integer(rule=None, message="") -> Kind:
+    """A JSON number with an integral value, read as an int and rejected
+    with *message* unless it passes *rule*."""
+    def read(value, where):
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValidationError(where, f"must be finite, got {value!r}")
+            if value.is_integer():
+                value = int(value)
+        if not isinstance(value, int) or type(value) is bool:
+            raise ParseError(where, f"must be an integer, got {value!r}")
+        if rule is not None and not rule(value):
+            raise ValidationError(where, message)
+        return value
+    return Kind(read)
+
+
+def _read_boolean(value, where):
+    if type(value) is not bool:
+        raise ParseError(where, f"must be true or false, got {value!r}")
+    return value
+
+
+BOOLEAN = Kind(_read_boolean)
+
+
+def string(choices=None, message="must be a string, got {!r}") -> Kind:
+    """A JSON string, one of *choices* when given, else rejected with
+    *message* formatted with the value."""
+    def read(value, where):
+        if type(value) is not str or choices is not None and value not in choices:
+            raise ValidationError(where, message.format(value))
+        return value
+    return Kind(read)
+
+
+def _entries(value, where, size=None):
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(where, f"must be a list, got {value!r}")
+    if size is not None and len(value) != size:
+        raise ParseError(where, f"must be a list of {size} entries, got {value!r}")
+    return enumerate(value)
+
+
+def list_of(item: Kind, into=tuple, size=None) -> Kind:
+    """A JSON list of *item*, of *size* entries when given, read into *into*."""
+    def read(value, where):
+        return into(item.read(v, f"{where}[{i}]") for i, v in _entries(value, where, size))
+    return Kind(read, lambda values: [item.write(v) for v in values])
+
+
+def objects(table: Table, into=tuple) -> Kind:
+    """A JSON list of *table* objects, read into *into*."""
+    def read(value, where):
+        return into(table.read(v, f"{where}[{i}]", i) for i, v in _entries(value, where))
+    return Kind(read, lambda values: [table.write(v) for v in values])
+
+
+class Table:
+    """One document object, read into a *cls* (a dict of attributes when
+    None).  A row ``(key, default, kind)`` names its attribute like the key."""
+
+    def __init__(self, cls, *rows):
+        self.cls = cls
+        self.rows = tuple(row if len(row) == 4 else (row[0], *row) for row in rows)
+        self.keys = frozenset(row[0] for row in self.rows)
+        self.required = frozenset(row[0] for row in self.rows if row[2] is MISSING)
+
+    def read(self, doc, where, position=None):
+        if not isinstance(doc, dict):
+            raise ParseError(where, f"must be an object, got {doc!r}")
+        unknown = doc.keys() - self.keys
+        if unknown:
+            raise ParseError(where, f"unknown keys: {sorted(unknown)}")
+        missing = self.required - doc.keys()
         if missing:
             raise ParseError(where, f"missing keys: {sorted(missing)}")
+        prefix = "" if where == "$" else where + "."
+        attrs = {}
+        for key, attr, default, kind in self.rows:
+            value = doc.get(key, default)
+            if value is not None or default is not None:  # null may stand for a null default
+                value = kind.read(position if value is _POSITION else value, prefix + key)
+            if attr is None:
+                attrs.update(value)
+            else:
+                attrs[attr] = value
+        return attrs if self.cls is None else self.cls(**attrs)
+
+    def write(self, obj) -> dict:
+        doc = {}
+        for key, attr, _, kind in self.rows:
+            value = kind.write(obj if attr is None else getattr(obj, attr))
+            if value is not _OMIT:
+                doc[key] = value
+        return doc
 
 
-def _finite(value, where: str) -> float:
-    """*value* as a float, rejected if NaN or infinite (``json.load`` reads both)."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValidationError(where, f"must be finite, got {value!r}")
-    return number
-
-
-def _point(value, where: str) -> tuple[float, float] | None:
+def _read_point(value, where):
     if value is None:
         return None
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ParseError(where, f"expected [x, y] coordinates, got {value!r}")
-    return (_finite(value[0], f"{where}[0]"), _finite(value[1], f"{where}[1]"))
+    return (_REAL.read(value[0], f"{where}[0]"), _REAL.read(value[1], f"{where}[1]"))
+
+
+_REAL = number()
+_NONNEGATIVE = number(lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_1 = number(lambda v: v >= 1, "must be >= 1")
+_POSITIVE = number(lambda v: v > 0, "must be strictly positive")
+_INTEGER = integer()
+_COUNT = integer(lambda v: v >= 1, "must be >= 1")
+_NONNEGATIVE_COUNT = integer(lambda v: v >= 0, "must be >= 0")
+_POINT = Kind(_read_point, lambda p: None if p is None else list(p))
+
+_REQUEST = Table(
+    Request,
+    ("id", _POSITION, _INTEGER),
+    ("pickup", "pickup_pos", None, _POINT),
+    ("delivery", "delivery_pos", None, _POINT),
+    ("passengers", MISSING, _COUNT),
+    ("equipment", 0, _NONNEGATIVE_COUNT),
+    ("service_time", 0.0, _NONNEGATIVE),
+    ("tw_kind", MISSING, string((TW_PICKUP, TW_DELIVERY), "must be pickup or delivery, got {!r}")),
+    ("tw_lo", MISSING, _NONNEGATIVE),
+    ("tw_hi", MISSING, _REAL),
+    ("priority", 1.0, _AT_LEAST_1),
+    ("force_accept", False, BOOLEAN),
+)
+_AGENT = Table(
+    Agent,
+    ("id", _POSITION, _INTEGER),
+    ("start", "start_pos", None, _POINT),
+    ("initial_delay", 0.0, _NONNEGATIVE),
+    ("cap_passengers", MISSING, _COUNT),
+    ("cap_equipment", MISSING, _COUNT),
+    ("conversion", 1.0, _AT_LEAST_1),
+    ("max_duration", math.inf, number(lambda v: v >= 0, "must be >= 0", finite=False)),  # +inf: no shift limit
+    ("station_service_time", 0.0, _NONNEGATIVE),
+    ("soc_min", 0.25, number(lambda v: 0 < v <= 1, "must be in (0, 1]")),
+    ("soc_init", 1.0, _REAL),
+    ("soc_target", 0.85, _REAL),
+    ("terminal_hub", None, _INTEGER),  # its range depends on the depots
+)
+_STATION = Table(Station, ("id", _POSITION, _INTEGER), ("pos", None, _POINT),
+                 ("earliest_available", 0.0, _NONNEGATIVE))
+_BATTERY = Table(BatteryModel, *((name, MISSING, _POSITIVE)
+                                 for name in ("alpha0", "alpha1", "alpha2", "beta1", "beta2", "beta3")))
+_WEIGHTS = Table(ObjectiveWeights, ("epsilon", 1e-3, _REAL), ("zeta", 1.0, _REAL), ("eta", 1e4, _REAL),
+                 ("big_m", "big_m_override", None, number(lambda v: v > 0, "must be positive")))
+_META = Table(None, ("time_unit", "minutes", string(TIME_UNIT_SECONDS, "unknown time unit {!r}")))
+_COSTS = Table(
+    None,
+    ("mode", "cost_mode", MISSING, string(("euclidean", "matrix"), "must be 'euclidean' or 'matrix', got {!r}")),
+    ("matrix", "cost_matrix", None, Kind(list_of(list_of(_REAL)).read,
+                                         lambda m: _OMIT if m is None else [list(row) for row in m])),
+)
+_CONFIG = Table(
+    None,
+    ("duplicate_visits", MISSING, _NONNEGATIVE_COUNT),
+    ("selective", True, BOOLEAN),
+    ("open_vrp", False, BOOLEAN),
+    ("open_vrp_soc_to_hub", True, BOOLEAN),
+    ("integer_loads", True, BOOLEAN),
+    ("weights", {}, _WEIGHTS),
+)
+_DOCUMENT = Table(
+    Instance,
+    ("meta", None, {}, _META),
+    ("requests", MISSING, objects(_REQUEST)),
+    ("agents", MISSING, objects(_AGENT)),
+    ("stations", [], objects(_STATION)),
+    ("depots", "final_depots", [], list_of(_POINT)),
+    ("costs", None, {"mode": "euclidean"}, _COSTS),
+    ("battery", MISSING, _BATTERY),
+    ("config", None, MISSING, _CONFIG),
+)
 
 
 def instance_from_dict(doc: dict) -> Instance:
     """Build and validate an Instance from a schema document."""
     if not isinstance(doc, dict):
         raise ParseError("$", "top-level document must be an object")
-    _check_keys(doc, _TOP_KEYS, "$", required={"requests", "agents", "battery", "config"})
-
-    meta = doc.get("meta", {})
-    _check_keys(meta, _META_KEYS, "meta")
-    time_unit = meta.get("time_unit", "minutes")
-
-    requests = []
-    for idx, rd in enumerate(doc.get("requests", [])):
-        where = f"requests[{idx}]"
-        _check_keys(rd, _REQUEST_KEYS, where,
-                    required={"passengers", "tw_kind", "tw_lo", "tw_hi"})
-        requests.append(Request(
-            id=int(_finite(rd.get("id", idx), f"{where}.id")),
-            pickup_pos=_point(rd.get("pickup"), f"{where}.pickup"),
-            delivery_pos=_point(rd.get("delivery"), f"{where}.delivery"),
-            passengers=int(_finite(rd["passengers"], f"{where}.passengers")),
-            equipment=int(_finite(rd.get("equipment", 0), f"{where}.equipment")),
-            service_time=_finite(rd.get("service_time", 0.0), f"{where}.service_time"),
-            tw_kind=str(rd["tw_kind"]),
-            tw_lo=_finite(rd["tw_lo"], f"{where}.tw_lo"),
-            tw_hi=_finite(rd["tw_hi"], f"{where}.tw_hi"),
-            priority=_finite(rd.get("priority", 1.0), f"{where}.priority"),
-            force_accept=bool(rd.get("force_accept", False)),
-        ))
-
-    agents = []
-    for idx, ad in enumerate(doc.get("agents", [])):
-        where = f"agents[{idx}]"
-        _check_keys(ad, _AGENT_KEYS, where, required={"cap_passengers", "cap_equipment"})
-        agents.append(Agent(
-            id=int(_finite(ad.get("id", idx), f"{where}.id")),
-            start_pos=_point(ad.get("start"), f"{where}.start"),
-            initial_delay=_finite(ad.get("initial_delay", 0.0), f"{where}.initial_delay"),
-            cap_passengers=int(_finite(ad["cap_passengers"], f"{where}.cap_passengers")),
-            cap_equipment=int(_finite(ad["cap_equipment"], f"{where}.cap_equipment")),
-            conversion=_finite(ad.get("conversion", 1.0), f"{where}.conversion"),
-            max_duration=float(ad.get("max_duration", math.inf)),  # +inf: no shift limit
-            station_service_time=_finite(ad.get("station_service_time", 0.0),
-                                         f"{where}.station_service_time"),
-            soc_min=_finite(ad.get("soc_min", 0.25), f"{where}.soc_min"),
-            soc_init=_finite(ad.get("soc_init", 1.0), f"{where}.soc_init"),
-            soc_target=_finite(ad.get("soc_target", 0.85), f"{where}.soc_target"),
-            terminal_hub=(None if ad.get("terminal_hub") is None
-                          else int(_finite(ad["terminal_hub"], f"{where}.terminal_hub"))),
-        ))
-
-    stations = []
-    for idx, sd in enumerate(doc.get("stations", [])):
-        where = f"stations[{idx}]"
-        _check_keys(sd, _STATION_KEYS, where)
-        stations.append(Station(
-            id=int(_finite(sd.get("id", idx), f"{where}.id")),
-            pos=_point(sd.get("pos"), f"{where}.pos"),
-            earliest_available=_finite(sd.get("earliest_available", 0.0),
-                                       f"{where}.earliest_available"),
-        ))
-
-    depots = tuple(_point(p, f"depots[{i}]") for i, p in enumerate(doc.get("depots", [])))
-
-    costs = doc.get("costs", {"mode": "euclidean"})
-    _check_keys(costs, _COSTS_KEYS, "costs", required={"mode"})
-    matrix = None
-    if costs.get("matrix") is not None:
-        matrix = tuple(tuple(_finite(v, f"costs.matrix[{i}][{j}]") for j, v in enumerate(row))
-                       for i, row in enumerate(costs["matrix"]))
-
-    bat = doc["battery"]
-    _check_keys(bat, _BATTERY_KEYS, "battery", required=_BATTERY_KEYS)
-    battery = BatteryModel(**{k: _finite(bat[k], f"battery.{k}") for k in _BATTERY_KEYS})
-
-    cfg = doc["config"]
-    _check_keys(cfg, _CONFIG_KEYS, "config", required={"duplicate_visits"})
-    wd = cfg.get("weights", {})
-    _check_keys(wd, _WEIGHT_KEYS, "config.weights")
-    weights = ObjectiveWeights(
-        epsilon=_finite(wd.get("epsilon", 1e-3), "config.weights.epsilon"),
-        zeta=_finite(wd.get("zeta", 1.0), "config.weights.zeta"),
-        eta=_finite(wd.get("eta", 1e4), "config.weights.eta"),
-        big_m_override=(None if wd.get("big_m") is None
-                        else _finite(wd["big_m"], "config.weights.big_m")),
-    )
-
-    inst = Instance(
-        requests=tuple(requests),
-        agents=tuple(agents),
-        stations=tuple(stations),
-        final_depots=depots,
-        duplicate_visits=int(_finite(cfg["duplicate_visits"], "config.duplicate_visits")),
-        cost_mode=str(costs["mode"]),
-        cost_matrix=matrix,
-        battery=battery,
-        weights=weights,
-        selective=bool(cfg.get("selective", True)),
-        open_vrp=bool(cfg.get("open_vrp", False)),
-        time_unit=str(time_unit),
-        open_vrp_soc_to_hub=bool(cfg.get("open_vrp_soc_to_hub", True)),
-        integer_loads=bool(cfg.get("integer_loads", True)),
-    )
+    inst = _DOCUMENT.read(doc, "$")
     validate_instance(inst)
     return inst
 
 
 def instance_to_dict(inst: Instance) -> dict:
     """Inverse of :func:`instance_from_dict` (stable key order)."""
-    doc = {
-        "meta": {"time_unit": inst.time_unit},
-        "requests": [
-            {
-                "id": r.id,
-                "pickup": list(r.pickup_pos) if r.pickup_pos else None,
-                "delivery": list(r.delivery_pos) if r.delivery_pos else None,
-                "passengers": r.passengers,
-                "equipment": r.equipment,
-                "service_time": r.service_time,
-                "tw_kind": r.tw_kind,
-                "tw_lo": r.tw_lo,
-                "tw_hi": r.tw_hi,
-                "priority": r.priority,
-                "force_accept": r.force_accept,
-            }
-            for r in inst.requests
-        ],
-        "agents": [
-            {
-                "id": a.id,
-                "start": list(a.start_pos) if a.start_pos else None,
-                "initial_delay": a.initial_delay,
-                "cap_passengers": a.cap_passengers,
-                "cap_equipment": a.cap_equipment,
-                "conversion": a.conversion,
-                "max_duration": a.max_duration,
-                "station_service_time": a.station_service_time,
-                "soc_min": a.soc_min,
-                "soc_init": a.soc_init,
-                "soc_target": a.soc_target,
-                "terminal_hub": a.terminal_hub,
-            }
-            for a in inst.agents
-        ],
-        "stations": [
-            {"id": s.id, "pos": list(s.pos) if s.pos else None, "earliest_available": s.earliest_available}
-            for s in inst.stations
-        ],
-        "depots": [list(p) if p else None for p in inst.final_depots],
-        "costs": {"mode": inst.cost_mode},
-        "battery": {
-            "alpha0": inst.battery.alpha0,
-            "alpha1": inst.battery.alpha1,
-            "alpha2": inst.battery.alpha2,
-            "beta1": inst.battery.beta1,
-            "beta2": inst.battery.beta2,
-            "beta3": inst.battery.beta3,
-        },
-        "config": {
-            "duplicate_visits": inst.duplicate_visits,
-            "selective": inst.selective,
-            "open_vrp": inst.open_vrp,
-            "open_vrp_soc_to_hub": inst.open_vrp_soc_to_hub,
-            "integer_loads": inst.integer_loads,
-            "weights": {
-                "epsilon": inst.weights.epsilon,
-                "zeta": inst.weights.zeta,
-                "eta": inst.weights.eta,
-                "big_m": inst.weights.big_m_override,
-            },
-        },
-    }
-    if inst.cost_mode == "matrix":
-        doc["costs"]["matrix"] = [list(row) for row in inst.cost_matrix]
-    return doc
+    return _DOCUMENT.write(inst)
 
 
 def load_instance(path) -> Instance:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .graph import ExpandedGraph, expand_graph
-from .instance import Instance, TW_PICKUP
+from .instance import Instance
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -247,10 +247,10 @@ def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> Variable
         cat.add(V.t(graph.pickup_node(r)), earliest_pickup(inst, graph, r), H)
     for i in list(graph.ld) + list(graph.f):
         cat.add(V.t(i), 0.0, H)
-    for r, req in enumerate(inst.requests):
-        active_p = req.tw_kind == TW_PICKUP
-        cat.add(V.tau(graph.pickup_node(r)), 0.0, big_m.obj if active_p else 0.0)
-        cat.add(V.tau(graph.delivery_node(r)), 0.0, 0.0 if active_p else big_m.obj)
+    for r in range(inst.n_requests):
+        window = graph.window_node(r)
+        for node in (graph.pickup_node(r), graph.delivery_node(r)):
+            cat.add(V.tau(node), 0.0, big_m.obj if node == window else 0.0)
     for r in range(inst.n_requests):
         cat.add(V.Tr(r), 0.0, big_m.obj)
         cat.add(V.Dr(r), 0.0, big_m.obj)
@@ -403,8 +403,8 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
         rows.append(Constraint("16", (r,), {V.t(p): 1.0, V.t(d): -1.0}, LE,
                                -req.service_time - graph.least_time[p][d]))
 
-        node = p if req.tw_kind == TW_PICKUP else d
-        tag = "17" if req.tw_kind == TW_PICKUP else "18"
+        node = graph.window_node(r)
+        tag = "17" if node == p else "18"
         rows.append(Constraint(tag, (r,), {V.t(node): -1.0, V.tau(node): -1.0}, LE, -req.tw_lo, "lo"))
         rows.append(Constraint(tag, (r,), {V.t(node): 1.0, V.tau(node): -1.0}, LE, req.tw_hi, "up"))
 

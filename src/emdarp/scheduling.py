@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ExpandedGraph
-from .instance import Instance, TW_PICKUP
+from .instance import Instance
 from .lp import solve_lp
 from .model import compute_big_m
 from .solution import RoutePlan, Solution, VisitRecord
@@ -263,8 +263,7 @@ def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: fl
         else:
             r = graph.gamma(node)
             req = inst.requests[r]
-            window = node == (graph.pickup_node(r) if req.tw_kind == TW_PICKUP
-                              else graph.delivery_node(r))
+            window = node == graph.window_node(r)
             _add_stop_cost(xs, ys, req.priority * w.epsilon,
                            req.priority * w.zeta if window else 0.0, req.tw_lo, req.tw_hi)
             service = req.service_time
@@ -361,9 +360,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     for node in visited_by:
         var("t", node, 0.0, math.inf)
     for r in served:
-        req = inst.requests[r]
-        node = graph.pickup_node(r) if req.tw_kind == TW_PICKUP else graph.delivery_node(r)
-        var("tau", node, 0.0, math.inf)
+        var("tau", graph.window_node(r), 0.0, math.inf)
     for node in visited_by:
         if graph.is_station(node):
             for seg, cap in enumerate(b.caps, start=1):
@@ -414,7 +411,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     for r in served:
         req = inst.requests[r]
         p, d = graph.pickup_node(r), graph.delivery_node(r)
-        node = p if req.tw_kind == TW_PICKUP else d
+        node = graph.window_node(r)
         it, itau = index[("t", node)], index[("tau", node)]
         row_ub({it: -1.0, itau: -1.0}, -req.tw_lo)
         row_ub({it: 1.0, itau: -1.0}, req.tw_hi)
@@ -522,9 +519,9 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
         plans.append(RoutePlan(agent=k, visits=visits, duration=duration))
 
     request_times, request_slacks = [], []
-    for r, req in enumerate(inst.requests):
+    for r in range(inst.n_requests):
         p, d = graph.pickup_node(r), graph.delivery_node(r)
-        window = p if req.tw_kind == TW_PICKUP else d
+        window = graph.window_node(r)
         request_times.append(x[index[("t", p)]] + x[index[("t", d)]] if accepted[r] else 0.0)
         request_slacks.append(x[index[("tau", window)]] if accepted[r] else 0.0)
     return Solution(

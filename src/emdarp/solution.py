@@ -13,9 +13,9 @@ import os
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
-from .instance import TW_PICKUP
+from .instance import BOOLEAN, Table, integer, list_of, number, objects, string
 from .model import MilpModel, V, earliest_pickup
 from .mps import write_mps
 
@@ -85,18 +85,31 @@ class Solution:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Solution":
-        plans = []
-        for pd in doc["plans"]:
-            visits = [VisitRecord(**{**vd, "charge_times": tuple(vd["charge_times"])})
-                      for vd in pd["visits"]]
-            plans.append(RoutePlan(agent=pd["agent"], visits=visits,
-                                   duration=pd["duration"]))
-        return cls(
-            status=doc["status"], objective=doc["objective"], plans=plans,
-            accepted=list(doc["accepted"]), request_times=list(doc["request_times"]),
-            request_slacks=list(doc["request_slacks"]), makespan=doc["makespan"],
-            engine=doc.get("engine", ""),
-        )
+        """The solution in *doc*, a ``to_dict`` document; raises
+        InstanceError naming a field that is missing, unknown or of the
+        wrong JSON type."""
+        if isinstance(doc, dict) and "gap" in doc:  # written before `gap` was dropped
+            doc = {key: value for key, value in doc.items() if key != "gap"}
+        return _SOLUTION.read(doc, "$")
+
+
+def _table(cls, **kinds) -> Table:
+    """The document table of dataclass *cls*: a key per field, read by its
+    kind in *kinds*; a field with a default may be left out."""
+    return Table(cls, *((f.name, f.default, kinds[f.name]) for f in fields(cls)))
+
+
+_NUMBER, _INTEGER, _STRING = number(), integer(), string()
+_NUMBERS = list_of(_NUMBER, list)
+_VISIT = _table(
+    VisitRecord, node=_INTEGER, label=_STRING, arrival=_NUMBER, departure=_NUMBER,
+    slack=_NUMBER, load_passengers=_NUMBER, load_equipment=_NUMBER, soc_arrival=_NUMBER,
+    soc_departure=_NUMBER, charge_times=list_of(_NUMBER, size=3))
+_PLAN = _table(RoutePlan, agent=_INTEGER, visits=objects(_VISIT, list), duration=_NUMBER)
+_SOLUTION = _table(
+    Solution, status=_STRING, objective=_NUMBER, plans=objects(_PLAN, list),
+    accepted=list_of(BOOLEAN, list), request_times=_NUMBERS, request_slacks=_NUMBERS,
+    makespan=_NUMBER, engine=_STRING)
 
 
 @dataclass
@@ -319,7 +332,7 @@ def encode_plan(model: MilpModel, solution: Solution) -> dict:
         else:
             values[V.t(p)] = earliest_pickup(inst, g, r)
             values[V.t(d)] = values[V.t(p)] + req.service_time + g.least_time[p][d]
-            node = p if req.tw_kind == TW_PICKUP else d
+            node = g.window_node(r)
             t_node = values[V.t(node)]
             values[V.tau(node)] = max(0.0, req.tw_lo - t_node, t_node - req.tw_hi)
 

@@ -53,6 +53,34 @@ def test_validate_rejects_bad_instance(tmp_path, capsys):
 NAN, INF = float("nan"), float("inf")
 
 
+def _matrix_doc():
+    """A one-station document on matrix costs with every optional section."""
+    doc = make_doc(n_stations=1)
+    doc["config"]["weights"]["big_m"] = 500.0
+    n = 5  # base nodes: start, pickup, delivery, station, depot
+    doc["costs"] = {"mode": "matrix",
+                    "matrix": [[0.0 if i == j else 10.0 for j in range(n)] for i in range(n)]}
+    return doc
+
+
+def _validate_with(tmp_path, capsys, keys, value):
+    """`validate` on _matrix_doc with the field at *keys* set to *value*:
+    the exit code, stderr and the field's path."""
+    doc = _matrix_doc()
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(path))
+    return code, out.err, "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def _keys_id(value):
+    return ".".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+
+
 @pytest.mark.parametrize("keys, value", [
     (("requests", 0, "service_time"), NAN),
     (("requests", 0, "tw_hi"), INF),
@@ -71,26 +99,56 @@ NAN, INF = float("nan"), float("inf")
     (("battery", "beta1"), INF),
     (("config", "weights", "eta"), INF),
     (("config", "weights", "big_m"), NAN),
-], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+    pytest.param(("requests", 0, "tw_hi"), 10 ** 400, id="requests.0.tw_hi-10**400"),
+], ids=_keys_id)
 def test_validate_rejects_non_finite_numbers(tmp_path, capsys, keys, value):
     # json.load reads NaN and Infinity, and each of these instances used to
     # pass `validate`; the B&B then raised, answered as if the field were
-    # absent, or fed inf to the simplex
-    doc = make_doc(n_stations=1)
-    doc["config"]["weights"]["big_m"] = 500.0
-    n = 5  # base nodes: start, pickup, delivery, station, depot
-    doc["costs"] = {"mode": "matrix",
-                    "matrix": [[0.0 if i == j else 10.0 for j in range(n)] for i in range(n)]}
-    target = doc
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc))
-    code, out = run(capsys, "validate", str(path))
+    # absent, or fed inf to the simplex.  An integer past the largest float
+    # ended `validate` in an OverflowError traceback
+    code, err, field = _validate_with(tmp_path, capsys, keys, value)
     assert code == 1
-    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
-    assert f"instance rejected: {field}: must be" in out.err
+    assert f"instance rejected: {field}: must be" in err
+
+
+@pytest.mark.parametrize("keys, value", [
+    # each of these ended `validate` in a TypeError or ValueError traceback
+    (("requests",), 5),
+    (("requests", 0, "tw_lo"), "abc"),
+    (("requests", 0, "passengers"), None),
+    (("agents", 0, "cap_passengers"), "x"),
+    (("agents", 0, "max_duration"), None),
+    (("stations",), None),
+    (("stations", 0, "earliest_available"), None),
+    (("battery", "beta1"), None),
+    (("config", "weights"), None),
+    (("config", "weights", "big_m"), "x"),
+    (("meta",), None),
+    (("costs",), None),
+    (("costs", "matrix", 0), 5),
+    # each of these passed `validate`, read as another value
+    (("config", "selective"), "false"),  # as true
+    (("config", "open_vrp"), "false"),  # as true
+    (("requests", 0, "force_accept"), "false"),  # as true
+    (("requests", 0, "passengers"), 1.7),  # as 1
+    (("agents", 0, "terminal_hub"), 0.5),  # as depot 0
+    (("config", "duplicate_visits"), 0.5),  # as 0
+    (("config", "integer_loads"), 0),  # as false
+    (("requests", 0, "tw_hi"), "60"),
+    (("battery", "alpha0"), "0.002"),
+    (("config", "weights", "eta"), "1e4"),
+    (("costs", "matrix", 0, 1), "10"),
+], ids=_keys_id)
+def test_validate_rejects_ill_typed_fields(tmp_path, capsys, keys, value):
+    # every field is read by its JSON type: a finite number, an integral
+    # integer, true or false, an object, a list.  With "selective": "false",
+    # the seed-1 high-discharge make-up (3 requests, 1 agent, area 4000)
+    # solved `optimal` with two requests rejected where the document's
+    # instance is infeasible
+    code, err, field = _validate_with(tmp_path, capsys, keys, value)
+    assert code == 1
+    assert f"instance rejected: {field}: must be" in err
+    assert "Traceback" not in err
 
 
 def test_unlimited_shift_is_valid(tmp_path, capsys):
@@ -238,19 +296,37 @@ def _first_visit(doc):
     return next(plan for plan in doc["plans"] if plan["visits"])["visits"][0]
 
 
-@pytest.mark.parametrize("tamper", [
-    pytest.param(lambda doc: doc["plans"].pop(), id="fewer-plans"),
-    pytest.param(lambda doc: doc["accepted"].pop(), id="short-accepted"),
-    pytest.param(lambda doc: doc["request_slacks"].pop(), id="short-request-slacks"),
-    pytest.param(lambda doc: doc["plans"][0].update(agent=2), id="agent-out-of-range"),
-    pytest.param(lambda doc: doc["plans"].reverse(), id="plans-out-of-order"),
-    pytest.param(lambda doc: _first_visit(doc).update(node=99), id="node-out-of-range"),
+@pytest.mark.parametrize("tamper, fault", [
+    pytest.param(lambda doc: doc["plans"].pop(), "plans has 1 entries", id="fewer-plans"),
+    pytest.param(lambda doc: doc["accepted"].pop(), "accepted has 1 entries",
+                 id="short-accepted"),
+    pytest.param(lambda doc: doc["request_slacks"].pop(), "request_slacks has 1 entries",
+                 id="short-request-slacks"),
+    pytest.param(lambda doc: doc["plans"][0].update(agent=2), "plan 0 is for agent 2",
+                 id="agent-out-of-range"),
+    pytest.param(lambda doc: doc["plans"].reverse(), "plan 0 is for agent 1",
+                 id="plans-out-of-order"),
+    pytest.param(lambda doc: _first_visit(doc).update(node=99), "visit to node 99",
+                 id="node-out-of-range"),
+    pytest.param(lambda doc: doc.update(objective="abc"), "objective: must be a number",
+                 id="objective-string"),
+    pytest.param(lambda doc: doc.update(makespan=None), "makespan: must be a number",
+                 id="makespan-null"),
+    pytest.param(lambda doc: _first_visit(doc).update(arrival="x"),
+                 "plans[0].visits[0].arrival: must be a number", id="arrival-string"),
+    pytest.param(lambda doc: doc.update(request_times=[str(t) for t in doc["request_times"]]),
+                 "request_times[0]: must be a number", id="request-times-strings"),
+    pytest.param(lambda doc: doc.update(accepted="ab"), "accepted: must be a list",
+                 id="accepted-string"),
 ])
-def test_check_rejects_misshaped_solution(tmp_path, capsys, tamper):
-    # each of these but one used to end `check` with an IndexError traceback,
-    # and a plan for an unknown agent `plot --solution` too.  Plans out of
-    # agent order were misread: here as false violations, and as an
-    # IndexError where a plan is shorter than the one at its agent's index
+def test_check_rejects_misshaped_solution(tmp_path, capsys, tamper, fault):
+    # each of the first six but one used to end `check` with an IndexError
+    # traceback, and a plan for an unknown agent `plot --solution` too.
+    # Plans out of agent order were misread: here as false violations, and
+    # as an IndexError where a plan is shorter than the one at its agent's
+    # index.  Of the ill-typed fields, "accepted": "ab" read as two accepted
+    # requests and `check` called the plan clean; the others ended `check`
+    # in a TypeError traceback, and `plot --solution` drew each of them
     path = write_doc(tmp_path, n_requests=2, n_agents=2)
     sol_path = tmp_path / "plan.json"
     code, _ = run(capsys, "solve", path, "--out", str(sol_path))
@@ -262,8 +338,21 @@ def test_check_rejects_misshaped_solution(tmp_path, capsys, tamper):
                  ["plot", path, "--solution", str(sol_path), "--out", str(tmp_path / "r.svg")]):
         code, cap = run(capsys, *argv)
         assert code == 4
-        assert "solution file malformed" in cap.err
+        assert f"solution file malformed: {fault}" in cap.err
     assert not (tmp_path / "r.svg").exists()
+
+
+def test_check_rejects_undecodable_solution(tmp_path, capsys):
+    # a solution file that is not UTF-8 used to end `check` and `plot
+    # --solution` in a UnicodeDecodeError traceback
+    path = write_doc(tmp_path)
+    sol_path = tmp_path / "plan.json"
+    sol_path.write_bytes(b"\xff\xfe{")
+    for argv in (["check", path, str(sol_path)],
+                 ["plot", path, "--solution", str(sol_path), "--out", str(tmp_path / "r.svg")]):
+        code, cap = run(capsys, *argv)
+        assert code == 4
+        assert "solution file malformed" in cap.err
 
 
 @pytest.mark.parametrize("open_vrp", [False, True], ids=["closed", "open"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,9 @@ import pytest
 
 from emdarp.generate import GenConfig, battery_for, generate, generate_document
 from emdarp.graph import expand_graph
-from emdarp.instance import instance_to_dict, validate_instance
+from emdarp.instance import instance_from_dict, instance_to_dict, validate_instance
+
+from test_acceptance import corpus_config
 
 
 def test_same_seed_byte_identical():
@@ -30,7 +33,18 @@ def test_generated_instances_validate():
                         preset="typical" if seed % 2 else "high-discharge",
                         selective=bool(seed % 3), open_vrp=bool(seed % 2))
         inst = generate(cfg)
-        validate_instance(inst)  # raises on any structural problem
+        validate_instance(inst)  # raises on a rule relating two or more fields
+        # each field's own type and range are checked as a document is read
+        assert instance_from_dict(instance_to_dict(inst)) == inst
+
+
+def test_generated_documents_pinned():
+    # the writer's key order and values: json.dumps does not sort the keys,
+    # and perfbench builds its instance documents the same way
+    digest = hashlib.sha256()
+    for seed in range(25):
+        digest.update(json.dumps(generate_document(corpus_config(seed))).encode() + b"\n")
+    assert digest.hexdigest() == "493a4e8e706369e4df9c498266d7dbed9a93bf7363a9194230d29a3610298d26"
 
 
 def test_shapes_and_flags():

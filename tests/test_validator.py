@@ -92,18 +92,28 @@ def test_plans_read_by_agent(seed, n_requests):
     assert report.counters == clean.counters
 
 
-@pytest.mark.parametrize("tamper, want", [
-    (lambda s: s.plans.pop(), [((1,), "agent without a plan")]),
-    (lambda s: s.plans.append(copy.deepcopy(s.plans[0])), [((0,), "agent planned twice")]),
-    (lambda s: setattr(s.plans[1], "agent", 2),
+@pytest.mark.parametrize("seed, n_requests, tamper, want", [
+    (2, 1, lambda s: s.plans.pop(), [((1,), "agent without a plan")]),
+    (2, 1, lambda s: s.plans.append(copy.deepcopy(s.plans[0])), [((0,), "agent planned twice")]),
+    (2, 1, lambda s: setattr(s.plans[1], "agent", 2),
      [((2,), "plan for an unknown agent"), ((1,), "agent without a plan")]),
-], ids=["dropped", "repeated", "unknown"])
-def test_plan_per_agent_flagged(tamper, want):
-    # a missing, repeated or unknown agent is a violation, not a crash (a
-    # dropped plan used to raise IndexError)
-    inst, g, sol, _ = _bnb_solved(2, 1)
+    (1, 2, lambda s: s.accepted.pop(), [(("accepted",), "accepted has 1 entries, needs 2")]),
+    (1, 2, lambda s: s.request_times.pop(),
+     [(("request_times",), "request_times has 1 entries, needs 2")]),
+    (1, 2, lambda s: s.request_slacks.pop(),
+     [(("request_slacks",), "request_slacks has 1 entries, needs 2")]),
+    (1, 2, lambda s: setattr(s.plans[0].visits[0], "node", 999),
+     [((0, 999), "visit to a node outside the graph")]),
+], ids=["dropped", "repeated", "unknown", "short-accepted", "short-request-times",
+        "short-request-slacks", "node-out-of-range"])
+def test_plan_per_agent_flagged(seed, n_requests, tamper, want):
+    # a missing, repeated or unknown agent, a list without a value per
+    # request and a node outside the graph are violations, not crashes (each
+    # but the repeated and unknown agent used to raise IndexError)
+    inst, g, sol, _ = _bnb_solved(seed, n_requests)
     report = validate(inst, g, _tamper(sol, tamper))
     assert [(v.index, v.note) for v in report.violations if v.tag == "plan"] == want
+    assert report.ok is False
 
 
 def test_tampered_window_flagged():
