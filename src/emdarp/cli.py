@@ -179,7 +179,8 @@ def cmd_solve(args) -> int:
             node_limit=args.node_limit, time_limit=args.time_limit))
         sol, status = result.solution, result.status
         search = {"nodes": result.nodes, "leaves": result.leaves,
-                  "leaf_lps": result.leaf_lps, "leaf_screened": result.leaf_screened,
+                  "leaf_lps": result.leaf_lps, "leaf_pivots": result.leaf_pivots,
+                  "leaf_screened": result.leaf_screened,
                   "energy_pruned": result.energy_pruned}
     else:
         sol, status = _solve_external(inst, args)

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex with Bland's anti-cycling rule.
+"""Dense simplex: a dual phase from the slack basis, then Bland's primal rule.
 
 Small self-contained LP routine used for the continuous scheduling
 subproblems of the built-in exact solver.  Problems here have at most a few
@@ -9,12 +9,24 @@ dependency-free.
     subject to  A_ub @ x <= b_ub
                 lo <= x <= hi   (lo finite, hi may be None)
 
+After the shift to ``x - lo`` every row, finite upper bounds included, gets
+a slack column, and the tableau is ``[A | I | b]`` with no artificial
+columns.  The costs ``max(c, 0)`` are dual feasible at the slack basis, so
+the first phase is Lemke's dual simplex from there: while a right-hand side
+is negative, the row whose basic variable has the lowest index leaves, and
+the column of least ratio ``d_j / -a_rj`` enters, ties going to the lowest
+column index (the dual form of Bland's rule, which cannot cycle).  A
+violated row with no negative entry proves the LP infeasible.  Only when
+``c`` has a negative entry is the cost row rebuilt from ``c``, and the
+second phase is the primal simplex by Bland's rule.  The scheduling LPs
+have nonnegative costs, so they end after the dual phase.
+
 The kernel is numpy: each pivot is one rank-1 update of the tableau, and the
-entering column and the ratio test are found with array operations.  The
-pivot sequence is still Bland's rule, step for step: the lowest-index column
-with a negative reduced cost enters, and the leaving row is the minimum
-ratio with ties (within the tolerance) going to the lowest basis index,
-scanned row by row in index order.  Every tableau entry gets the same
+entering column and the ratio tests are found with array operations.  The
+primal pivot sequence is still Bland's rule, step for step: the lowest-index
+column with a negative reduced cost enters, and the leaving row is the
+minimum ratio with ties (within the tolerance) going to the lowest basis
+index, scanned row by row in index order.  Every tableau entry gets the same
 floating-point multiply and subtract as in a row-by-row Gauss-Jordan
 elimination, so the pivots and the optimum are bit-for-bit those of the
 scalar algorithm.
@@ -39,6 +51,7 @@ class LpResult:
     status: str
     x: np.ndarray | None
     objective: float | None
+    pivots: int  # simplex pivots, both phases
 
 
 def solve_lp(c, A_ub=None, b_ub=None, bounds=None) -> LpResult:
@@ -58,63 +71,72 @@ def solve_lp(c, A_ub=None, b_ub=None, bounds=None) -> LpResult:
     m = m_ub + capped.size
     n_total = n + m
 
-    # standard form A x' + slack = b with b >= 0 after sign flips; every row
-    # gets an artificial variable (simple and robust); slack columns that
-    # survived the sign flip could seed the basis, but phase 1 drives the
-    # artificials out regardless.
-    tableau = np.zeros((m + 1, n_total + m + 1))
+    # [A | I | b] with the slacks basic; the cost row max(c, 0) is dual
+    # feasible there, whatever the signs of b
+    tableau = np.zeros((m + 1, n_total + 1))
     tableau[:m_ub, :n] = A_ub
     tableau[np.arange(m_ub, m), capped] = 1.0
     tableau[np.arange(m), np.arange(n, n_total)] = 1.0
-    b = np.concatenate([b_ub, hi[capped] - lo[capped]])
-    neg = b < 0
-    tableau[:m, :n_total][neg] *= -1.0
-    b[neg] = -b[neg]
-    tableau[:m, n_total:n_total + m] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = list(range(n_total, n_total + m))
+    tableau[:m_ub, -1] = b_ub
+    tableau[m_ub:m, -1] = hi[capped] - lo[capped]
+    tableau[m, :n] = np.maximum(c, 0.0)
+    basis = list(range(n, n_total))
+    pivots: list = []
 
-    # phase 1 objective: minimize sum of artificials.  The rows are
-    # subtracted one at a time: a column sum would round differently.
-    tableau[m, n_total:n_total + m] = 1.0
-    for r in range(m):
-        tableau[m] -= tableau[r]
+    if _dual_iterate(tableau, basis, n_total, pivots) == INFEASIBLE:
+        return LpResult(INFEASIBLE, None, None, len(pivots))
 
-    status = _iterate(tableau, basis, n_total + m)
-    if status == UNBOUNDED or tableau[m, -1] < -1e-7:
-        return LpResult(INFEASIBLE, None, None)
-
-    # drive remaining artificials out of the basis; a row with no nonzero
-    # structural entry is redundant and keeps its artificial
-    for r in range(m):
-        if basis[r] >= n_total:
-            nonzero = np.abs(tableau[r, :n_total]) > _TOL
-            piv = int(nonzero.argmax())
-            if nonzero[piv]:
-                _pivot(tableau, basis, r, piv)
-
-    # phase 2 on the structural and slack columns only; the artificial
-    # columns are retired
-    tableau = np.delete(tableau, np.s_[n_total:n_total + m], axis=1)
-    tableau[m] = 0.0
-    tableau[m, :n] = c
-    for r in range(m):  # a basic column with zero cost contributes nothing
-        if basis[r] < n and c[basis[r]] != 0.0:
-            tableau[m] -= c[basis[r]] * tableau[r]
-
-    status = _iterate(tableau, basis, n_total)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
+    if (c < 0.0).any():
+        # the basis is primal feasible: price it at the true costs.  The rows
+        # are subtracted one at a time: a matrix product would round
+        # differently
+        tableau[m] = 0.0
+        tableau[m, :n] = c
+        for r in range(m):  # a basic column with zero cost contributes nothing
+            if basis[r] < n and c[basis[r]] != 0.0:
+                tableau[m] -= c[basis[r]] * tableau[r]
+        if _iterate(tableau, basis, n_total, pivots) == UNBOUNDED:
+            return LpResult(UNBOUNDED, None, None, len(pivots))
 
     x = np.zeros(n_total)
-    for r in range(m):
-        if basis[r] < n_total:
-            x[basis[r]] = tableau[r, -1]
+    x[basis] = tableau[:m, -1]
     xs = x[:n] + lo
-    return LpResult(OPTIMAL, xs, float(c @ xs))
+    return LpResult(OPTIMAL, xs, float(c @ xs), len(pivots))
 
 
-def _iterate(tableau: np.ndarray, basis: list, n_cols: int) -> str:
+def _dual_iterate(tableau: np.ndarray, basis: list, n_cols: int, pivots: list) -> str:
+    """Dual simplex from a dual feasible basis (no reduced cost in the last
+    row below zero) until every right-hand side is at least ``-_TOL``:
+    OPTIMAL, or INFEASIBLE when a violated row has no negative entry.  The
+    (row, column) of each pivot is appended to *pivots*."""
+    m = tableau.shape[0] - 1
+    for _ in range(_MAX_ITER):
+        violated = (tableau[:m, -1] < -_TOL).nonzero()[0]
+        if violated.size == 0:
+            return OPTIMAL
+        # dual Bland: the row whose basic variable has the lowest index leaves
+        leave = min(violated.tolist(), key=basis.__getitem__)
+        row = tableau[leave, :n_cols]
+        cols = (row < -_TOL).nonzero()[0]
+        if cols.size == 0:
+            return INFEASIBLE
+        # entering: least ratio d_j / -a_rj, ties (within the tolerance) by
+        # the lowest column index, scanned in index order
+        ratios = (tableau[m, cols] / -row[cols]).tolist()
+        best_ratio = None
+        enter = -1
+        for j, ratio in zip(cols.tolist(), ratios):
+            if best_ratio is None or ratio < best_ratio - _TOL:
+                best_ratio = ratio
+                enter = j
+        _pivot(tableau, basis, leave, enter)
+        pivots.append((leave, enter))
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _iterate(tableau: np.ndarray, basis: list, n_cols: int, pivots=None) -> str:
+    """Primal simplex from a primal feasible basis: OPTIMAL or UNBOUNDED.
+    The (row, column) of each pivot is appended to *pivots* if given."""
     m = tableau.shape[0] - 1
     for _ in range(_MAX_ITER):
         # Bland: entering = lowest-index column with negative reduced cost
@@ -138,6 +160,8 @@ def _iterate(tableau: np.ndarray, basis: list, n_cols: int) -> str:
                 best_ratio = ratio
                 leave = r
         _pivot(tableau, basis, leave, enter)
+        if pivots is not None:
+            pivots.append((leave, enter))
     raise RuntimeError("simplex iteration limit exceeded")
 
 

@@ -38,6 +38,7 @@ class ScheduleResult:
     reason: str = ""
     objective: float = math.inf
     solution: Solution | None = None
+    pivots: int = 0  # simplex pivots of the LP, if it ran
 
 
 class _Rows:
@@ -334,7 +335,15 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     aliases, and the MILP's other caps are implied: each stop comes before
     its chain's depot, so ``t <= Tk <= T <= horizon``, and ``phi <= 1``, as
     ``soc_init <= 1``, drains are nonnegative and a station's row caps ``phi
-    + sum beta xi`` at 1."""
+    + sum beta xi`` at 1.
+
+    Every cost is nonnegative: ``T`` costs 1, ``t_p`` and ``t_d`` cost
+    ``lambda_r epsilon`` and ``tau`` costs ``lambda_r zeta``, and validation
+    requires ``priority >= 1`` and ``0 < epsilon < zeta``; ``phi``, ``xi``,
+    ``Tk`` and a station's ``t`` cost nothing.  So the slack basis is dual
+    feasible and ``solve_lp`` ends after its dual phase.  That phase leaves
+    each ``phi`` at the least value its rows allow, which the solution
+    reports as the visit's state of charge."""
     reason, loads = check_routes(inst, graph, chains, accepted)
     if reason is not None:
         return ScheduleResult(feasible=False, reason=reason)
@@ -467,14 +476,16 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     bounds = [(lb, ub) for (_, _, lb, ub) in cols]
     res = solve_lp(c, rows.matrix(len(cols)), rows.rhs, bounds=bounds)
     if res.status != "optimal":
-        return ScheduleResult(feasible=False, reason=f"timing LP {res.status}")
+        return ScheduleResult(feasible=False, reason=f"timing LP {res.status}",
+                              pivots=res.pivots)
 
     rejected_penalty = sum(req.priority * inst.weights.eta
                            for r, req in enumerate(inst.requests) if not accepted[r])
     objective = res.objective + rejected_penalty
 
     sol = _assemble(inst, graph, chains, accepted, loads, index, res.x, objective)
-    return ScheduleResult(feasible=True, objective=objective, solution=sol)
+    return ScheduleResult(feasible=True, objective=objective, solution=sol,
+                          pivots=res.pivots)
 
 
 def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solution:

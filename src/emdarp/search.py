@@ -20,7 +20,8 @@ chain) is walked once per solve.  The survivors are combined across agents and g
 duplicate slots, and each placement merges its agents' curves into a lower
 bound on its LP.  A placement whose bound cannot beat the best plan so far
 is skipped (``leaf_screened``); the others run the full scheduling LP
-(``leaf_lps``), so the simplex runs only at the leaves.
+(``leaf_lps``, with their simplex pivots in ``leaf_pivots``), so the
+simplex runs only at the leaves.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and
@@ -63,6 +64,7 @@ class SearchResult:
     nodes: int  # nodes visited; a node limit stops before counting one more
     leaves: int
     leaf_lps: int  # schedule_routes calls made at the leaves
+    leaf_pivots: int  # simplex pivots of those calls' LPs
     leaf_screened: int  # (placement, depots) pairs the timing screen skipped
     energy_pruned: int  # children cut at insertion by the energy screen (_energy_ok)
 
@@ -93,6 +95,7 @@ class _Search:
         self.nodes = 0
         self.leaves = 0
         self.leaf_lps = 0
+        self.leaf_pivots = 0
         self.leaf_screened = 0
         self.energy_pruned = 0
         self.best: ScheduleResult | None = None
@@ -287,6 +290,7 @@ class _Search:
                 full = [c if hub is None else c + [hub] for c, (hub, _) in zip(routed, ends)]
                 self.leaf_lps += 1
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
+                self.leaf_pivots += res.pivots
                 if res.feasible and res.objective < self.best_obj - _EPS:
                     self.best = res
                     self.best_obj = res.objective
@@ -313,6 +317,7 @@ class _Search:
         return SearchResult(status=status, solution=solution, objective=self.best_obj,
                             best_bound=bound, gap=gap, nodes=self.nodes,
                             leaves=self.leaves, leaf_lps=self.leaf_lps,
+                            leaf_pivots=self.leaf_pivots,
                             leaf_screened=self.leaf_screened,
                             energy_pruned=self.energy_pruned)
 
@@ -475,9 +480,9 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
     if best is None:
         return SearchResult(status="infeasible", solution=None, objective=math.inf,
                             best_bound=math.inf, gap=math.inf, nodes=0, leaves=0, leaf_lps=0,
-                            leaf_screened=0, energy_pruned=0)
+                            leaf_pivots=0, leaf_screened=0, energy_pruned=0)
     best.solution.status = "optimal"
     return SearchResult(status="optimal", solution=best.solution,
                         objective=best.objective, best_bound=best.objective,
-                        gap=0.0, nodes=0, leaves=0, leaf_lps=0, leaf_screened=0,
-                        energy_pruned=0)
+                        gap=0.0, nodes=0, leaves=0, leaf_lps=0, leaf_pivots=0,
+                        leaf_screened=0, energy_pruned=0)

@@ -123,20 +123,24 @@ PINNED_CORPUS = [
 
 
 @pytest.mark.parametrize(
-    "config, status, objective, nodes, leaves, leaf_lps, screened, energy_pruned", [
-        *[(corpus_config(seed), *rest) for seed, *rest in PINNED_CORPUS],
-        # the criterion-5 make-up at 4 requests: 52 of 67 nodes are leaves
+    "config, status, objective, nodes, leaves, leaf_lps, screened, energy_pruned, pivots", [
+        *[(corpus_config(seed), *rest, None) for seed, *rest in PINNED_CORPUS],
+        # the criterion-5 make-up at 4 requests: 52 of 67 nodes are leaves.
+        # Its 9 leaf LPs take 309 pivots, all in the dual phase (802 with
+        # an artificial column per row and a primal phase 1)
         (GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
                    duplicate_visits=2, preset="high-discharge"),
-         "optimal", 148.93221199334377, 67, 52, 9, 258, 56),
+         "optimal", 148.93221199334377, 67, 52, 9, 258, 56, 309),
     ], ids=[f"corpus-{row[0]}" for row in PINNED_CORPUS] + ["c5-n4-s3"])
 def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps, screened,
-                           energy_pruned):
+                           energy_pruned, pivots):
     result = branch_and_bound(generate(config))
     assert result.status == status
     assert result.objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
     assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened,
             result.energy_pruned) == (nodes, leaves, leaf_lps, screened, energy_pruned)
+    if pivots is not None:
+        assert result.leaf_pivots == pivots
 
 
 def test_bnb_prices_every_placement():

@@ -239,7 +239,8 @@ def test_solve_then_check_clean(tmp_path, capsys):
                     "--routes", str(routes))
     assert code == 0
     assert "status: optimal" in cap.out
-    assert "\nnodes: 2  leaves: 1  leaf_lps: 1  leaf_screened: 0  energy_pruned: 0\n" in cap.out
+    assert ("\nnodes: 2  leaves: 1  leaf_lps: 1  leaf_pivots: 6  leaf_screened: 0"
+            "  energy_pruned: 0\n") in cap.out
     assert "v0 -> p0 -> d0 -> h0" in routes.read_text().replace(
         "agent 0: ", "")
     code, cap = run(capsys, "check", path, str(sol_path))
@@ -408,15 +409,15 @@ def test_solve_node_limit_exit_code(tmp_path, capsys):
     # the search's counts come with either outcome, and nodes counts only
     # the nodes visited, never more than the limit
     path = write_doc(tmp_path, n_requests=2, n_agents=2)
-    for limit, status, written, counts in (("1", "limit", False, (1, 0, 0)),
-                                           ("3", "feasible", True, (3, 1, 1))):
+    for limit, status, written, counts in (("1", "limit", False, (1, 0, 0, 0)),
+                                           ("3", "feasible", True, (3, 1, 1, 12))):
         out = tmp_path / f"s{limit}.json"
         code, cap = run(capsys, "solve", path, "--node-limit", limit, "--out", str(out),
                         "--format", "json")
         assert code == 3
         doc = json.loads(cap.out)
         assert doc["status"] == status
-        assert (doc["nodes"], doc["leaves"], doc["leaf_lps"]) == counts
+        assert (doc["nodes"], doc["leaves"], doc["leaf_lps"], doc["leaf_pivots"]) == counts
         assert out.exists() == written
         if written:
             assert doc["bound"] <= doc["objective"]

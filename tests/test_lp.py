@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from emdarp.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _iterate, _pivot, solve_lp
+from emdarp import lp
+from emdarp.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _dual_iterate, _iterate, _pivot, solve_lp
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -90,6 +91,105 @@ def test_ratio_ties_go_to_the_lowest_basis_index():
     basis = [2, 1]
     assert _iterate(tableau, basis, 3) == OPTIMAL
     assert basis == [2, 0]
+
+
+def test_dual_ties_go_to_the_lowest_indices():
+    # both rows are violated: row 0 by more, but row 1's basic variable (2)
+    # has the lower index, so row 1 leaves.  Columns 0 and 1 compete to
+    # enter; column 1's ratio is smaller only by less than the tolerance,
+    # so the lower column index (0) enters, and one pivot makes both rows
+    # feasible
+    tableau = np.array([
+        [-6.0, 0.0, 0.0, 1.0, -5.0],
+        [-1.0, -1.0, 1.0, 0.0, -1.0],
+        [1.0, 1.0 - 5e-10, 0.0, 0.0, 0.0],
+    ])
+    basis = [3, 2]
+    pivots = []
+    assert _dual_iterate(tableau, basis, 4, pivots) == OPTIMAL
+    assert pivots == [(1, 0)]
+    assert basis == [3, 0]
+    # primal feasible, and dual feasible within the tolerance
+    assert np.all(tableau[:2, -1] >= 0.0) and np.all(tableau[2, :4] >= -1e-9)
+
+
+def test_dual_phase_proves_infeasibility():
+    # row 0 asks x0 + x1 <= -1 with x >= 0: no entry can enter
+    tableau = np.array([
+        [1.0, 1.0, 1.0, 0.0, -1.0],
+        [-1.0, 0.0, 0.0, 1.0, -2.0],
+        [1.0, 1.0, 0.0, 0.0, 0.0],
+    ])
+    basis = [2, 3]
+    pivots = []
+    assert _dual_iterate(tableau, basis, 4, pivots) == INFEASIBLE
+    # row 0 (basic variable 2) is tried first and has no negative entry
+    assert pivots == []
+
+
+def test_dual_degenerate_lp_terminates():
+    # the LP dual of the Beale-style example above: its costs (the old
+    # right-hand sides 0, 0, 1) are zero on two of three columns, so dual
+    # ratio ties at zero are common; the dual phase alone reaches the
+    # optimum, the negative of the primal's
+    A = np.array([[0.25, -60.0, -0.04, 9.0],
+                  [0.5, -90.0, -0.02, 3.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    res = solve_lp([0.0, 0.0, 1.0], A_ub=-A.T, b_ub=c)
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx(0.05)
+    assert res.pivots > 0
+
+
+def _scheduling_shaped_lp(rng):
+    """Nonnegative costs with many zeros (as phi, xi and station t have),
+    and rows of three kinds: precedences ``x_i - x_j <= -gap`` (i < j, as
+    along a route) and floors ``-x_i - beta x_j <= -floor``, both with
+    negative right-hand sides, and caps ``x_i + beta x_j <= cap``."""
+    n = int(rng.integers(3, 12))
+    m = int(rng.integers(2, 16))
+    c = rng.choice([0.0, 0.0, 1.0, 2.5], size=n) * rng.uniform(0.5, 2.0, size=n)
+    A, b = np.zeros((m, n)), np.zeros(m)
+    for r in range(m):
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        kind = rng.integers(0, 3)
+        beta = float(rng.choice([0.0, 0.4, 0.7]))
+        if kind == 0:
+            A[r, i], A[r, j], b[r] = 1.0, -1.0, -rng.uniform(0.0, 3.0)
+        elif kind == 1:
+            A[r, i], A[r, j], b[r] = -1.0, -beta, -rng.uniform(0.0, 4.0)
+        else:
+            A[r, i], A[r, j], b[r] = 1.0, beta, rng.uniform(1.0, 10.0)
+    bounds = [(float(rng.choice([0.0, 0.2])), [None, None, 3.0, 8.0][int(rng.integers(0, 4))])
+              for _ in range(n)]
+    return c, A, b, bounds
+
+
+def test_scheduling_shaped_lps_against_scipy(monkeypatch):
+    # like the leaf LPs, most right-hand sides start negative, so the slack
+    # basis is primal infeasible; some draws are infeasible.  The costs are
+    # nonnegative, so the dual phase alone settles each one
+    primal_calls = []
+    monkeypatch.setattr(lp, "_iterate", lambda *args: primal_calls.append(args))
+    statuses, pivots = [], 0
+    for seed in range(200):
+        c, A, b, bounds = _scheduling_shaped_lp(np.random.default_rng(20_000 + seed))
+        ours = solve_lp(c, A_ub=A, b_ub=b, bounds=bounds)
+        ref = scipy_opt.linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+        assert ref.status in (0, 2), seed  # nonnegative costs: never unbounded
+        expected = OPTIMAL if ref.status == 0 else INFEASIBLE
+        assert ours.status == expected, seed
+        if expected == OPTIMAL:
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-7), seed
+            assert np.all(A @ ours.x <= b + 1e-7), seed
+            for xj, (lo, hi) in zip(ours.x, bounds):
+                assert xj >= lo - 1e-7 and (hi is None or xj <= hi + 1e-7), seed
+        statuses.append(expected)
+        pivots += ours.pivots
+    assert statuses.count(OPTIMAL) >= 50 and statuses.count(INFEASIBLE) >= 20, (
+        statuses.count(OPTIMAL), statuses.count(INFEASIBLE))
+    assert pivots > 0 and primal_calls == []
 
 
 @pytest.mark.parametrize("seed", range(30))
