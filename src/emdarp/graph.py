@@ -38,6 +38,7 @@ class ExpandedGraph:
     hf: range
     cost_matrix: tuple[tuple[float, ...], ...]
     arcs: tuple[tuple[int, int], ...]          # agent-independent arcs
+    arc_set: frozenset[tuple[int, int]]        # the same arcs, for membership
     start_arcs: tuple[tuple[tuple[int, int], ...], ...]  # per agent: (v^k, j) arcs
     base_of: tuple[int, ...]                   # expanded node -> base node
     least_time: tuple[tuple[float, ...], ...]    # least time_cost over any node sequence
@@ -146,16 +147,7 @@ class ExpandedGraph:
             if k is not None and i != self.start_node(k):
                 return False
             return j in self.lp
-        return (i, j) in self._arc_set
-
-    @property
-    def _arc_set(self) -> frozenset:
-        # cached lazily; frozen dataclass, so stash on __dict__ via object.__setattr__
-        cached = self.__dict__.get("_arc_set_cache")
-        if cached is None:
-            cached = frozenset(self.arcs)
-            object.__setattr__(self, "_arc_set_cache", cached)
-        return cached
+        return (i, j) in self.arc_set
 
     def arcs_for_agent(self, k: int):
         """All (i, j) arcs agent k may traverse, start arcs first."""
@@ -205,6 +197,7 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
         h0=h0, lp=lp, ld=ld, f=f, hf=hf,
         cost_matrix=cost_rows,
         arcs=tuple(arcs),
+        arc_set=frozenset(arcs),
         start_arcs=start_arcs,
         base_of=tuple(base_of),
         least_time=(), least_energy=(),

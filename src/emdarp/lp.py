@@ -1,4 +1,4 @@
-"""Dense simplex: a dual phase from the slack basis, then Bland's primal rule.
+"""Dense dual simplex from the slack basis, for LPs with nonnegative costs.
 
 Small self-contained LP routine used for the continuous scheduling
 subproblems of the built-in exact solver.  Problems here have at most a few
@@ -7,29 +7,24 @@ dependency-free.
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
-                lo <= x <= hi   (lo finite, hi may be None)
+                lo <= x <= hi   (lo finite, hi may be None or inf)
 
-After the shift to ``x - lo`` every row, finite upper bounds included, gets
-a slack column, and the tableau is ``[A | I | b]`` with no artificial
-columns.  The costs ``max(c, 0)`` are dual feasible at the slack basis, so
-the first phase is Lemke's dual simplex from there: while a right-hand side
-is negative, the row whose basic variable has the lowest index leaves, and
-the column of least ratio ``d_j / -a_rj`` enters, ties going to the lowest
-column index (the dual form of Bland's rule, which cannot cycle).  A
-violated row with no negative entry proves the LP infeasible.  Only when
-``c`` has a negative entry is the cost row rebuilt from ``c``, and the
-second phase is the primal simplex by Bland's rule.  The scheduling LPs
-have nonnegative costs, so they end after the dual phase.
+with ``c >= 0``, which ``solve_lp`` checks.  After the shift to ``x - lo``
+every row, finite upper bounds included, gets a slack column, and the
+tableau is ``[A | I | b]`` with no artificial columns.  Nonnegative costs
+are dual feasible at the slack basis, so one phase solves the LP: Lemke's
+dual simplex from there.  While a right-hand side is negative, the row whose
+basic variable has the lowest index leaves, and the column of least ratio
+``d_j / -a_rj`` enters, ties going to the lowest column index (the dual form
+of Bland's rule, which cannot cycle).  A violated row with no negative entry
+proves the LP infeasible.  Every variable is bounded below and every cost is
+nonnegative, so the LP is never unbounded.
 
 The kernel is numpy: each pivot is one rank-1 update of the tableau, and the
-entering column and the ratio tests are found with array operations.  The
-primal pivot sequence is still Bland's rule, step for step: the lowest-index
-column with a negative reduced cost enters, and the leaving row is the
-minimum ratio with ties (within the tolerance) going to the lowest basis
-index, scanned row by row in index order.  Every tableau entry gets the same
-floating-point multiply and subtract as in a row-by-row Gauss-Jordan
-elimination, so the pivots and the optimum are bit-for-bit those of the
-scalar algorithm.
+leaving row and the ratio test are found with array operations.  Every
+tableau entry gets the same floating-point multiply and subtract as in a
+row-by-row Gauss-Jordan elimination, so the pivots and the optimum are
+bit-for-bit those of the scalar algorithm.
 """
 
 from __future__ import annotations
@@ -40,10 +35,9 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _TOL = 1e-9
-_MAX_ITER = 100_000  # pivots per phase before the solve is abandoned
+_MAX_ITER = 100_000  # pivots per solve before it is abandoned
 
 
 @dataclass
@@ -51,17 +45,19 @@ class LpResult:
     status: str
     x: np.ndarray | None
     objective: float | None
-    pivots: int  # simplex pivots, both phases
+    pivots: int  # simplex pivots of the solve
 
 
-def solve_lp(c, A_ub=None, b_ub=None, bounds=None) -> LpResult:
+def solve_lp(c, A_ub, b_ub, bounds) -> LpResult:
     c = np.asarray(c, dtype=float)
+    negative = np.flatnonzero(c < 0.0)
+    if negative.size:
+        j = int(negative[0])
+        raise ValueError(f"solve_lp needs nonnegative costs: c[{j}] = {c[j]}")
     n = c.size
-    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    if bounds is None:
-        bounds = [(0.0, None)] * n
-    lo = np.array([b[0] if b[0] is not None else 0.0 for b in bounds], dtype=float)
+    A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
+    b_ub = np.asarray(b_ub, dtype=float).ravel()
+    lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] if b[1] is not None else np.inf for b in bounds], dtype=float)
 
     # shift to x' = x - lo >= 0; finite upper bounds become <= rows
@@ -71,7 +67,7 @@ def solve_lp(c, A_ub=None, b_ub=None, bounds=None) -> LpResult:
     m = m_ub + capped.size
     n_total = n + m
 
-    # [A | I | b] with the slacks basic; the cost row max(c, 0) is dual
+    # [A | I | b] with the slacks basic; the cost row c >= 0 is dual
     # feasible there, whatever the signs of b
     tableau = np.zeros((m + 1, n_total + 1))
     tableau[:m_ub, :n] = A_ub
@@ -79,25 +75,12 @@ def solve_lp(c, A_ub=None, b_ub=None, bounds=None) -> LpResult:
     tableau[np.arange(m), np.arange(n, n_total)] = 1.0
     tableau[:m_ub, -1] = b_ub
     tableau[m_ub:m, -1] = hi[capped] - lo[capped]
-    tableau[m, :n] = np.maximum(c, 0.0)
+    tableau[m, :n] = c
     basis = list(range(n, n_total))
     pivots: list = []
 
     if _dual_iterate(tableau, basis, n_total, pivots) == INFEASIBLE:
         return LpResult(INFEASIBLE, None, None, len(pivots))
-
-    if (c < 0.0).any():
-        # the basis is primal feasible: price it at the true costs.  The rows
-        # are subtracted one at a time: a matrix product would round
-        # differently
-        tableau[m] = 0.0
-        tableau[m, :n] = c
-        for r in range(m):  # a basic column with zero cost contributes nothing
-            if basis[r] < n and c[basis[r]] != 0.0:
-                tableau[m] -= c[basis[r]] * tableau[r]
-        if _iterate(tableau, basis, n_total, pivots) == UNBOUNDED:
-            return LpResult(UNBOUNDED, None, None, len(pivots))
-
     x = np.zeros(n_total)
     x[basis] = tableau[:m, -1]
     xs = x[:n] + lo
@@ -131,37 +114,6 @@ def _dual_iterate(tableau: np.ndarray, basis: list, n_cols: int, pivots: list) -
                 enter = j
         _pivot(tableau, basis, leave, enter)
         pivots.append((leave, enter))
-    raise RuntimeError("simplex iteration limit exceeded")
-
-
-def _iterate(tableau: np.ndarray, basis: list, n_cols: int, pivots=None) -> str:
-    """Primal simplex from a primal feasible basis: OPTIMAL or UNBOUNDED.
-    The (row, column) of each pivot is appended to *pivots* if given."""
-    m = tableau.shape[0] - 1
-    for _ in range(_MAX_ITER):
-        # Bland: entering = lowest-index column with negative reduced cost
-        negative = tableau[m, :n_cols] < -_TOL
-        enter = int(negative.argmax())
-        if not negative[enter]:
-            return OPTIMAL
-        # leaving: min ratio, ties by lowest basis variable index (Bland).
-        # The scan stays sequential: a vectorized minimum would break
-        # tolerance ties differently.
-        column = tableau[:m, enter]
-        rows = (column > _TOL).nonzero()[0]
-        if rows.size == 0:
-            return UNBOUNDED
-        ratios = (tableau[rows, -1] / column[rows]).tolist()
-        best_ratio = None
-        leave = -1
-        for r, ratio in zip(rows.tolist(), ratios):
-            if (best_ratio is None or ratio < best_ratio - _TOL
-                    or (abs(ratio - best_ratio) <= _TOL and basis[r] < basis[leave])):
-                best_ratio = ratio
-                leave = r
-        _pivot(tableau, basis, leave, enter)
-        if pivots is not None:
-            pivots.append((leave, enter))
     raise RuntimeError("simplex iteration limit exceeded")
 
 

@@ -340,10 +340,11 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     Every cost is nonnegative: ``T`` costs 1, ``t_p`` and ``t_d`` cost
     ``lambda_r epsilon`` and ``tau`` costs ``lambda_r zeta``, and validation
     requires ``priority >= 1`` and ``0 < epsilon < zeta``; ``phi``, ``xi``,
-    ``Tk`` and a station's ``t`` cost nothing.  So the slack basis is dual
-    feasible and ``solve_lp`` ends after its dual phase.  That phase leaves
-    each ``phi`` at the least value its rows allow, which the solution
-    reports as the visit's state of charge."""
+    ``Tk`` and a station's ``t`` cost nothing.  That is the precondition
+    ``solve_lp`` checks: its dual simplex starts from the slack basis, which
+    nonnegative costs make dual feasible.  It leaves each ``phi`` at the
+    least value its rows allow, which the solution reports as the visit's
+    state of charge."""
     reason, loads = check_routes(inst, graph, chains, accepted)
     if reason is not None:
         return ScheduleResult(feasible=False, reason=reason)

@@ -478,11 +478,10 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
                                 consider([c if hub is None else c + [hub]
                                           for c, hub in zip(full0, hubs)], accepted)
     if best is None:
-        return SearchResult(status="infeasible", solution=None, objective=math.inf,
-                            best_bound=math.inf, gap=math.inf, nodes=0, leaves=0, leaf_lps=0,
-                            leaf_pivots=0, leaf_screened=0, energy_pruned=0)
-    best.solution.status = "optimal"
-    return SearchResult(status="optimal", solution=best.solution,
-                        objective=best.objective, best_bound=best.objective,
-                        gap=0.0, nodes=0, leaves=0, leaf_lps=0, leaf_pivots=0,
-                        leaf_screened=0, energy_pruned=0)
+        status, solution, objective, gap = "infeasible", None, math.inf, math.inf
+    else:
+        status, solution, objective, gap = "optimal", best.solution, best.objective, 0.0
+        solution.status = status
+    return SearchResult(status=status, solution=solution, objective=objective,
+                        best_bound=objective, gap=gap, nodes=0, leaves=0, leaf_lps=0,
+                        leaf_pivots=0, leaf_screened=0, energy_pruned=0)

@@ -12,6 +12,9 @@
 - No module under ``src/emdarp`` defines a public top-level function or
   class that no module under ``src/``, ``tests/`` or ``perfbench/`` names,
   as an identifier, an attribute, an import or a string.
+- No module under ``src/emdarp`` assigns a module-level name, other than a
+  dunder, that no module under ``src/``, ``tests/`` or ``perfbench/`` names
+  in the same sense; the assignment itself does not count.
 """
 
 import ast
@@ -60,7 +63,7 @@ def _private_names(tree):
 def _references(tree):
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -93,6 +96,18 @@ def test_no_unreferenced_public_definitions(path):
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
     assert [(line, name) for line, name in public if name not in NAMED] == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.is_relative_to(ROOT / "src" / "emdarp")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreferenced_module_level_names(path):
+    body = TREES[path].body
+    targets = [t for node in body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in body if isinstance(node, ast.AnnAssign)]
+    bound = [(name.lineno, name.id) for target in targets for name in ast.walk(target)
+             if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+    assert [(line, name) for line, name in bound
+            if name not in NAMED and not (name.startswith("__") and name.endswith("__"))] == []
 
 
 def _unused_parameters(tree):
