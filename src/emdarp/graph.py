@@ -15,14 +15,17 @@ agent's start node), Lp->Lp, Lp->Ld, Ld->Lp, Ld->Ld, Ld->F, Ld->Hf, F->Lp,
 F->Hf.  The arc from a request's delivery back to its own pickup is pruned:
 pickup always precedes delivery, so it can never be traversed.
 
-``least_time`` and ``least_energy`` hold the least cost between every two
-nodes over any node sequence, which bounds a route between two of its stops
-on any costs, metric or not.
+``leg_time`` and ``leg_energy`` hold every arc's travel time and
+discharging cost, an open route's free leg into a depot applied once, and
+``least_time`` and ``least_energy`` the least cost between every two nodes
+over any node sequence, which bounds a route between two of its stops on any
+costs, metric or not.  ``stop_load``, ``station_flag`` and ``depot_flag``
+classify each node once for the search's per-stop walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .instance import TW_PICKUP, Instance, base_positions, derive_costs
 
@@ -41,8 +44,15 @@ class ExpandedGraph:
     arc_set: frozenset[tuple[int, int]]        # the same arcs, for membership
     start_arcs: tuple[tuple[tuple[int, int], ...], ...]  # per agent: (v^k, j) arcs
     base_of: tuple[int, ...]                   # expanded node -> base node
+    leg_time: tuple[tuple[float, ...], ...]      # time_cost of every node pair
+    leg_energy: tuple[tuple[float, ...], ...]    # energy_cost of every node pair
     least_time: tuple[tuple[float, ...], ...]    # least time_cost over any node sequence
     least_energy: tuple[tuple[float, ...], ...]  # least energy_cost over any node sequence
+    # per node: (request, signed passengers, signed equipment) at a pickup or
+    # a delivery (gamma, and mu times the request's loads), None elsewhere
+    stop_load: tuple[tuple[int, int, int] | None, ...]
+    station_flag: tuple[bool, ...]             # per node: a station visit
+    depot_flag: tuple[bool, ...]               # per node: a final depot
 
     # -- node classification ------------------------------------------------
 
@@ -130,17 +140,12 @@ class ExpandedGraph:
 
     def time_cost(self, i: int, j: int) -> float:
         """Travel time of an arc; none for an open route's leg into a depot."""
-        if self.instance.open_vrp and j in self.hf:
-            return 0.0
-        return self.cost_matrix[i][j]
+        return self.leg_time[i][j]
 
     def energy_cost(self, i: int, j: int) -> float:
         """Arc cost that discharges the battery; an open route's leg into a
         depot counts only with open_vrp_soc_to_hub."""
-        inst = self.instance
-        if inst.open_vrp and not inst.open_vrp_soc_to_hub and j in self.hf:
-            return 0.0
-        return self.cost_matrix[i][j]
+        return self.leg_energy[i][j]
 
     def admissible(self, i: int, j: int, k: int | None = None) -> bool:
         if i in self.h0:
@@ -191,7 +196,17 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
     arcs += [(i, j) for i in f for j in hf]
     start_arcs = tuple(tuple((h0[k], j) for j in lp) for k in range(K))
 
-    graph = ExpandedGraph(
+    # an open route's leg into a depot takes no time, and drains only with
+    # open_vrp_soc_to_hub
+    free = tuple(tuple(0.0 if j in hf else c for j, c in enumerate(row)) for row in cost_rows)
+    leg_time = free if inst.open_vrp else cost_rows
+    leg_energy = free if inst.open_vrp and not inst.open_vrp_soc_to_hub else cost_rows
+    least_time, least_energy = _least_costs(cost_rows, leg_time, leg_energy)
+    stop_load = [None] * n_nodes
+    for r, req in enumerate(inst.requests):
+        stop_load[lp[r]] = (r, req.passengers, req.equipment)
+        stop_load[ld[r]] = (r, -req.passengers, -req.equipment)
+    return ExpandedGraph(
         instance=inst,
         n_nodes=n_nodes,
         h0=h0, lp=lp, ld=ld, f=f, hf=hf,
@@ -200,15 +215,17 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
         arc_set=frozenset(arcs),
         start_arcs=start_arcs,
         base_of=tuple(base_of),
-        least_time=(), least_energy=(),
+        leg_time=leg_time, leg_energy=leg_energy,
+        least_time=least_time, least_energy=least_energy,
+        stop_load=tuple(stop_load),
+        station_flag=tuple(i in f for i in range(n_nodes)),
+        depot_flag=tuple(i in hf for i in range(n_nodes)),
     )
-    least_time, least_energy = _least_costs(cost_rows, graph.time_cost, graph.energy_cost)
-    return replace(graph, least_time=least_time, least_energy=least_energy)
 
 
-def _least_costs(cost_rows, *arc_costs):
-    """Per arc cost kind, Floyd-Warshall on *cost_rows* capped by the arc's
-    own cost, which is lower only on an open route's free leg into a depot."""
+def _least_costs(cost_rows, *legs):
+    """Per leg table, Floyd-Warshall on *cost_rows* capped by the leg's own
+    cost, which is lower only on an open route's free leg into a depot."""
     n = len(cost_rows)
     least = [list(row) for row in cost_rows]
     for h in range(n):
@@ -219,8 +236,8 @@ def _least_costs(cost_rows, *arc_costs):
             for j in range(n):
                 if d_ih + via[j] < row[j]:
                     row[j] = d_ih + via[j]
-    return [tuple(tuple(min(c, arc_cost(i, j)) for j, c in enumerate(row))
-                  for i, row in enumerate(least)) for arc_cost in arc_costs]
+    return [tuple(tuple(min(c, leg[i][j]) for j, c in enumerate(row))
+                  for i, row in enumerate(least)) for leg in legs]
 
 
 def arc_count_closed_form(graph: ExpandedGraph) -> int:

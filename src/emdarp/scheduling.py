@@ -12,7 +12,9 @@ slower and pins down the segment indicator values.
 of the LP, each station of a complete chain taking the least charging time
 that the state-of-charge rows allow it, and ``timing_bound`` merges the
 agents' curves; the branch-and-bound uses it as its node bound (legs at
-their least times) and as a screen before each leaf LP.
+their least times) and as a screen before each leaf LP.  ``slot_releases``
+brings the duplicate-slot order into that screen: the time each station
+visit's slot frees at the earliest, which the curves then respect.
 """
 
 from __future__ import annotations
@@ -129,21 +131,22 @@ def load_violation(inst: Instance, graph: ExpandedGraph, k: int, chain, loads: d
     capacity at a pickup, a load at a station or depot), or None.  Records
     each pickup's and delivery's departure load (passengers, equipment) in *loads*."""
     agent = inst.agents[k]
+    stop_load, pickups = graph.stop_load, graph.lp
     u1 = u2 = 0.0
     for node in chain:
-        if graph.is_hub(node) or graph.is_station(node):
+        stop = stop_load[node]
+        if stop is None:  # a station or a depot
             if u1 > _EPS or u2 > _EPS:
                 return f"agent {k} reaches {graph.label(node)} loaded"
             continue
-        req = inst.requests[graph.gamma(node)]
-        sign = graph.mu(node)
-        u1 += sign * req.passengers
-        u2 += sign * req.equipment
+        _, passengers, equipment = stop
+        u1 += passengers
+        u2 += equipment
         if u1 > agent.cap_passengers + _EPS:
             return f"agent {k} passenger load {u1} exceeds cap"
         if u2 > agent.cap_equipment + _EPS:
             return f"agent {k} equipment load {u2} exceeds cap"
-        if graph.is_pickup(node) and u1 + agent.conversion * u2 > agent.cap_passengers + _EPS:
+        if node in pickups and u1 + agent.conversion * u2 > agent.cap_passengers + _EPS:
             return f"agent {k} mixed load exceeds converted capacity"
         loads[node] = (u1, u2)
     return None
@@ -197,15 +200,15 @@ def soc_ceilings(inst: Instance, graph: ExpandedGraph, k: int, route, loads,
     and stations are left empty).  The list ends at the first stop below
     *floor*, so the walk stays at or above *floor* exactly when its last
     entry does."""
-    b = inst.battery
+    b, leg_energy, station = inst.battery, graph.leg_energy, graph.station_flag
     soc, prev = inst.agents[k].soc_init, graph.start_node(k)
     out = []
     for node in route:
-        soc -= b.drain(graph.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
+        soc -= b.drain(leg_energy[prev][node], loads.get(prev, (0.0, 0.0)))
         out.append(soc)
         if soc < floor:
             break
-        if graph.is_station(node):
+        if station[node]:
             soc = 1.0
         prev = node
     return out
@@ -217,15 +220,82 @@ def _least_charge(inst: Instance, graph: ExpandedGraph, k: int, chain, socs) -> 
     agent, b = inst.agents[k], inst.battery
     out, after = {}, socs[-1]  # 1.0 less the drains from the last station to the depot
     for pos in reversed(range(len(chain))):
-        if graph.is_station(chain[pos]):
+        if graph.station_flag[chain[pos]]:
             out[pos] = b.charge_time(socs[pos],
                                      max(agent.soc_target, agent.soc_min + 1.0 - after))
             after = socs[pos]
     return out
 
 
+def slot_releases(inst: Instance, graph: ExpandedGraph, routes, socs):
+    """The time before which no schedule of the complete *routes* reaches
+    each station visit, given each agent's ``soc_ceilings`` in *socs* (empty
+    for an idle agent): per agent, ``{position: release}`` for the visits
+    whose earliest arrival the release delays, or None when the releases
+    never settle.
+
+    Slot 0 of a station is released at its ``earliest_available``, and slot
+    s + 1 at slot s's earliest departure: its earliest arrival, plus its
+    agent's ``station_service_time``, plus the least charging time that
+    ``agent_curve`` gives the visit (``_least_charge``).  The earliest
+    arrivals come from one forward pass per agent over its own legs, each
+    station arrival raised to its release, and the passes repeat until no
+    release moves.  A chain of waits holds each visit at most once, so
+    with V visits V + 1 rounds settle it, the first without releases.  When
+    two stations' slot orders wait on each other around a cycle, no
+    schedule exists and the releases grow every round; None then.
+
+    Validity.  Every schedule that ``schedule_routes`` allows meets its slot
+    order rows (slot s + 1 arrives no earlier than slot s's arrival plus the
+    service time plus the slot's charging time, which is at least the least
+    one, see ``agent_curve``) and arrives at slot 0 no earlier than
+    ``earliest_available``.  So if every release of a round is at most the
+    arrival of every such schedule, so is each arrival of the next round's
+    passes, and with it each release it sets; the first round has none."""
+    leg_time, stop_load = graph.leg_time, graph.stop_load
+    # _least_charge keys each agent's station visits by position
+    charge = [_least_charge(inst, graph, k, route, socs[k]) if socs[k] else {}
+              for k, route in enumerate(routes)]
+    slots: dict[int, list] = {}  # station -> [(slot, agent, position)]
+    for k, route in enumerate(routes):
+        for pos in charge[k]:
+            st, slot = graph.station_of(route[pos])
+            slots.setdefault(st, []).append((slot, k, pos))
+    for visits in slots.values():
+        visits.sort()
+    release: dict = {}
+    for _ in range(sum(map(len, slots.values())) + 1):
+        arrival, delayed = {}, [{} for _ in routes]
+        for k, route in enumerate(routes):
+            if not charge[k]:
+                continue
+            agent = inst.agents[k]
+            t, prev, service = agent.initial_delay, graph.start_node(k), 0.0
+            for pos, node in enumerate(route[:max(charge[k]) + 1]):
+                t += service + leg_time[prev][node]
+                stop = stop_load[node]
+                if stop is None:  # a station
+                    if release.get((k, pos), t) > t:
+                        t = delayed[k][pos] = release[k, pos]
+                    arrival[k, pos] = t
+                    service = agent.station_service_time + charge[k][pos]
+                else:
+                    service = inst.requests[stop[0]].service_time
+                prev = node
+        settled = {}
+        for st, visits in slots.items():
+            ready = inst.stations[st].earliest_available
+            for _, k, pos in visits:
+                settled[k, pos] = ready
+                ready = arrival[k, pos] + inst.agents[k].station_service_time + charge[k][pos]
+        if settled == release:
+            return delayed
+        release = settled
+    return None
+
+
 def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float,
-                socs=()):
+                socs=(), releases=None):
     """``G_k(x)``, the cheapest cost of agent *k*'s non-empty *chain* with
     ``Tk <= x`` under the rows of ``timing_bound``, as convex, nonincreasing
     breakpoints ``(xs, ys)`` from the earliest return to ``min(max_duration,
@@ -247,29 +317,41 @@ def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: fl
     and segments 2 and 3 at their widths, so the LP charges between the two
     for at least ``BatteryModel.charge_time``.  That time never rises with
     the arrival SoC and never falls with the departure SoC, so at the two
-    bounds it is at most what the LP spends at the station."""
+    bounds it is at most what the LP spends at the station.
+
+    Slot releases.  Given *releases*, ``{position: time}`` of a complete
+    chain's station visits as ``slot_releases`` gives them, the DP arrives
+    at each such visit no earlier than its release: after the shift the
+    function is nonincreasing, so the cut keeps its value at the release
+    and drops the breakpoints before it.  Every LP schedule reaches the
+    visit at or after its release, so the curve still minimises over a
+    superset of the LP's timings."""
     agent = inst.agents[k]
     w = inst.weights
     charge = _least_charge(inst, graph, k, chain, socs) if socs else {}
-    depot = chain[-1] if graph.is_hub(chain[-1]) else None
+    depot = chain[-1] if graph.depot_flag[chain[-1]] else None
     # a chain with no depot yet may still get stops between two of its own
-    leg_time = graph.time_cost if depot is not None else lambda i, j: graph.least_time[i][j]
+    leg_time = graph.leg_time if depot is not None else graph.least_time
+    stop_load = graph.stop_load
     xs, ys = [agent.initial_delay], [0.0]
     prev, service = graph.start_node(k), 0.0
     for pos, node in enumerate(chain if depot is None else chain[:-1]):
-        if not _advance(xs, ys, service + leg_time(prev, node), horizon):
+        if not _advance(xs, ys, service + leg_time[prev][node], horizon):
             return None
-        if graph.is_station(node):
+        stop = stop_load[node]
+        if stop is None:  # a station
+            if releases and pos in releases:
+                _release(xs, ys, releases[pos])
             service = agent.station_service_time + charge.get(pos, 0.0)
         else:
-            r = graph.gamma(node)
+            r = stop[0]
             req = inst.requests[r]
             window = node == graph.window_node(r)
             _add_stop_cost(xs, ys, req.priority * w.epsilon,
                            req.priority * w.zeta if window else 0.0, req.tw_lo, req.tw_hi)
             service = req.service_time
         prev = node
-    leg = min((leg_time(prev, h) for h in (graph.hf if depot is None else [depot])), default=0.0)
+    leg = min((leg_time[prev][h] for h in (graph.hf if depot is None else [depot])), default=0.0)
     if not _advance(xs, ys, service + leg, min(agent.max_duration, horizon)):
         return None
     return xs, ys
@@ -307,6 +389,13 @@ def _advance(xs, ys, shift, cap) -> bool:
         xs.append(cap)
         ys.append(ys[-1])
     return True
+
+
+def _release(xs, ys, release) -> None:
+    """In place, restrict a nonincreasing f to ``x >= release``."""
+    if release > xs[0]:
+        j = bisect.bisect_right(xs, release)
+        xs[:j], ys[:j] = [release], [_value(xs, ys, release)]
 
 
 def _add_stop_cost(xs, ys, slope, zeta, lo, hi) -> None:

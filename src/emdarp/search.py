@@ -18,10 +18,16 @@ each depot that passes keeps the DP curve of its completed chain, each
 station taking the least charging time that walk allows.  Each (agent,
 chain) is walked once per solve.  The survivors are combined across agents and given
 duplicate slots, and each placement merges its agents' curves into a lower
-bound on its LP.  A placement whose bound cannot beat the best plan so far
-is skipped (``leaf_screened``); the others run the full scheduling LP
-(``leaf_lps``, with their simplex pivots in ``leaf_pivots``), so the
-simplex runs only at the leaves.
+bound on its LP.  Where a station serves two or more agents, a later slot
+waits for the earlier one: ``scheduling.slot_releases`` gives each visit
+the earliest time its slot frees, and each agent that waits is re-timed
+from those releases.  Every LP schedule keeps the slot order and charges
+at least the least time, so this bound stays below the LP too.  A placement
+whose bound cannot beat the best plan so far is skipped
+(``leaf_screened``); the others run the full scheduling LP (``leaf_lps``,
+with their simplex pivots in ``leaf_pivots``), so the simplex runs only at
+the leaves.  The walks read the graph's per-node tables (``leg_time``,
+``stop_load``, ``station_flag`` and the like), not its methods.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and
@@ -41,7 +47,8 @@ from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
 from .model import compute_big_m
 from .scheduling import (
-    ScheduleResult, agent_curve, load_violation, schedule_routes, soc_ceilings, timing_bound,
+    ScheduleResult, agent_curve, load_violation, schedule_routes, slot_releases, soc_ceilings,
+    timing_bound,
 )
 from .solution import Solution
 
@@ -82,7 +89,7 @@ def _charging_gaps(graph: ExpandedGraph, chain, loads):
     """Positions in *chain* after which a charging stop may be inserted:
     directly after a delivery that empties the vehicle."""
     return [pos for pos, node in enumerate(chain)
-            if graph.is_delivery(node) and loads[node] == (0.0, 0.0)]
+            if node in graph.ld and loads[node] == (0.0, 0.0)]
 
 
 class _Search:
@@ -179,22 +186,23 @@ class _Search:
         to at most 1.0.  So each value the walk keeps is at least the
         completion's SoC there, and a complete chain whose leaf has a
         placement that passes ``soc_ceilings`` passes here too."""
-        g, b = self.graph, self.inst.battery
+        b, least = self.inst.battery, self.graph.least_energy
+        reach, refill = self.reach, self.refill
         agent = self.inst.agents[k]
         floor = agent.soc_min - _EPS
-        soc, prev = agent.soc_init, g.start_node(k)
+        soc, prev = agent.soc_init, self.graph.start_node(k)
         for node in chain:
             load = loads.get(prev, (0.0, 0.0))
-            via_station = load == (0.0, 0.0) and soc - self.reach[prev] >= floor
-            soc -= b.drain(g.least_energy[prev][node], load)
+            via_station = load == (0.0, 0.0) and soc - reach[prev] >= floor
+            soc -= b.drain(least[prev][node], load)
             if via_station:
-                soc = max(soc, self.refill[node])
+                soc = max(soc, refill[node])
             if soc < floor:
                 return False
             prev = node
-        via_station = soc - self.reach[prev] >= floor  # every placed request is delivered
-        return any(soc - b.drain(g.least_energy[prev][hub], loads.get(prev, (0.0, 0.0))) >= floor
-                   or (via_station and self.refill[hub] >= floor) for hub in self.hubs[k])
+        via_station = soc - reach[prev] >= floor  # every placed request is delivered
+        return any(soc - b.drain(least[prev][hub], loads.get(prev, (0.0, 0.0))) >= floor
+                   or (via_station and refill[hub] >= floor) for hub in self.hubs[k])
 
     # -- leaf evaluation --------------------------------------------------------
 
@@ -202,15 +210,16 @@ class _Search:
         """(stops, ends) for each set of (position, station) stops in the
         charging gaps of agent *k*'s *chain* whose best-case SoC walk
         (``soc_ceilings``) reaches some of the agent's depots (``hubs``), with
-        each such (depot, ``agent_curve`` of the completed chain) in *ends*.
-        An idle agent has the one option ``([], [(None, None)])``, or none
-        when its depot is pinned.  A stop is walked and timed as slot 0 of its
-        station, which is exact: every duplicate has its station's base-node
-        costs (``base_of``), and the DP has no slot-order or opening rows."""
+        each such (depot, ``agent_curve`` of the completed chain, the walk)
+        in *ends*.  An idle agent has the one option ``([], [(None, None,
+        ())])``, or none when its depot is pinned.  A stop is walked and
+        timed as slot 0 of its station, which is exact: every duplicate has
+        its station's base-node costs (``base_of``), and the DP has no
+        slot-order or opening rows; ``evaluate_leaf`` adds the slot order."""
         inst, g, horizon = self.inst, self.graph, self.big_m.horizon
         agent = inst.agents[k]
         if not chain:
-            return [] if agent.terminal_hub is not None else [([], [(None, None)])]
+            return [] if agent.terminal_hub is not None else [([], [(None, None, ())])]
         loads = {}  # every leaf chain passed load_violation at insertion
         load_violation(inst, g, k, chain, loads)
         positions = _charging_gaps(g, chain, loads)
@@ -227,7 +236,8 @@ class _Search:
                     for full in (route + [hub] for hub in self.hubs[k]):
                         socs = soc_ceilings(inst, g, k, full, loads, floor)
                         if socs[-1] >= floor:
-                            ends.append((full[-1], agent_curve(inst, g, k, full, horizon, socs)))
+                            ends.append((full[-1], agent_curve(inst, g, k, full, horizon, socs),
+                                         socs))
                     if ends:
                         out.append((stops, ends))
         return tuple(out)  # kept all solve long: a tuple is the smaller record
@@ -274,7 +284,13 @@ class _Search:
         SoC walks; each feasible schedule that beats the incumbent replaces
         it.  One whose timing bound (its agents' curves merged) plus the
         rejection penalties cannot beat the incumbent is skipped and counted
-        in ``leaf_screened``."""
+        in ``leaf_screened``.  So is one that uses a station from two or more
+        agents and whose bound cannot beat it once each agent that a slot
+        release delays (``slot_releases``) is re-timed from its releases
+        (``agent_curve``).  Every LP schedule reaches each station visit at
+        or after its release, so that bound is still at most the LP's
+        optimum less the penalties, and a skipped pair cannot beat the
+        incumbent: every answer is the one the LPs alone would give."""
         inst, g = self.inst, self.graph
         penalty = self._penalty(accepted, range(inst.n_requests))
         for placement, agent_ends in self._placements(chains):
@@ -282,18 +298,37 @@ class _Search:
             routed = [list(c) for c in chains]
             for (k, pos), node in sorted(placement, reverse=True):
                 routed[k].insert(pos + 1, node)
+            # some station has visitors from two or more agents
+            users = {(g.station_of(node)[0], k) for (k, _), node in placement}
+            shared = len(users) > len({st for st, _ in users})
             for ends in itertools.product(*agent_ends):
-                screen = timing_bound(curve for hub, curve in ends if hub is not None)
+                screen = timing_bound(curve for hub, curve, _ in ends if hub is not None)
                 if screen + penalty >= self.best_obj - _EPS:
                     self.leaf_screened += 1
                     continue
-                full = [c if hub is None else c + [hub] for c, (hub, _) in zip(routed, ends)]
+                full = [c if hub is None else c + [hub] for c, (hub, _, _) in zip(routed, ends)]
+                if shared and self._released_bound(full, ends) + penalty >= self.best_obj - _EPS:
+                    self.leaf_screened += 1
+                    continue
                 self.leaf_lps += 1
                 res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                 self.leaf_pivots += res.pivots
                 if res.feasible and res.objective < self.best_obj - _EPS:
                     self.best = res
                     self.best_obj = res.objective
+
+    def _released_bound(self, full, ends):
+        """``timing_bound`` of the complete routing *full*, each agent that a
+        slot release delays re-timed from its releases; -inf when none does
+        or the releases never settle (the plain screen has run already)."""
+        releases = slot_releases(self.inst, self.graph, full, [socs for _, _, socs in ends])
+        if releases is None or not any(releases):
+            return -math.inf
+        return timing_bound(
+            curve if not released else agent_curve(self.inst, self.graph, k, full[k],
+                                                   self.big_m.horizon, socs, released)
+            for k, ((hub, curve, socs), released) in enumerate(zip(ends, releases))
+            if hub is not None)
 
     # -- tree walk -----------------------------------------------------------
 

@@ -1,7 +1,9 @@
 import pytest
 
 from emdarp.instance import instance_from_dict
-from emdarp.scheduling import agent_curve, load_violation, soc_ceilings, timing_bound
+from emdarp.scheduling import (
+    agent_curve, load_violation, slot_releases, soc_ceilings, timing_bound,
+)
 
 
 def make_doc(n_requests=1, n_agents=1, n_stations=0, dups=0, n_depots=1, **over):
@@ -77,22 +79,36 @@ def _deep_update(doc, over):
             doc[key] = val
 
 
-def fresh_curve(inst, graph, k, chain, horizon):
+def fresh_socs(inst, graph, k, chain):
+    """The ``soc_ceilings`` of agent *k*'s *chain* at its own
+    ``load_violation`` loads when it ends at a depot, else ()."""
+    if not chain or not graph.is_hub(chain[-1]):
+        return ()
+    loads = {}
+    load_violation(inst, graph, k, chain, loads)
+    return soc_ceilings(inst, graph, k, chain, loads)
+
+
+def fresh_curve(inst, graph, k, chain, horizon, releases=None):
     """Agent *k*'s ``agent_curve`` walked from scratch: a chain that ends at
-    a depot charges from the ``soc_ceilings`` at its own ``load_violation``
-    loads."""
-    socs = ()
-    if graph.is_hub(chain[-1]):
-        loads = {}
-        load_violation(inst, graph, k, chain, loads)
-        socs = soc_ceilings(inst, graph, k, chain, loads)
-    return agent_curve(inst, graph, k, chain, horizon, socs)
+    a depot charges from its ``fresh_socs``."""
+    return agent_curve(inst, graph, k, chain, horizon,
+                       fresh_socs(inst, graph, k, chain), releases)
 
 
 def routing_bound(inst, graph, chains, horizon):
     """``timing_bound`` of a routing, over a fresh curve of each agent with
     stops."""
     return timing_bound(fresh_curve(inst, graph, k, chain, horizon)
+                        for k, chain in enumerate(chains) if chain)
+
+
+def release_bound(inst, graph, chains, horizon):
+    """``routing_bound`` of a complete routing with each agent timed from
+    its ``slot_releases``; the plain one when they never settle."""
+    socs = [fresh_socs(inst, graph, k, chain) for k, chain in enumerate(chains)]
+    releases = slot_releases(inst, graph, chains, socs) or [None] * len(chains)
+    return timing_bound(fresh_curve(inst, graph, k, chain, horizon, releases[k])
                         for k, chain in enumerate(chains) if chain)
 
 

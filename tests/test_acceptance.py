@@ -126,11 +126,12 @@ PINNED_CORPUS = [
     "config, status, objective, nodes, leaves, leaf_lps, screened, energy_pruned, pivots", [
         *[(corpus_config(seed), *rest, None) for seed, *rest in PINNED_CORPUS],
         # the criterion-5 make-up at 4 requests: 52 of 67 nodes are leaves.
-        # Its 9 leaf LPs take 309 pivots, all in the dual phase (802 with
-        # an artificial column per row and a primal phase 1)
+        # Its 4 leaf LPs take 130 pivots, all in the dual phase.  Before the
+        # leaf screen priced the slot releases it solved 9 (309 pivots; 802
+        # with an artificial column per row and a primal phase 1)
         (GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
                    duplicate_visits=2, preset="high-discharge"),
-         "optimal", 148.93221199334377, 67, 52, 9, 258, 56, 309),
+         "optimal", 148.93221199334377, 67, 52, 4, 263, 56, 130),
     ], ids=[f"corpus-{row[0]}" for row in PINNED_CORPUS] + ["c5-n4-s3"])
 def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps, screened,
                            energy_pruned, pivots):

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from emdarp.generate import generate
+from emdarp.generate import generate, generate_document
 from emdarp.graph import arc_count_closed_form, expand_graph
+from emdarp.instance import instance_from_dict
 
 from conftest import make_instance
 from test_acceptance import corpus_config
@@ -133,3 +134,28 @@ def test_least_costs_take_detours(open_vrp, soc_to_hub):
     assert [g.least_time[i][h] for i in (v, p, d)] == ([0.0] * 3 if open_vrp else [5.0, 1.0, 4.0])
     free = open_vrp and not soc_to_hub
     assert [g.least_energy[i][h] for i in (v, p, d)] == ([0.0] * 3 if free else [5.0, 1.0, 4.0])
+
+
+@pytest.mark.parametrize("soc_to_hub", [True, False])
+@pytest.mark.parametrize("i", range(25), ids=lambda i: f"corpus-{i}")
+def test_node_tables_match_the_methods(i, soc_to_hub):
+    # the tables the search's walks read: every leg's time and energy with
+    # the open-route rules (an odd corpus configuration has open routes),
+    # each pickup's and delivery's request (gamma) and loads signed by mu,
+    # and the station and depot flags
+    doc = generate_document(corpus_config(i))
+    doc["config"]["open_vrp_soc_to_hub"] = soc_to_hub
+    inst = instance_from_dict(doc)
+    g = expand_graph(inst)
+    for a, b in itertools.product(range(g.n_nodes), repeat=2):
+        free = inst.open_vrp and g.is_hub(b)
+        assert g.leg_time[a][b] == g.time_cost(a, b) == (0.0 if free else g.cost(a, b))
+        assert g.leg_energy[a][b] == g.energy_cost(a, b) == (
+            0.0 if free and not soc_to_hub else g.cost(a, b))
+    for node in range(g.n_nodes):
+        stop = None
+        if g.is_pickup(node) or g.is_delivery(node):
+            r, sign = g.gamma(node), g.mu(node)
+            stop = (r, sign * inst.requests[r].passengers, sign * inst.requests[r].equipment)
+        assert g.stop_load[node] == stop, node
+        assert (g.station_flag[node], g.depot_flag[node]) == (g.is_station(node), g.is_hub(node))

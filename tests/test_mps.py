@@ -1,8 +1,13 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import emdarp
 from emdarp.generate import GenConfig, generate, generate_document
 from emdarp.instance import instance_from_dict
 from emdarp.model import build_model
@@ -13,6 +18,32 @@ from emdarp.tools.solve_mps import main, read_mps, solve
 
 from conftest import make_instance
 from test_acceptance import corpus_config
+
+
+def test_solver_child_loads_only_its_module():
+    # a solver child imports emdarp.tools.solve_mps alone: the package
+    # resolves its exports on first use, and solve() imports numpy and scipy
+    src = str(Path(emdarp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
+    code = ("import sys, emdarp.tools.solve_mps; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('emdarp', 'numpy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["emdarp", "emdarp.tools", "emdarp.tools.solve_mps"]
+
+
+def test_package_exports_resolve_on_first_use():
+    # every name of __all__ is the object its submodule defines, also
+    # generate, a function that shares its name with its submodule
+    from emdarp import generate as generate_export
+    from emdarp import search
+
+    for name in emdarp.__all__:
+        assert getattr(emdarp, name) is getattr(sys.modules[f"emdarp.{emdarp._HOME[name]}"], name)
+    assert generate_export is generate and search.branch_and_bound is branch_and_bound
+    with pytest.raises(AttributeError):
+        emdarp.no_such_export
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from emdarp.model import build_model
 from emdarp.mps import write_mps
 from emdarp import search
 from emdarp.model import compute_big_m
-from emdarp.scheduling import load_violation, schedule_routes
+from emdarp.scheduling import load_violation, schedule_routes, slot_releases
 from emdarp.checker import validate
 from emdarp.search import (
     SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _charging_gaps, _Search,
@@ -18,7 +19,7 @@ from emdarp.search import (
 from emdarp.solution import encode_plan
 from emdarp.tools.solve_mps import read_mps, solve
 
-from conftest import fresh_curve, make_instance, routing_bound
+from conftest import fresh_curve, fresh_socs, make_instance, release_bound, routing_bound
 from test_acceptance import corpus_config
 
 
@@ -302,7 +303,7 @@ def test_leaf_placements_keep_order(make, shows):
     for chains in leaves:
         reference = _reference_leaf_sequence(search, chains)
         hub_opts = _depot_options(inst, g, chains)
-        got = [(placement, tuple(hub for hub, _ in ends))
+        got = [(placement, tuple(hub for hub, _, _ in ends))
                for placement, agent_ends in search._placements(chains)
                for ends in itertools.product(*agent_ends)]
         assert got == [(placement, hubs) for placement, hubs, ok in reference if ok]
@@ -428,14 +429,15 @@ def test_matrix_costs_bound_and_screen_pinned():
     # the criterion-5 make-up on matrix costs: the node bound and the energy
     # screen act on them too.  With the bound cut to the rejection penalties
     # and the screen off, the search took 833 nodes, 768 leaves and 21 leaf
-    # LPs, and screened 789 placements
+    # LPs, and screened 789 placements.  The slot releases screen 2 of the
+    # 10 leaf LPs it took before them
     inst = _matrix_instance(GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
                                       duplicate_visits=2, preset="high-discharge"))
     result = branch_and_bound(inst)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(118.59501388943329, rel=1e-12)
     assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened,
-            result.energy_pruned) == (172, 137, 10, 254, 66)
+            result.energy_pruned) == (172, 137, 8, 256, 66)
 
 
 def test_forced_charging_stop():
@@ -787,15 +789,19 @@ def test_energy_screen_keeps_every_optimal_subrouting():
 
 
 @pytest.mark.parametrize("n_requests, objective, counts", [
-    pytest.param(6, 11415.051676880359, (1689, 816, 15, 207), id="n6"),
-    pytest.param(8, 43515.80693751369, (7844, 1892, 24, 671), id="n8",
+    pytest.param(6, 11415.051676880359, (1689, 816, 6, 216), id="n6"),
+    pytest.param(7, 11617.38841906904, (8387, 5104, 8, 523), id="n7",
+                 marks=pytest.mark.slow),
+    pytest.param(8, 43515.80693751369, (7844, 1892, 9, 686), id="n8",
                  marks=pytest.mark.slow),
 ])
 def test_criterion_5_reach(n_requests, objective, counts):
     # the criterion-5 make-up, proven optimal within a node budget rather
     # than a wall-time one.  Before the energy screen n = 6 took 6,009 nodes
     # (5,061 of its 5,136 leaves energy-dead), and n = 8 ended a 180 s
-    # search at 521,938 nodes with gap 0.9987
+    # search at 521,938 nodes with gap 0.9987.  The slot releases of the
+    # leaf screen cut the leaf LPs from 15, 21 and 24 to 6, 8 and 9, and
+    # left the nodes, leaves and optima as they were
     inst = generate(GenConfig(seed=1, n_requests=n_requests, n_agents=2, n_stations=1,
                               duplicate_visits=2, preset="high-discharge"))
     result = branch_and_bound(inst, config=SearchConfig(node_limit=20_000))
@@ -810,7 +816,8 @@ def test_criterion_5_reach(n_requests, objective, counts):
 def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
     # the leaf screen is sound: on every complete routing the oracle prices,
     # the timing DP with its least charging times plus the rejection
-    # penalties stays at or below the leaf LP's objective
+    # penalties stays at or below the leaf LP's objective, with and without
+    # the slot releases
     inst = generate(cfg)
     g = expand_graph(inst)
     horizon = compute_big_m(inst, g).horizon
@@ -821,8 +828,10 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
         if res.feasible:
             penalty = sum(req.priority * inst.weights.eta
                           for req, acc in zip(inst.requests, accepted) if not acc)
-            bound = routing_bound(inst, graph, chains, horizon) + penalty
-            assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), chains
+            tol = 1e-7 * max(1.0, abs(res.objective))
+            plain = routing_bound(inst, graph, chains, horizon) + penalty
+            released = release_bound(inst, graph, chains, horizon) + penalty
+            assert plain <= released <= res.objective + tol, chains
             priced.append(chains)
         return res
 
@@ -831,20 +840,29 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
     assert (oracle.status == "optimal") == bool(priced)
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-def test_timing_bound_below_leaf_lps(seed):
+def _shares_a_station(g, chains):
+    users = {(g.station_of(node)[0], k) for k, chain in enumerate(chains)
+             for node in chain if g.is_station(node)}
+    return len(users) > len({st for st, _ in users})
+
+
+@pytest.mark.parametrize("seed, tighter_at_least", [(3, 90), (11, 60)], ids=["3", "11"])
+def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
     # the same on the criterion-5 make-up, where the oracle takes ~20 s: at every
     # leaf the search visits, each (placement, depots) pair it prices or
-    # screens, most with two or more stations in one chain.  The curve the
-    # search holds for each end, walked and timed at slot 0, is the routed
-    # chain's own with its real slots
+    # screens, most with two or more stations in one chain.  The curve and
+    # the SoC walk the search holds for each end, walked and timed at slot 0,
+    # are the routed chain's own with its real slots.  The slot-release bound
+    # is at or below the LP on every pair, and on pairs whose station serves
+    # both agents the one the screen takes is strictly tighter than the
+    # plain bound on at least *tighter_at_least* of them
     inst = generate(GenConfig(seed=seed, n_requests=4, n_agents=2, n_stations=1,
                               duplicate_visits=2, preset="high-discharge"))
-    priced, later_slots = [], 0
+    priced, later_slots, tighter = [], 0, 0
 
     class Audited(_Search):
         def evaluate_leaf(self, chains, accepted):
-            nonlocal later_slots
+            nonlocal later_slots, tighter
             g, horizon = self.graph, self.big_m.horizon
             penalty = self._penalty(accepted, range(inst.n_requests))
             for placement, agent_ends in self._placements(chains):
@@ -852,21 +870,67 @@ def test_timing_bound_below_leaf_lps(seed):
                 for (k, pos), node in sorted(placement, reverse=True):
                     routed[k].insert(pos + 1, node)
                 for ends in itertools.product(*agent_ends):
-                    full = [c if hub is None else c + [hub] for c, (hub, _) in zip(routed, ends)]
-                    for k, (hub, curve) in enumerate(ends):
+                    full = [c if hub is None else c + [hub]
+                            for c, (hub, _, _) in zip(routed, ends)]
+                    for k, (hub, curve, socs) in enumerate(ends):
                         if hub is not None:
                             assert curve == fresh_curve(inst, g, k, full[k], horizon), full
+                            assert socs == fresh_socs(inst, g, k, full[k]), full
                             later_slots += any(g.is_station(node) and g.station_of(node)[1] > 0
                                                for node in full[k])
                     res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                     if res.feasible:
-                        bound = routing_bound(inst, g, full, horizon) + penalty
-                        assert bound <= res.objective + 1e-7 * max(1.0, abs(res.objective)), full
+                        tol = 1e-7 * max(1.0, abs(res.objective))
+                        plain = routing_bound(inst, g, full, horizon) + penalty
+                        released = release_bound(inst, g, full, horizon) + penalty
+                        assert plain <= released <= res.objective + tol, full
+                        if _shares_a_station(g, full):
+                            screen = self._released_bound(full, ends) + penalty
+                            assert screen in (released, -math.inf), full
+                            tighter += screen > plain + tol
                         priced.append(full)
             return super().evaluate_leaf(chains, accepted)
 
     Audited(inst, expand_graph(inst), SearchConfig()).run()
     assert len(priced) >= 50 and later_slots >= 50
+    assert tighter >= tighter_at_least, tighter
+
+
+def test_crossing_slot_orders_keep_the_plain_screen():
+    # two stations with two slots each.  Crosswise, agent 0 takes station
+    # 0's slot 1 and then station 1's slot 0, and agent 1 station 1's slot 1
+    # and then station 0's slot 0: each waits on the other around a cycle,
+    # so no schedule exists, the releases grow every round and never settle,
+    # and the screen keeps the plain bound.  With station 0's slots swapped
+    # they settle at once: agent 1 waits at station 1 for agent 0, which the
+    # plain bound does not see
+    inst = make_instance(n_requests=4, n_agents=2, n_stations=2, dups=1)
+    g = expand_graph(inst)
+    p, d, f, hub = g.pickup_node, g.delivery_node, g.f_node, g.hf[0]
+    horizon = compute_big_m(inst, g).horizon
+    search = _Search(inst, g, SearchConfig())
+
+    def bounds(chains):
+        socs = [fresh_socs(inst, g, k, chain) for k, chain in enumerate(chains)]
+        ends = [(chain[-1], fresh_curve(inst, g, k, chain, horizon), socs[k])
+                for k, chain in enumerate(chains)]
+        return (slot_releases(inst, g, chains, socs), routing_bound(inst, g, chains, horizon),
+                search._released_bound(chains, ends))
+
+    crossing = [[p(0), d(0), f(0, 1), p(1), d(1), f(1, 0), hub],
+                [p(2), d(2), f(1, 1), p(3), d(3), f(0, 0), hub]]
+    releases, plain, screen = bounds(crossing)
+    assert releases is None and screen == -math.inf
+    assert release_bound(inst, g, crossing, horizon) == plain
+    assert not schedule_routes(inst, g, crossing, [True] * 4).feasible
+
+    settled = [[p(0), d(0), f(0, 0), p(1), d(1), f(1, 0), hub],
+               [p(2), d(2), f(1, 1), p(3), d(3), f(0, 1), hub]]
+    releases, plain, screen = bounds(settled)
+    assert releases[0] == {} and list(releases[1]) == [2]  # agent 1's first station
+    res = schedule_routes(inst, g, settled, [True] * 4)
+    assert plain + 10.0 < screen <= res.objective
+    assert screen == release_bound(inst, g, settled, horizon)
 
 
 def test_each_leaf_chain_walked_once():
