@@ -72,6 +72,13 @@ def charge_curve(soc_arrival: float, total_time: float, battery):
     return soc, tuple(times)
 
 
+def _request_of(g: ExpandedGraph, node: int) -> tuple[int, int]:
+    """(request, +1) at a pickup node, (request, -1) at a delivery node."""
+    if node in g.lp:
+        return g.lp.index(node), 1
+    return g.ld.index(node), -1
+
+
 class _Audit:
     def __init__(self, inst: Instance, graph: ExpandedGraph, sol: Solution,
                  tol: float):
@@ -133,11 +140,12 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
                                 objective_delta=math.nan, counters=a.counters)
 
     # -- assignment structure -------------------------------------------------
+    depot, station = g.depot_flag, g.station_flag
     position: dict[int, tuple[int, int]] = {}  # node -> (agent, position)
     records = {}  # node -> its visit record
     for plan in plans.values():
         for pos, rec in enumerate(plan.visits):
-            if not g.is_hub(rec.node):
+            if not depot[rec.node]:
                 if rec.node in position:
                     a.eq("7", (rec.node,), 2.0, 1.0, f"{g.label(rec.node)} visited twice")
                 position[rec.node] = (plan.agent, pos)
@@ -162,7 +170,7 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
 
     by_station: dict[int, list[int]] = {}
     for node in position:
-        if g.is_station(node):
+        if station[node]:
             st, visit = g.station_of(node)
             by_station.setdefault(st, []).append(visit)
     for st, visits in by_station.items():
@@ -180,14 +188,14 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
             ok = bool(nodes) and nodes[-1] == want
             a.eq("hub", (k,), 1.0 if ok else 0.0, 1.0, "assigned terminal depot")
         elif nodes:
-            a.eq("12", (k, "terminal"), 1.0 if g.is_hub(nodes[-1]) else 0.0, 1.0,
+            a.eq("12", (k, "terminal"), 1.0 if depot[nodes[-1]] else 0.0, 1.0,
                  "route ends at a depot")
         prev = g.start_node(k)
         for rec in plan.visits:
             ok = g.admissible(prev, rec.node, k if prev == g.start_node(k) else None)
             a.eq("12", (k, g.label(prev), g.label(rec.node)),
                  1.0 if ok else 0.0, 1.0, "admissible arc")
-            if g.is_hub(rec.node):
+            if depot[rec.node]:
                 break
             prev = rec.node
 
@@ -199,20 +207,19 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
         prev_dep = agent.initial_delay
         first = True
         for rec in plan.visits:
-            cost = g.cost(prev, rec.node)
-            if g.is_hub(rec.node):
+            cost = g.cost_matrix[prev][rec.node]
+            if depot[rec.node]:
                 cost = 0.0 if inst.open_vrp else cost
-                tag = "23" if g.is_station(prev) else "22"
+                tag = "23" if station[prev] else "22"
                 a.ge(tag, (k,), plan.duration, prev_dep + cost, "return leg")
                 break
-            tag = "14" if first else ("19" if g.is_station(prev) or g.is_station(rec.node)
-                                      else "15")
+            tag = "14" if first else ("19" if station[prev] or station[rec.node] else "15")
             a.ge(tag, (g.label(rec.node),), rec.arrival, prev_dep + cost, "travel time")
-            if g.is_station(rec.node):
+            if station[rec.node]:
                 a.ge("19", (g.label(rec.node), "dwell"), rec.departure,
                      rec.arrival + agent.station_service_time + sum(rec.charge_times))
             else:
-                service = inst.requests[g.gamma(rec.node)].service_time
+                service = inst.requests[_request_of(g, rec.node)[0]].service_time
                 a.ge("15", (g.label(rec.node), "dwell"), rec.departure,
                      rec.arrival + service)
             prev, prev_dep, first = rec.node, rec.departure, False
@@ -255,18 +262,18 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
         u1 = u2 = 0.0
         prev_rec = None
         for rec in plan.visits:
-            if g.is_hub(rec.node) or g.is_station(rec.node):
+            if depot[rec.node] or station[rec.node]:
                 a.eq("27", (plan.agent, g.label(rec.node)), u1, 0.0, "empty at stop")
                 a.eq("31", (plan.agent, g.label(rec.node)), u2, 0.0, "empty at stop")
-                if prev_rec is not None and g.is_delivery(prev_rec.node):
+                if prev_rec is not None and prev_rec.node in g.ld:
                     a.eq("27", (plan.agent, g.label(prev_rec.node)),
                          prev_rec.load_passengers, 0.0, "load tracker cleared")
                     a.eq("31", (plan.agent, g.label(prev_rec.node)),
                          prev_rec.load_equipment, 0.0, "load tracker cleared")
                 prev_rec = rec
                 continue
-            req = inst.requests[g.gamma(rec.node)]
-            sign = g.mu(rec.node)
+            r, sign = _request_of(g, rec.node)
+            req = inst.requests[r]
             u1 += sign * req.passengers
             u2 += sign * req.equipment
             # load trackers may overstate the true load, never understate it
@@ -276,7 +283,7 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
             a.le("32", (g.label(rec.node),), rec.load_equipment, agent.cap_equipment)
             a.ge("25", (g.label(rec.node),), u1, 0.0)
             a.ge("29", (g.label(rec.node),), u2, 0.0)
-            if g.is_pickup(rec.node):
+            if rec.node in g.lp:
                 a.le("33", (g.label(rec.node),),
                      rec.load_passengers + agent.conversion * rec.load_equipment,
                      agent.cap_passengers, "converted seating")
@@ -291,20 +298,20 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
         prev_soc = agent.soc_init
         prev_u1 = prev_u2 = 0.0
         for rec in plan.visits:
-            cost = g.cost(prev, rec.node)
-            if g.is_hub(rec.node) and inst.open_vrp and not inst.open_vrp_soc_to_hub:
+            cost = g.cost_matrix[prev][rec.node]
+            if depot[rec.node] and inst.open_vrp and not inst.open_vrp_soc_to_hub:
                 cost = 0.0
             rate = b.alpha0
-            if prev != g.start_node(k) and not g.is_station(prev) and not g.is_hub(prev):
+            if prev != g.start_node(k) and not station[prev] and not depot[prev]:
                 rate += b.alpha1 * prev_u1 + b.alpha2 * prev_u2
             tag = "34" if prev == g.start_node(k) else (
-                "39" if g.is_station(prev) else
-                "36" if g.is_hub(rec.node) or g.is_station(rec.node) else "35")
+                "39" if station[prev] else
+                "36" if depot[rec.node] or station[rec.node] else "35")
             a.le(tag, (k, g.label(rec.node)), rec.soc_arrival, prev_soc - rate * cost,
                  "discharge along arc")
             a.ge("40", (k, g.label(rec.node), "lo"), rec.soc_arrival, agent.soc_min)
             a.le("40", (k, g.label(rec.node), "up"), rec.soc_arrival, 1.0)
-            if g.is_station(rec.node):
+            if station[rec.node]:
                 xi1, xi2, xi3 = rec.charge_times
                 gained = b.beta1 * xi1 + b.beta2 * xi2 + b.beta3 * xi3
                 a.eq("38", (k, g.label(rec.node), "gain"),
@@ -321,7 +328,7 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
                 a.le("41", (k, g.label(rec.node), "f"), b.beta3 * xi3, b.WIDTHS[2])
                 a.ge("41", (k, g.label(rec.node), "nonneg"), min(xi1, xi2, xi3), 0.0)
                 prev_soc = rec.soc_departure
-            elif g.is_hub(rec.node):
+            elif depot[rec.node]:
                 break
             else:
                 a.eq("35", (k, g.label(rec.node), "hold"), rec.soc_departure,

@@ -274,6 +274,8 @@ def cmd_plot(args) -> int:
         write_svg(inst, graph, args.out, sol)
     except OSError as exc:
         raise _Exit(EXIT_CONFIG, f"cannot write SVG: {exc}")
+    except ValueError as exc:
+        raise _Exit(EXIT_CONFIG, f"cannot plot: {exc}")
     _emit(args, {"out": args.out}, f"wrote {args.out}")
     return EXIT_OK
 

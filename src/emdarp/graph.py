@@ -20,7 +20,9 @@ discharging cost, an open route's free leg into a depot applied once, and
 ``least_time`` and ``least_energy`` the least cost between every two nodes
 over any node sequence, which bounds a route between two of its stops on any
 costs, metric or not.  ``stop_load``, ``station_flag`` and ``depot_flag``
-classify each node once for the search's per-stop walks.
+classify each node once.  These tables are the one way the engine reads a
+node's class, request, signed load and leg costs; ``is_station`` stays for
+callers outside the package.
 """
 
 from __future__ import annotations
@@ -44,29 +46,23 @@ class ExpandedGraph:
     arc_set: frozenset[tuple[int, int]]        # the same arcs, for membership
     start_arcs: tuple[tuple[tuple[int, int], ...], ...]  # per agent: (v^k, j) arcs
     base_of: tuple[int, ...]                   # expanded node -> base node
-    leg_time: tuple[tuple[float, ...], ...]      # time_cost of every node pair
-    leg_energy: tuple[tuple[float, ...], ...]    # energy_cost of every node pair
-    least_time: tuple[tuple[float, ...], ...]    # least time_cost over any node sequence
-    least_energy: tuple[tuple[float, ...], ...]  # least energy_cost over any node sequence
-    # per node: (request, signed passengers, signed equipment) at a pickup or
-    # a delivery (gamma, and mu times the request's loads), None elsewhere
+    # per node pair: the travel time, none on an open route's leg into a
+    # depot; the discharging cost, which that leg has only with
+    # open_vrp_soc_to_hub; and the least of each over any node sequence
+    leg_time: tuple[tuple[float, ...], ...]
+    leg_energy: tuple[tuple[float, ...], ...]
+    least_time: tuple[tuple[float, ...], ...]
+    least_energy: tuple[tuple[float, ...], ...]
+    # per node: (request, signed passengers, signed equipment) at a pickup
+    # (+) or a delivery (-), None elsewhere
     stop_load: tuple[tuple[int, int, int] | None, ...]
     station_flag: tuple[bool, ...]             # per node: a station visit
     depot_flag: tuple[bool, ...]               # per node: a final depot
 
     # -- node classification ------------------------------------------------
 
-    def is_pickup(self, i: int) -> bool:
-        return i in self.lp
-
-    def is_delivery(self, i: int) -> bool:
-        return i in self.ld
-
     def is_station(self, i: int) -> bool:
-        return i in self.f
-
-    def is_hub(self, i: int) -> bool:
-        return i in self.hf
+        return self.station_flag[i]
 
     def start_node(self, k: int) -> int:
         return self.h0[k]
@@ -80,22 +76,6 @@ class ExpandedGraph:
     def window_node(self, r: int) -> int:
         """The stop of request *r* that carries its time window."""
         return self.lp[r] if self.instance.requests[r].tw_kind == TW_PICKUP else self.ld[r]
-
-    def gamma(self, i: int) -> int:
-        """Request served at location node *i* (pickup or delivery)."""
-        if i in self.lp:
-            return i - self.lp.start
-        if i in self.ld:
-            return i - self.ld.start
-        raise KeyError(f"node {i} is not a pickup/delivery location")
-
-    def mu(self, i: int) -> int:
-        """Load direction: +1 at pickups, -1 at deliveries."""
-        if i in self.lp:
-            return 1
-        if i in self.ld:
-            return -1
-        raise KeyError(f"node {i} is not a pickup/delivery location")
 
     def station_of(self, i: int) -> tuple[int, int]:
         """F-node -> (station index, visit number)."""
@@ -133,19 +113,7 @@ class ExpandedGraph:
     def position(self, i: int) -> tuple[float, float] | None:
         return base_positions(self.instance)[self.base_of[i]]
 
-    # -- arcs and costs -------------------------------------------------------
-
-    def cost(self, i: int, j: int) -> float:
-        return self.cost_matrix[i][j]
-
-    def time_cost(self, i: int, j: int) -> float:
-        """Travel time of an arc; none for an open route's leg into a depot."""
-        return self.leg_time[i][j]
-
-    def energy_cost(self, i: int, j: int) -> float:
-        """Arc cost that discharges the battery; an open route's leg into a
-        depot counts only with open_vrp_soc_to_hub."""
-        return self.leg_energy[i][j]
+    # -- arcs -------------------------------------------------------------------
 
     def admissible(self, i: int, j: int, k: int | None = None) -> bool:
         if i in self.h0:

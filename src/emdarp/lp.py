@@ -7,7 +7,7 @@ dependency-free.
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
-                lo <= x <= hi   (lo finite, hi may be None or inf)
+                lo <= x <= hi   (lo finite, hi finite or inf)
 
 with ``c >= 0``, which ``solve_lp`` checks.  After the shift to ``x - lo``
 every row, finite upper bounds included, gets a slack column, and the
@@ -58,7 +58,7 @@ def solve_lp(c, A_ub, b_ub, bounds) -> LpResult:
     A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
     b_ub = np.asarray(b_ub, dtype=float).ravel()
     lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] if b[1] is not None else np.inf for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
 
     # shift to x' = x - lo >= 0; finite upper bounds become <= rows
     b_ub = b_ub - A_ub @ lo

@@ -362,7 +362,7 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
             for j in range(graph.n_nodes):
                 if graph.admissible(h, j):
                     coeffs[V.x(k, h, j)] = coeffs.get(V.x(k, h, j), 0.0) - 1.0
-            rows.append(Constraint("12" if graph.is_pickup(h) else "13", (h, k), coeffs,
+            rows.append(Constraint("12" if h in graph.lp else "13", (h, k), coeffs,
                                    EQ, 0.0))
 
     for k, agent in enumerate(inst.agents):
@@ -376,24 +376,25 @@ def build_flow(inst: Instance, graph: ExpandedGraph, cat: VariableCatalog) -> li
 def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
     rows = []
     M = big_m.time
+    leg_time, stop_load = graph.leg_time, graph.stop_load
 
     for j in graph.lp:
         coeffs = {V.t(j): 1.0}
         for k, agent in enumerate(inst.agents):
             v = graph.start_node(k)
-            coeffs[V.x(k, v, j)] = -(agent.initial_delay + graph.cost(v, j))
+            coeffs[V.x(k, v, j)] = -(agent.initial_delay + leg_time[v][j])
         rows.append(Constraint("14", (j,), coeffs, GE, 0.0))
 
     loc = list(graph.lp) + list(graph.ld)
     for i in loc:
-        s_i = inst.requests[graph.gamma(i)].service_time
+        s_i = inst.requests[stop_load[i][0]].service_time
         for j in loc:
             if not graph.admissible(i, j):
                 continue
             coeffs = {V.t(i): 1.0, V.t(j): -1.0}
             for k in range(inst.n_agents):
                 coeffs[V.x(k, i, j)] = M
-            rows.append(Constraint("15", (i, j), coeffs, LE, M - s_i - graph.cost(i, j)))
+            rows.append(Constraint("15", (i, j), coeffs, LE, M - s_i - leg_time[i][j]))
 
     # family 16: the route runs from the pickup to the delivery, and every
     # stop on the way only adds time, so the paper's t_d >= t_p + s_r holds
@@ -409,19 +410,19 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
         rows.append(Constraint(tag, (r,), {V.t(node): 1.0, V.tau(node): -1.0}, LE, req.tw_hi, "up"))
 
     for i in graph.ld:
-        s_i = inst.requests[graph.gamma(i)].service_time
+        s_i = inst.requests[stop_load[i][0]].service_time
         for j in graph.f:
             coeffs = {V.t(i): 1.0, V.t(j): -1.0}
             for k in range(inst.n_agents):
                 coeffs[V.x(k, i, j)] = M
-            rows.append(Constraint("19", (i, j), coeffs, LE, M - s_i - graph.cost(i, j)))
+            rows.append(Constraint("19", (i, j), coeffs, LE, M - s_i - leg_time[i][j]))
     for i in graph.f:
         for j in graph.lp:
             coeffs = {V.t(i): 1.0, V.t(j): -1.0,
                       V.xi(i, 1): 1.0, V.xi(i, 2): 1.0, V.xi(i, 3): 1.0}
             for k, agent in enumerate(inst.agents):
                 coeffs[V.x(k, i, j)] = M + agent.station_service_time
-            rows.append(Constraint("19", (i, j), coeffs, LE, M - graph.cost(i, j)))
+            rows.append(Constraint("19", (i, j), coeffs, LE, M - leg_time[i][j]))
 
     for st in range(inst.n_stations):
         for visit in range(1, inst.duplicate_visits + 1):
@@ -446,16 +447,16 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
 
     for k, agent in enumerate(inst.agents):
         for i in graph.ld:
-            s_i = inst.requests[graph.gamma(i)].service_time
+            s_i = inst.requests[stop_load[i][0]].service_time
             coeffs = {V.t(i): 1.0, V.Tk(k): -1.0}
             for j in graph.hf:
-                coeffs[V.x(k, i, j)] = graph.time_cost(i, j) + M
+                coeffs[V.x(k, i, j)] = leg_time[i][j] + M
             rows.append(Constraint("22", (i, k), coeffs, LE, M - s_i))
         for i in graph.f:
             coeffs = {V.t(i): 1.0, V.Tk(k): -1.0,
                       V.xi(i, 1): 1.0, V.xi(i, 2): 1.0, V.xi(i, 3): 1.0}
             for j in graph.hf:
-                coeffs[V.x(k, i, j)] = graph.time_cost(i, j) + M
+                coeffs[V.x(k, i, j)] = leg_time[i][j] + M
             rows.append(Constraint("23", (i, k), coeffs, LE, M - agent.station_service_time))
 
     for k in range(inst.n_agents):
@@ -478,14 +479,15 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
 def build_capacity(inst: Instance, graph: ExpandedGraph) -> list:
     rows = []
     loc = list(graph.lp) + list(graph.ld)
+    stop_load = graph.stop_load
     for k, agent in enumerate(inst.agents):
         v = graph.start_node(k)
-        for cap, u, q_of, base in (
-            (agent.cap_passengers, V.u1, lambda r: r.passengers, 25),
-            (agent.cap_equipment, V.u2, lambda r: r.equipment, 29),
+        for cap, u, field, base in (  # field: the signed load's place in stop_load
+            (agent.cap_passengers, V.u1, 1, 25),
+            (agent.cap_equipment, V.u2, 2, 29),
         ):
             for j in graph.lp:
-                q = q_of(inst.requests[graph.gamma(j)])
+                q = stop_load[j][field]
                 coeffs = {u(j, k): -1.0, V.x(k, v, j): float(cap)}
                 for i in graph.f:
                     coeffs[V.x(k, i, j)] = float(cap)
@@ -494,7 +496,7 @@ def build_capacity(inst: Instance, graph: ExpandedGraph) -> list:
                 for j in loc:
                     if not graph.admissible(i, j):
                         continue
-                    q = q_of(inst.requests[graph.gamma(j)]) * graph.mu(j)
+                    q = stop_load[j][field]
                     coeffs = {u(i, k): 1.0, u(j, k): -1.0, V.x(k, i, j): float(cap)}
                     rows.append(Constraint(str(base + 1), (i, j, k), coeffs, LE, float(cap) - q))
             for i in graph.ld:
@@ -519,6 +521,7 @@ def build_energy(inst: Instance, graph: ExpandedGraph) -> list:
     rows = []
     b = inst.battery
     loc = list(graph.lp) + list(graph.ld)
+    leg_energy = graph.leg_energy
 
     (w1, w2, w3), (c1, c2, _) = b.WIDTHS, b.CEILINGS
     for k, agent in enumerate(inst.agents):
@@ -526,13 +529,13 @@ def build_energy(inst: Instance, graph: ExpandedGraph) -> list:
         for j in graph.lp:
             coeffs = {V.phi(j, k): 1.0, V.x(k, v, j): 1.0}
             rows.append(Constraint("34", (j, k), coeffs, LE,
-                                   agent.soc_init - b.alpha0 * graph.cost(v, j) + 1.0))
+                                   agent.soc_init - b.alpha0 * leg_energy[v][j] + 1.0))
 
         for i in loc:
             for j in loc:
                 if not graph.admissible(i, j):
                     continue
-                c = graph.cost(i, j)
+                c = leg_energy[i][j]
                 coeffs = {V.phi(j, k): 1.0, V.phi(i, k): -1.0,
                           V.u1(i, k): b.alpha1 * c, V.u2(i, k): b.alpha2 * c,
                           V.x(k, i, j): 1.0}
@@ -540,7 +543,7 @@ def build_energy(inst: Instance, graph: ExpandedGraph) -> list:
 
         for i in graph.ld:
             for j in list(graph.f) + list(graph.hf):
-                c = graph.energy_cost(i, j)
+                c = leg_energy[i][j]
                 coeffs = {V.phi(j, k): 1.0, V.phi(i, k): -1.0, V.x(k, i, j): 1.0}
                 rows.append(Constraint("36", (i, j, k), coeffs, LE, 1.0 - b.alpha0 * c))
 
@@ -559,7 +562,7 @@ def build_energy(inst: Instance, graph: ExpandedGraph) -> list:
 
         for i in graph.f:
             for j in list(graph.lp) + list(graph.hf):
-                c = graph.energy_cost(i, j)
+                c = leg_energy[i][j]
                 coeffs = {V.phi(j, k): 1.0, V.phi(i, k): -1.0,
                           V.xi(i, 1): -b.beta1, V.xi(i, 2): -b.beta2, V.xi(i, 3): -b.beta3,
                           V.x(k, i, j): 1.0}

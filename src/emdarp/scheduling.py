@@ -69,11 +69,12 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted):
     """Discrete feasibility screen of a complete routing. Returns (reason,
     loads) where loads maps node -> (passengers, equipment) on departure;
     reason is None when clean."""
+    depot, station = graph.depot_flag, graph.station_flag
     seen: dict[int, int] = {}
     for k, chain in enumerate(chains):
         prev = graph.start_node(k)
         for pos, node in enumerate(chain):
-            if graph.is_hub(node):
+            if depot[node]:
                 if pos != len(chain) - 1:
                     return f"agent {k} visits a depot mid-route", None
             elif node in seen:
@@ -83,7 +84,7 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted):
             if not graph.admissible(prev, node, k if prev == graph.start_node(k) else None):
                 return f"arc {graph.label(prev)}->{graph.label(node)} not admissible", None
             prev = node
-        if chain and not graph.is_hub(chain[-1]):
+        if chain and not depot[chain[-1]]:
             return f"agent {k} does not end at a depot", None
         agent = inst.agents[k]
         if agent.terminal_hub is not None:
@@ -116,7 +117,7 @@ def check_routes(inst: Instance, graph: ExpandedGraph, chains, accepted):
 
     by_station: dict[int, list[int]] = {}
     for node in seen:
-        if graph.is_station(node):
+        if station[node]:
             st, visit = graph.station_of(node)
             by_station.setdefault(st, []).append(visit)
     for st, visits in by_station.items():
@@ -193,7 +194,7 @@ def timing_bound(curves) -> float:
 
 
 def soc_ceilings(inst: Instance, graph: ExpandedGraph, k: int, route, loads,
-                 floor: float = -math.inf) -> list[float]:
+                 floor: float) -> list[float]:
     """The highest state of charge agent *k* can reach each stop of *route*
     with: ``soc_init`` at the start and 1.0 out of each station, less every
     leg's ``BatteryModel.drain`` at the departure load in *loads* (the start
@@ -441,10 +442,11 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     if big_m is None:
         big_m = compute_big_m(inst, graph)
     b = inst.battery
+    depot, station, stop_load = graph.depot_flag, graph.station_flag, graph.stop_load
     visited_by = {}
     for k, chain in enumerate(chains):
         for node in chain:
-            if not graph.is_hub(node):
+            if not depot[node]:
                 visited_by[node] = k
 
     cols: list[tuple] = []
@@ -461,12 +463,12 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     for r in served:
         var("tau", graph.window_node(r), 0.0, math.inf)
     for node in visited_by:
-        if graph.is_station(node):
+        if station[node]:
             for seg, cap in enumerate(b.caps, start=1):
                 var("xi", (node, seg), 0.0, cap)
     for k, chain in enumerate(chains):
         for node in chain:
-            var("phi", node if not graph.is_hub(node) else ("hub", k),
+            var("phi", node if not depot[node] else ("hub", k),
                 inst.agents[k].soc_min, math.inf)
     for k, chain in enumerate(chains):
         if chain:
@@ -486,20 +488,20 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         prev = graph.start_node(k)
         prev_t = None
         for node in chain:
-            hub = graph.is_hub(node)
-            cost = graph.time_cost(prev, node)
+            hub = depot[node]
+            cost = graph.leg_time[prev][node]
             target = index[("Tk", k)] if hub else index[("t", node)]
             if prev_t is None:
                 # leave the start position after the initial delay
                 row_ub({target: -1.0}, -(agent.initial_delay + cost))
             else:
                 coeffs = {index[("t", prev)]: 1.0, target: -1.0}
-                if graph.is_station(prev):
+                if station[prev]:
                     rhs = -(agent.station_service_time + cost)
                     for idx in xi_triplet(prev):
                         coeffs[idx] = 1.0
                 else:
-                    rhs = -(inst.requests[graph.gamma(prev)].service_time + cost)
+                    rhs = -(inst.requests[stop_load[prev][0]].service_time + cost)
                 row_ub(coeffs, rhs)
             if hub:
                 break
@@ -521,7 +523,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     # earlier visitor's plug-in time
     by_station: dict[int, list[int]] = {}
     for node in visited_by:
-        if graph.is_station(node):
+        if station[node]:
             st, visit = graph.station_of(node)
             by_station.setdefault(st, []).append(node)
     for st, nodes in by_station.items():
@@ -541,21 +543,21 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
         prev = graph.start_node(k)
         prev_phi = None
         for node in chain:
-            hub = graph.is_hub(node)
+            hub = depot[node]
             cur = index[("phi", ("hub", k) if hub else node)]
             # the start and stations are left empty, so they have no load
-            drop = b.drain(graph.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
+            drop = b.drain(graph.leg_energy[prev][node], loads.get(prev, (0.0, 0.0)))
             if prev_phi is None:
                 row_ub({cur: 1.0}, agent.soc_init - drop)
             else:
                 coeffs = {cur: 1.0, prev_phi: -1.0}
-                if graph.is_station(prev):
+                if station[prev]:
                     for idx, beta in zip(xi_triplet(prev), b.rates):
                         coeffs[idx] = -beta
                 row_ub(coeffs, -drop)
             if hub:
                 break
-            if graph.is_station(node):
+            if station[node]:
                 ix1, ix2, ix3 = xi_triplet(node)
                 row_ub({cur: 1.0, ix1: b.beta1}, b.CEILINGS[0])
                 floor = {cur: -1.0, ix1: -b.beta1, ix2: -b.beta2, ix3: -b.beta3}
@@ -585,12 +587,12 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
         agent = inst.agents[k]
         visits = []
         for node in chain:
-            if graph.is_hub(node):
+            if graph.depot_flag[node]:
                 # the LP leaves Tk anywhere between its floor and the
                 # makespan when the agent is not makespan-binding; report
                 # the floor (actual arrival) instead.  check_routes rejects
                 # a start -> depot arc, so a visit comes before the depot.
-                tk = visits[-1].departure + graph.time_cost(visits[-1].node, node)
+                tk = visits[-1].departure + graph.leg_time[visits[-1].node][node]
                 phi = x[index[("phi", ("hub", k))]]
                 visits.append(VisitRecord(node=node, label=graph.label(node),
                                           arrival=tk, departure=tk,
@@ -598,7 +600,7 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
                 continue
             arrive = x[index[("t", node)]]
             phi = x[index[("phi", node)]]
-            if graph.is_station(node):
+            if graph.station_flag[node]:
                 gained = b.gained([x[index[("xi", (node, s))]] for s in (1, 2, 3)])
                 xi1, xi2, xi3 = b.charge_split(phi, gained)
                 visits.append(VisitRecord(
@@ -607,7 +609,7 @@ def _assemble(inst, graph, chains, accepted, loads, index, x, objective) -> Solu
                     soc_arrival=phi, soc_departure=phi + gained,
                     charge_times=(xi1, xi2, xi3)))
             else:
-                req = inst.requests[graph.gamma(node)]
+                req = inst.requests[graph.stop_load[node][0]]
                 tau = x[index[("tau", node)]] if ("tau", node) in index else 0.0
                 u1, u2 = loads[node]
                 visits.append(VisitRecord(

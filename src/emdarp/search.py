@@ -26,8 +26,7 @@ at least the least time, so this bound stays below the LP too.  A placement
 whose bound cannot beat the best plan so far is skipped
 (``leaf_screened``); the others run the full scheduling LP (``leaf_lps``,
 with their simplex pivots in ``leaf_pivots``), so the simplex runs only at
-the leaves.  The walks read the graph's per-node tables (``leg_time``,
-``stop_load``, ``station_flag`` and the like), not its methods.
+the leaves.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and

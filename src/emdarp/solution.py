@@ -229,9 +229,9 @@ def decode_solution(model: MilpModel, values: dict, objective: float | None = No
                 raise DecodeError(f"agent {k} route revisits {g.label(node)}")
             seen.add(node)
             visits.append(_visit_from_values(model, values, node, k))
-            if g.is_hub(node):
+            if g.depot_flag[node]:
                 break
-        if visits and not g.is_hub(visits[-1].node):
+        if visits and not g.depot_flag[visits[-1].node]:
             raise DecodeError(f"agent {k} route ends at {g.label(visits[-1].node)}, not a depot")
         plans.append(RoutePlan(agent=k, visits=visits,
                                duration=values.get(V.Tk(k), 0.0)))
@@ -258,7 +258,7 @@ def decode_solution(model: MilpModel, values: dict, objective: float | None = No
 
 def _visit_from_values(model: MilpModel, values: dict, node: int, k: int) -> VisitRecord:
     inst, g = model.instance, model.graph
-    if g.is_hub(node):
+    if g.depot_flag[node]:
         return VisitRecord(node=node, label=g.label(node),
                            arrival=values.get(V.Tk(k), 0.0),
                            departure=values.get(V.Tk(k), 0.0),
@@ -266,13 +266,13 @@ def _visit_from_values(model: MilpModel, values: dict, node: int, k: int) -> Vis
                            soc_departure=values.get(V.phi(node, k), 0.0))
     arrival = values.get(V.t(node), 0.0)
     soc = values.get(V.phi(node, k), 0.0)
-    if g.is_station(node):
+    if g.station_flag[node]:
         xi = tuple(values.get(V.xi(node, s), 0.0) for s in (1, 2, 3))
         return VisitRecord(
             node=node, label=g.label(node), arrival=arrival,
             departure=arrival + inst.agents[k].station_service_time + sum(xi),
             soc_arrival=soc, soc_departure=soc + inst.battery.gained(xi), charge_times=xi)
-    service = inst.requests[g.gamma(node)].service_time
+    service = inst.requests[g.stop_load[node][0]].service_time
     return VisitRecord(
         node=node, label=g.label(node), arrival=arrival,
         departure=arrival + service,
@@ -307,12 +307,12 @@ def encode_plan(model: MilpModel, solution: Solution) -> dict:
         values[V.Tk(plan.agent)] = plan.duration
         for rec in plan.visits:
             k = plan.agent
-            if g.is_hub(rec.node):
+            if g.depot_flag[rec.node]:
                 values[V.phi(rec.node, k)] = rec.soc_arrival
                 continue
             values[V.t(rec.node)] = rec.arrival
             values[V.phi(rec.node, k)] = rec.soc_arrival
-            if g.is_station(rec.node):
+            if g.station_flag[rec.node]:
                 for s, amount in zip((1, 2, 3), rec.charge_times):
                     values[V.xi(rec.node, s)] = amount
                 values[V.z(rec.node, 1)] = 1.0 if (rec.charge_times[1] > 0

@@ -25,8 +25,10 @@ REJECTED_OPACITY = 0.3
 
 def render_svg(inst: Instance, graph: ExpandedGraph,
                solution: Solution | None = None) -> str:
+    """The SVG map; ValueError naming the first node without coordinates."""
     points = [graph.position(i) for i in range(graph.n_nodes)]
-    points = [p for p in points if p is not None]
+    if None in points:
+        raise ValueError(f"{graph.label(points.index(None))} has no coordinates")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     lo_x, hi_x = min(xs), max(xs)
@@ -104,5 +106,6 @@ def render_svg(inst: Instance, graph: ExpandedGraph,
 
 def write_svg(inst: Instance, graph: ExpandedGraph, path: str,
               solution: Solution | None = None) -> None:
+    text = render_svg(inst, graph, solution)  # before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(inst, graph, solution))
+        fh.write(text)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from emdarp.instance import instance_from_dict
@@ -82,11 +84,11 @@ def _deep_update(doc, over):
 def fresh_socs(inst, graph, k, chain):
     """The ``soc_ceilings`` of agent *k*'s *chain* at its own
     ``load_violation`` loads when it ends at a depot, else ()."""
-    if not chain or not graph.is_hub(chain[-1]):
+    if not chain or not graph.depot_flag[chain[-1]]:
         return ()
     loads = {}
     load_violation(inst, graph, k, chain, loads)
-    return soc_ceilings(inst, graph, k, chain, loads)
+    return soc_ceilings(inst, graph, k, chain, loads, -math.inf)
 
 
 def fresh_curve(inst, graph, k, chain, horizon, releases=None):

@@ -315,9 +315,9 @@ def test_criterion_6_variant_toggles():
             continue
         served += 1
         last = plan.visits[-1]
-        assert graph.is_hub(last.node)
+        assert graph.depot_flag[last.node]
         tail = plan.visits[-2]
-        assert graph.is_delivery(tail.node) or graph.is_station(tail.node)
+        assert tail.node in graph.ld or graph.station_flag[tail.node]
         assert last.arrival == pytest.approx(tail.departure, abs=1e-9)
         assert plan.duration == pytest.approx(tail.departure, abs=1e-9)
     assert served > 0

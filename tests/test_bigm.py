@@ -39,7 +39,7 @@ def test_horizon_charge_terms():
     g = expand_graph(inst)
     bm = compute_big_m(inst, g)
     b = inst.battery
-    max_c = max(g.cost(i, j) for i in range(g.n_nodes) for j in range(g.n_nodes))
+    max_c = max(c for row in g.cost_matrix for c in row)
     expected = (
         2 * sum(r.service_time for r in inst.requests)
         + 2 * inst.agents[0].station_service_time

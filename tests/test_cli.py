@@ -495,6 +495,30 @@ def test_plot_produces_valid_svg(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("strip, first", [("all", "v0"), ("pickup", "p1")])
+def test_plot_node_without_coordinates(tmp_path, capsys, strip, first):
+    # on matrix costs a node may have no position, which validate and solve
+    # accept; plot used to end in a traceback (min() of an empty sequence
+    # with none at all, unpacking None with one missing)
+    doc = make_doc(n_requests=2)
+    doc["costs"] = {"mode": "matrix", "matrix": [[0.0 if i == j else 10.0 for j in range(6)]
+                                                 for i in range(6)]}
+    if strip == "all":
+        for req in doc["requests"]:
+            req["pickup"] = req["delivery"] = None
+        doc["agents"][0]["start"] = None
+        doc["depots"] = [None]
+    else:
+        del doc["requests"][1]["pickup"]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out = run(capsys, "plot", str(path), "--out", str(tmp_path / "r.svg"))
+    assert code == 4
+    assert f"{first} has no coordinates" in out.err
+    assert not (tmp_path / "r.svg").exists()
+
+
 def test_usage_error_is_config_error(tmp_path, capsys):
     # argparse exits with 2, which here would mean "proven infeasible"
     path = write_doc(tmp_path)

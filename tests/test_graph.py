@@ -9,7 +9,7 @@ from emdarp.generate import generate, generate_document
 from emdarp.graph import arc_count_closed_form, expand_graph
 from emdarp.instance import instance_from_dict
 
-from conftest import make_instance
+from conftest import make_doc, make_instance
 from test_acceptance import corpus_config
 
 
@@ -41,7 +41,7 @@ def test_duplicates_share_position_and_omega():
     assert len({g.position(i) for i in nodes}) == 1
     assert all(inst.stations[g.station_of(i)[0]].earliest_available == 7.5 for i in nodes)
     # zero travel time between duplicates of the same station
-    assert g.cost(nodes[0], nodes[1]) == 0.0
+    assert g.cost_matrix[nodes[0]][nodes[1]] == 0.0
 
 
 def test_arc_topology_exhaustive():
@@ -60,9 +60,8 @@ def test_arc_topology_exhaustive():
         if i in g.lp:
             assert ok == ((j in g.lp and i != j) or j in g.ld)
         if i in g.ld:
-            r = g.gamma(i)
             if j in g.lp:
-                assert ok == (g.gamma(j) != r), "own-pickup return arc is pruned"
+                assert ok == (j - g.lp.start != i - g.ld.start), "own-pickup return arc is pruned"
             elif j in g.ld:
                 assert ok == (i != j)
             else:
@@ -88,12 +87,14 @@ def test_arc_count_closed_form():
 
 
 def test_gamma_bijection_and_mu():
-    inst = make_instance(n_requests=3)
-    g = expand_graph(inst)
-    assert [g.gamma(i) for i in g.lp] == [0, 1, 2]
-    assert [g.gamma(i) for i in g.ld] == [0, 1, 2]
-    assert all(g.mu(i) == 1 for i in g.lp)
-    assert all(g.mu(i) == -1 for i in g.ld)
+    # the paper's gamma (a stop's request) and mu (+1 at a pickup, -1 at a
+    # delivery) as stop_load holds them: the request, then its loads times mu
+    doc = make_doc(n_requests=3)
+    for r, req in enumerate(doc["requests"]):
+        req["passengers"], req["equipment"] = r + 1, 1
+    g = expand_graph(instance_from_dict(doc))
+    assert [g.stop_load[i] for i in g.lp] == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+    assert [g.stop_load[i] for i in g.ld] == [(0, -1, -1), (1, -2, -1), (2, -3, -1)]
 
 
 def _workload_configs():
@@ -114,8 +115,8 @@ def test_least_costs_equal_euclidean_arc_costs():
     for cfg in configs:
         g = expand_graph(generate(cfg))
         for i, j in itertools.product(range(g.n_nodes), repeat=2):
-            assert g.least_time[i][j] == g.time_cost(i, j), (cfg, i, j)
-            assert g.least_energy[i][j] == g.energy_cost(i, j), (cfg, i, j)
+            assert g.least_time[i][j] == g.leg_time[i][j], (cfg, i, j)
+            assert g.least_energy[i][j] == g.leg_energy[i][j], (cfg, i, j)
 
 
 @pytest.mark.parametrize("open_vrp, soc_to_hub", [(False, True), (True, True), (True, False)])
@@ -139,23 +140,24 @@ def test_least_costs_take_detours(open_vrp, soc_to_hub):
 @pytest.mark.parametrize("soc_to_hub", [True, False])
 @pytest.mark.parametrize("i", range(25), ids=lambda i: f"corpus-{i}")
 def test_node_tables_match_the_methods(i, soc_to_hub):
-    # the tables the search's walks read: every leg's time and energy with
-    # the open-route rules (an odd corpus configuration has open routes),
-    # each pickup's and delivery's request (gamma) and loads signed by mu,
-    # and the station and depot flags
+    # each table against its fact worked out here: every leg's time and
+    # energy from cost_matrix with the open-route rules (an odd corpus
+    # configuration has open routes), each pickup's and delivery's request
+    # from its offset in lp or ld with the request's loads signed + or -,
+    # the flags from the f and hf ranges, and is_station from its flag
     doc = generate_document(corpus_config(i))
     doc["config"]["open_vrp_soc_to_hub"] = soc_to_hub
     inst = instance_from_dict(doc)
     g = expand_graph(inst)
     for a, b in itertools.product(range(g.n_nodes), repeat=2):
-        free = inst.open_vrp and g.is_hub(b)
-        assert g.leg_time[a][b] == g.time_cost(a, b) == (0.0 if free else g.cost(a, b))
-        assert g.leg_energy[a][b] == g.energy_cost(a, b) == (
-            0.0 if free and not soc_to_hub else g.cost(a, b))
+        free = inst.open_vrp and b in g.hf
+        assert g.leg_time[a][b] == (0.0 if free else g.cost_matrix[a][b])
+        assert g.leg_energy[a][b] == (0.0 if free and not soc_to_hub else g.cost_matrix[a][b])
+    stops = {}
+    for r, req in enumerate(inst.requests):
+        stops[g.lp.start + r] = (r, req.passengers, req.equipment)
+        stops[g.ld.start + r] = (r, -req.passengers, -req.equipment)
     for node in range(g.n_nodes):
-        stop = None
-        if g.is_pickup(node) or g.is_delivery(node):
-            r, sign = g.gamma(node), g.mu(node)
-            stop = (r, sign * inst.requests[r].passengers, sign * inst.requests[r].equipment)
-        assert g.stop_load[node] == stop, node
-        assert (g.station_flag[node], g.depot_flag[node]) == (g.is_station(node), g.is_hub(node))
+        assert g.stop_load[node] == stops.get(node), node
+        assert g.station_flag[node] == (node in g.f) == g.is_station(node), node
+        assert g.depot_flag[node] == (node in g.hf), node

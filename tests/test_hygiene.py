@@ -15,6 +15,11 @@
 - No module under ``src/emdarp`` assigns a module-level name, other than a
   dunder, that no module under ``src/``, ``tests/`` or ``perfbench/`` names
   in the same sense; the assignment itself does not count.
+- No class under ``src/emdarp`` defines a public method or property that no
+  module under ``src/``, ``tests/`` or ``perfbench/`` names as an attribute
+  or a string.  A class with a base from outside ``emdarp`` is exempt: its
+  methods may override the base's, as ``cli._Parser.error`` overrides
+  argparse's.
 """
 
 import ast
@@ -85,12 +90,13 @@ def test_no_unreferenced_private_definitions(path):
     assert sorted((line, name) for name, line in unused if name not in REFERENCED) == []
 
 
-NAMED = REFERENCED.union(*(_references(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
-                           for p in (ROOT / "perfbench").rglob("*.py")))
+BENCH_TREES = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+               for p in (ROOT / "perfbench").rglob("*.py")]
+NAMED = REFERENCED.union(*map(_references, BENCH_TREES))
+EMDARP = [p for p in SOURCES if p.is_relative_to(ROOT / "src" / "emdarp")]
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.is_relative_to(ROOT / "src" / "emdarp")],
-                         ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", EMDARP, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unreferenced_public_definitions(path):
     public = [(node.lineno, node.name) for node in TREES[path].body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -98,8 +104,7 @@ def test_no_unreferenced_public_definitions(path):
     assert [(line, name) for line, name in public if name not in NAMED] == []
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.is_relative_to(ROOT / "src" / "emdarp")],
-                         ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", EMDARP, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unreferenced_module_level_names(path):
     body = TREES[path].body
     targets = [t for node in body if isinstance(node, ast.Assign) for t in node.targets]
@@ -108,6 +113,27 @@ def test_no_unreferenced_module_level_names(path):
              if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
     assert [(line, name) for line, name in bound
             if name not in NAMED and not (name.startswith("__") and name.endswith("__"))] == []
+
+
+ATTRIBUTES = {node.attr if isinstance(node, ast.Attribute) else node.value
+              for tree in [*TREES.values(), *BENCH_TREES] for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              or isinstance(node, ast.Constant) and isinstance(node.value, str)}
+CLASSES = {node.name for p in EMDARP for node in ast.walk(TREES[p])
+           if isinstance(node, ast.ClassDef)}
+
+
+@pytest.mark.parametrize("path", EMDARP, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreferenced_public_methods(path):
+    dead = []
+    for cls in ast.walk(TREES[path]):
+        if not isinstance(cls, ast.ClassDef) or not all(
+                isinstance(base, ast.Name) and base.id in CLASSES for base in cls.bases):
+            continue
+        dead += [(node.lineno, f"{cls.name}.{node.name}") for node in cls.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not node.name.startswith("_") and node.name not in ATTRIBUTES]
+    assert dead == []
 
 
 def _unused_parameters(tree):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ scipy_opt = pytest.importorskip("scipy.optimize")
 
 
 def test_simple_min():
-    res = solve_lp([1.0], A_ub=[[-1.0]], b_ub=[-1.0], bounds=[(0.0, None)])
+    res = solve_lp([1.0], A_ub=[[-1.0]], b_ub=[-1.0], bounds=[(0.0, math.inf)])
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(1.0)
 
@@ -15,7 +17,7 @@ def test_simple_min():
 def test_negative_cost_is_refused():
     # the slack basis is dual feasible only for nonnegative costs
     with pytest.raises(ValueError, match=r"c\[1\] = -0\.5"):
-        solve_lp([1.0, -0.5], A_ub=[[1.0, 1.0]], b_ub=[2.0], bounds=[(0.0, None)] * 2)
+        solve_lp([1.0, -0.5], A_ub=[[1.0, 1.0]], b_ub=[2.0], bounds=[(0.0, math.inf)] * 2)
 
 
 def _with_equalities(A_ub, b_ub, A_eq, b_eq):
@@ -31,13 +33,13 @@ def test_equality_and_bounds():
     # min x + 2y s.t. x + y = 4 (as x + y <= 4 and -x - y <= -4),
     # 1 <= x <= 3, y >= 0
     res = solve_lp([1.0, 2.0], A_ub=[[1.0, 1.0], [-1.0, -1.0]], b_ub=[4.0, -4.0],
-                   bounds=[(1.0, 3.0), (0.0, None)])
+                   bounds=[(1.0, 3.0), (0.0, math.inf)])
     assert res.status == OPTIMAL
     assert res.x == pytest.approx([3.0, 1.0])
 
 
 def test_infeasible():
-    res = solve_lp([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0], bounds=[(0.0, None)])
+    res = solve_lp([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0], bounds=[(0.0, math.inf)])
     assert res.status == INFEASIBLE
 
 
@@ -108,7 +110,7 @@ def test_dual_degenerate_lp_terminates():
                   [0.5, -90.0, -0.02, 3.0],
                   [0.0, 0.0, 1.0, 0.0]])
     c = np.array([-0.75, 150.0, -0.02, 6.0])
-    res = solve_lp([0.0, 0.0, 1.0], A_ub=-A.T, b_ub=c, bounds=[(0.0, None)] * 3)
+    res = solve_lp([0.0, 0.0, 1.0], A_ub=-A.T, b_ub=c, bounds=[(0.0, math.inf)] * 3)
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(0.05)
     assert res.pivots > 0
@@ -133,8 +135,8 @@ def _scheduling_shaped_lp(rng):
             A[r, i], A[r, j], b[r] = -1.0, -beta, -rng.uniform(0.0, 4.0)
         else:
             A[r, i], A[r, j], b[r] = 1.0, beta, rng.uniform(1.0, 10.0)
-    bounds = [(float(rng.choice([0.0, 0.2])), [None, None, 3.0, 8.0][int(rng.integers(0, 4))])
-              for _ in range(n)]
+    bounds = [(float(rng.choice([0.0, 0.2])),
+               [math.inf, math.inf, 3.0, 8.0][int(rng.integers(0, 4))]) for _ in range(n)]
     return c, A, b, bounds
 
 
@@ -153,7 +155,7 @@ def test_scheduling_shaped_lps_against_scipy():
             assert ours.objective == pytest.approx(ref.fun, abs=1e-7), seed
             assert np.all(A @ ours.x <= b + 1e-7), seed
             for xj, (lo, hi) in zip(ours.x, bounds):
-                assert xj >= lo - 1e-7 and (hi is None or xj <= hi + 1e-7), seed
+                assert xj >= lo - 1e-7 and xj <= hi + 1e-7, seed
         statuses.append(expected)
         pivots += ours.pivots
     assert statuses.count(OPTIMAL) >= 50 and statuses.count(INFEASIBLE) >= 20, (
@@ -172,7 +174,7 @@ def test_random_against_scipy(seed):
     bounds = []
     for _ in range(n):
         lo = float(rng.uniform(-2, 0))
-        hi = float(rng.uniform(0.5, 4)) if rng.random() < 0.7 else None
+        hi = float(rng.uniform(0.5, 4)) if rng.random() < 0.7 else math.inf
         bounds.append((lo, hi))
     meq = int(rng.integers(0, 3))
     A_eq = rng.normal(size=(meq, n)) if meq else None
@@ -203,7 +205,7 @@ def _check_against_scipy(c, A_ub, b_ub, A_eq, b_eq, bounds):
         assert np.all(A_ub @ x <= b_ub + 1e-7)
         assert np.allclose(A_eq @ x, b_eq, atol=1e-7)
         for xj, (lo, hi) in zip(x, bounds):
-            assert xj >= lo - 1e-7 and (hi is None or xj <= hi + 1e-7)
+            assert xj >= lo - 1e-7 and xj <= hi + 1e-7
     return expected
 
 
@@ -223,7 +225,7 @@ def test_degenerate_integer_lps_against_scipy():
         A_eq = rng.integers(-2, 3, size=(meq, n)).astype(float)
         b_eq = rng.integers(-2, 3, size=meq).astype(float)
         bounds = [(float(rng.choice([0.0, -1.0])),
-                   [None, 1.0, 2.0, 3.0][int(rng.integers(0, 4))]) for _ in range(n)]
+                   [math.inf, 1.0, 2.0, 3.0][int(rng.integers(0, 4))]) for _ in range(n)]
         statuses.append(_check_against_scipy(c, A_ub, b_ub, A_eq, b_eq, bounds))
     for status in (OPTIMAL, INFEASIBLE):
         assert statuses.count(status) >= 10, statuses.count(status)

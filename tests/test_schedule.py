@@ -158,7 +158,7 @@ def test_leaf_lp_states_each_condition_once(monkeypatch):
     c, bounds = call["c"], call["bounds"]
     # t at p0, d0, f0; tau at p0; three xi; phi at p0, d0, f0, h0; Tk; T
     assert len(c) == 13
-    uppers = sorted(hi for _, hi in bounds if hi is not None and math.isfinite(hi))
+    uppers = sorted(hi for _, hi in bounds if math.isfinite(hi))
     horizon = compute_big_m(inst, g).horizon
     assert uppers == sorted([*inst.battery.caps, inst.agents[0].max_duration, horizon])
 
@@ -328,16 +328,16 @@ def _timing_lp(inst, g, chains, horizon):
         agent = inst.agents[k]
         prev, prev_col, gap, depot = g.start_node(k), None, agent.initial_delay, None
         for node in chain:
-            if g.is_hub(node):
+            if g.depot_flag[node]:
                 depot = node
                 break
             col = var(horizon)
             row({col: -1.0, **({} if prev_col is None else {prev_col: 1.0})},
-                -(gap + g.time_cost(prev, node)))
-            if g.is_station(node):
+                -(gap + g.leg_time[prev][node]))
+            if g.station_flag[node]:
                 gap = agent.station_service_time
             else:
-                r = g.gamma(node)
+                r = g.stop_load[node][0]
                 req = inst.requests[r]
                 c[col] += req.priority * w.epsilon
                 if node == (g.pickup_node(r) if req.tw_kind == "pickup" else g.delivery_node(r)):
@@ -347,9 +347,9 @@ def _timing_lp(inst, g, chains, horizon):
                 gap = req.service_time
             prev, prev_col = node, col
         if depot is not None:
-            leg = g.time_cost(prev, depot)
+            leg = g.leg_time[prev][depot]
         else:
-            leg = min(g.time_cost(prev, h) for h in g.hf)
+            leg = min(g.leg_time[prev][h] for h in g.hf)
         tk = var(min(agent.max_duration, horizon))
         row({tk: -1.0, **({} if prev_col is None else {prev_col: 1.0})}, -(gap + leg))
         row({tk: 1.0, total: -1.0}, 0.0)
@@ -411,7 +411,7 @@ def test_timing_bound_equals_timing_lp():
             horizon = full_horizon if rng.random() < 0.5 else rng.uniform(10.0, 150.0)
             want = _timing_lp(inst, g, chains, horizon)
             got = routing_bound(inst, g, chains, horizon)
-            charged = any(g.is_station(node) for chain in chains for node in chain)
+            charged = any(g.station_flag[node] for chain in chains for node in chain)
             if math.isinf(want):
                 assert got == math.inf, (case, chains, horizon)
                 outcomes["infeasible"] += 1

@@ -185,10 +185,10 @@ def _soc_walk_passes(inst, g, chains_full, loads):
         agent = inst.agents[k]
         soc, prev = agent.soc_init, g.start_node(k)
         for node in chain:
-            soc -= inst.battery.drain(g.energy_cost(prev, node), loads.get(prev, (0.0, 0.0)))
+            soc -= inst.battery.drain(g.leg_energy[prev][node], loads.get(prev, (0.0, 0.0)))
             if soc < agent.soc_min - 1e-9:
                 return False
-            if g.is_station(node):
+            if g.station_flag[node]:
                 soc = 1.0
             prev = node
     return True
@@ -776,11 +776,11 @@ def test_energy_screen_keeps_every_optimal_subrouting():
             continue
         screen = _Search(inst, g, SearchConfig())
         for k, plan in enumerate(result.solution.plans):
-            chain = [v.node for v in plan.visits if g.is_pickup(v.node) or g.is_delivery(v.node)]
-            served = sorted({g.gamma(node) for node in chain})
+            chain = [v.node for v in plan.visits if g.stop_load[v.node] is not None]
+            served = sorted({g.stop_load[node][0] for node in chain})
             for size in range(1, len(served) + 1):
                 for subset in itertools.combinations(served, size):
-                    sub = [node for node in chain if g.gamma(node) in subset]
+                    sub = [node for node in chain if g.stop_load[node][0] in subset]
                     loads = {}
                     assert load_violation(inst, g, k, sub, loads) is None, (cfg, sub)
                     assert screen._energy_ok(k, sub, loads), (cfg, sub)
@@ -842,7 +842,7 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
 
 def _shares_a_station(g, chains):
     users = {(g.station_of(node)[0], k) for k, chain in enumerate(chains)
-             for node in chain if g.is_station(node)}
+             for node in chain if g.station_flag[node]}
     return len(users) > len({st for st, _ in users})
 
 
@@ -876,7 +876,7 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
                         if hub is not None:
                             assert curve == fresh_curve(inst, g, k, full[k], horizon), full
                             assert socs == fresh_socs(inst, g, k, full[k]), full
-                            later_slots += any(g.is_station(node) and g.station_of(node)[1] > 0
+                            later_slots += any(g.station_flag[node] and g.station_of(node)[1] > 0
                                                for node in full[k])
                     res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                     if res.feasible:
