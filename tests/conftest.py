@@ -4,7 +4,7 @@ import pytest
 
 from emdarp.instance import instance_from_dict
 from emdarp.scheduling import (
-    agent_curve, load_violation, slot_releases, soc_ceilings, timing_bound,
+    _release, agent_curve, load_violation, slot_releases, soc_ceilings, timing_bound,
 )
 
 
@@ -112,6 +112,24 @@ def release_bound(inst, graph, chains, horizon):
     releases = slot_releases(inst, graph, chains, socs) or [None] * len(chains)
     return timing_bound(fresh_curve(inst, graph, k, chain, horizon, releases[k])
                         for k, chain in enumerate(chains) if chain)
+
+
+def earliest_bound(inst, graph, chains, horizon):
+    """``timing_bound`` of a complete routing with each agent's curve over
+    only its pickups and deliveries (legs at their least times, no depot)
+    cut at the earliest return of its complete chain: the leaf screen that
+    needs no curve of the complete chain."""
+    curves = []
+    for k, chain in enumerate(chains):
+        if not chain:
+            continue
+        own = fresh_curve(inst, graph, k, [node for node in chain
+                                          if graph.stop_load[node] is not None], horizon)
+        full = fresh_curve(inst, graph, k, chain, horizon)
+        if own is not None and full is not None:
+            _release(*own, full[0][0])
+        curves.append(own if full is not None else None)
+    return timing_bound(curves)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ corpus (criteria 1-3, 8) is solved once and shared; the remaining criteria
 use purpose-built instances.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -122,6 +123,47 @@ PINNED_CORPUS = [
 ]
 
 
+# sha256 of each B&B solution as `emdarp solve` writes it (sorted keys, indent
+# 2, one newline), None where there is no plan: a change to the search or the
+# leaf LP that moves any field of any visit shows here, not only one that
+# moves the objective.
+SOLUTION_SHA256 = {
+    "corpus-0": None,
+    "corpus-1": "1ce66e6122680c65629ebb254dd091d4193245d8fb91c84d1b05968076f619ba",
+    "corpus-2": "653044bb07976f91926127ac8d6fae959fef93b503594a2e788d63fe8cd00952",
+    "corpus-3": "f4b6b4b801880e06d3fbbca3e3de7d15d8b39cf2ab2269f49eb613a6e117bf36",
+    "corpus-4": "bed7dd1b7f8c9aa8c41b92cba611041587cbf39ae3d4c075bdfb31df6c5ede6d",
+    "corpus-5": "b26e486494d652ef79b349301b7256ea5ad4e937b04bb3264f22919f564aa10b",
+    "corpus-6": None,
+    "corpus-7": "9891092b29dc2fef3bdafbd7a219f69482900e33e46ddb5a2438dfd8f522f112",
+    "corpus-8": "a1fc048605136574fb8375e3b79dbcd7073461a30ad418fea86db1e9538c1002",
+    "corpus-9": "2818afaca7379fa47174df91132e5cc4375db13238e28e8f335a600e000dec6e",
+    "corpus-10": "3b107b47f727b5900bff0a541b2e5b66ea63731bf06fc33df2bfbcabe6a5922e",
+    "corpus-11": "8f01a4724f4d89b9f90f01be08458b300419e5e3e8e9fdd1d6d8bc9b17dedf91",
+    "corpus-12": None,
+    "corpus-13": "c2856256fe8323819f28026c64128e193c949d065baabe68d688418c4e5fdcab",
+    "corpus-14": "719978a97afbe9a3b7d4f8878b54b38a1dbeb272f036909d836126066f17f6e9",
+    "corpus-15": "b2fc148661ca6616e937d0fcb9d31ef51880199433904d1c140a0dc08ff364c4",
+    "corpus-16": "8444a1ea6f46411386915b929d77d54b1fc884534883bc4af3ee43ad317563a5",
+    "corpus-17": "ef9d0f418aaf5d4d9e8b4c1236e93a26af22d7b19061a2b854fea5b95724ac0b",
+    "corpus-18": "aab5befd4b6d57cf193b50c1d099ea157253f323f9dd63db8949d81d937da395",
+    "corpus-19": "c60ff348773cf38576807162f37f3015d1f0ec132f3499d04045a5d6a02e25ff",
+    "corpus-20": "2ad840e22795809d56514d5e342c7b5ac1b92e024557832e8b4e2e4fae8997f3",
+    "corpus-21": "60536af64e252ac833a41ee363444a960309b873e1690f7df37fa7c8be25f218",
+    "corpus-22": "7f4db9dacbaaa73964e1b875aaddd506929ebb483ab59edf48f2bb45a5054cb6",
+    "corpus-23": "d603f58d89d40459e27173c52c46f1fff9e5a9dca00358d52cedc26104d4341a",
+    "corpus-24": "33dcf26c17511e1d3bb24bcd68fd755da75b26446a0d6bcc417346de459acf81",
+    "c5-n4-s3": "d2b733289464b9c66ffced77283741bcc78b31fd1168c9b33647d086e8018b84",
+}
+
+
+def _solution_sha256(result):
+    if result.solution is None:
+        return None
+    text = json.dumps(result.solution.to_dict(), sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "config, status, objective, nodes, leaves, leaf_lps, screened, energy_pruned, pivots", [
         *[(corpus_config(seed), *rest, None) for seed, *rest in PINNED_CORPUS],
@@ -134,9 +176,10 @@ PINNED_CORPUS = [
          "optimal", 148.93221199334377, 67, 52, 4, 263, 56, 130),
     ], ids=[f"corpus-{row[0]}" for row in PINNED_CORPUS] + ["c5-n4-s3"])
 def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps, screened,
-                           energy_pruned, pivots):
+                           energy_pruned, pivots, request):
     result = branch_and_bound(generate(config))
     assert result.status == status
+    assert _solution_sha256(result) == SOLUTION_SHA256[request.node.callspec.id]
     assert result.objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
     assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened,
             result.energy_pruned) == (nodes, leaves, leaf_lps, screened, energy_pruned)

@@ -19,7 +19,10 @@ from emdarp.search import (
 from emdarp.solution import encode_plan
 from emdarp.tools.solve_mps import read_mps, solve
 
-from conftest import fresh_curve, fresh_socs, make_instance, release_bound, routing_bound
+from conftest import (
+    earliest_bound, fresh_curve, fresh_socs, make_doc, make_instance, release_bound,
+    routing_bound,
+)
 from test_acceptance import corpus_config
 
 
@@ -817,7 +820,8 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
     # the leaf screen is sound: on every complete routing the oracle prices,
     # the timing DP with its least charging times plus the rejection
     # penalties stays at or below the leaf LP's objective, with and without
-    # the slot releases
+    # the slot releases, and the pickups' and deliveries' own curves cut at
+    # the earliest return stay at or below the DP
     inst = generate(cfg)
     g = expand_graph(inst)
     horizon = compute_big_m(inst, g).horizon
@@ -829,9 +833,10 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
             penalty = sum(req.priority * inst.weights.eta
                           for req, acc in zip(inst.requests, accepted) if not acc)
             tol = 1e-7 * max(1.0, abs(res.objective))
+            earliest = earliest_bound(inst, graph, chains, horizon) + penalty
             plain = routing_bound(inst, graph, chains, horizon) + penalty
             released = release_bound(inst, graph, chains, horizon) + penalty
-            assert plain <= released <= res.objective + tol, chains
+            assert earliest <= plain <= released <= res.objective + tol, chains
             priced.append(chains)
         return res
 
@@ -852,8 +857,9 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
     # leaf the search visits, each (placement, depots) pair it prices or
     # screens, most with two or more stations in one chain.  The curve and
     # the SoC walk the search holds for each end, walked and timed at slot 0,
-    # are the routed chain's own with its real slots.  The slot-release bound
-    # is at or below the LP on every pair, and on pairs whose station serves
+    # are the routed chain's own with its real slots.  On every pair the
+    # earliest-return bound is at or below the plain one, which is at or
+    # below the slot-release bound, which is at or below the LP; on pairs whose station serves
     # both agents the one the screen takes is strictly tighter than the
     # plain bound on at least *tighter_at_least* of them
     inst = generate(GenConfig(seed=seed, n_requests=4, n_agents=2, n_stations=1,
@@ -881,9 +887,10 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
                     res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
                     if res.feasible:
                         tol = 1e-7 * max(1.0, abs(res.objective))
+                        earliest = earliest_bound(inst, g, full, horizon) + penalty
                         plain = routing_bound(inst, g, full, horizon) + penalty
                         released = release_bound(inst, g, full, horizon) + penalty
-                        assert plain <= released <= res.objective + tol, full
+                        assert earliest <= plain <= released <= res.objective + tol, full
                         if _shares_a_station(g, full):
                             screen = self._released_bound(full, ends) + penalty
                             assert screen in (released, -math.inf), full
@@ -894,6 +901,26 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
     Audited(inst, expand_graph(inst), SearchConfig()).run()
     assert len(priced) >= 50 and later_slots >= 50
     assert tighter >= tighter_at_least, tighter
+
+
+def test_equal_objectives_keep_the_depth_first_plan():
+    # two agents alike in every field, start included, and one request: the
+    # plan with agent 0 and the one with agent 1 have the same LP, so the
+    # same objective, bit for bit.  Children are visited by (bound, agent),
+    # so agent 0's leaf comes first in depth-first order, and its plan stays
+    doc = make_doc(n_agents=2)
+    doc["agents"][1]["start"] = doc["agents"][0]["start"]
+    inst = instance_from_dict(doc)
+    g = expand_graph(inst)
+    p, d, hub = g.pickup_node(0), g.delivery_node(0), g.hf[0]
+    first = schedule_routes(inst, g, [[p, d, hub], []], [True])
+    second = schedule_routes(inst, g, [[], [p, d, hub]], [True])
+    assert first.objective == second.objective
+    result = branch_and_bound(inst, g)
+    assert result.status == "optimal" and result.objective == first.objective
+    assert [plan.nodes for plan in result.solution.plans] == [[p, d, hub], []]
+    first.solution.status = "optimal"
+    assert result.solution.to_dict() == first.solution.to_dict()
 
 
 def test_crossing_slot_orders_keep_the_plain_screen():
