@@ -20,11 +20,12 @@ of Bland's rule, which cannot cycle).  A violated row with no negative entry
 proves the LP infeasible.  Every variable is bounded below and every cost is
 nonnegative, so the LP is never unbounded.
 
-The kernel is numpy: each pivot is one rank-1 update of the tableau, and the
-leaving row and the ratio test are found with array operations.  Every
-tableau entry gets the same floating-point multiply and subtract as in a
-row-by-row Gauss-Jordan elimination, so the pivots and the optimum are
-bit-for-bit those of the scalar algorithm.
+The kernel is numpy: each pivot is one rank-1 update of the tableau rows
+with a nonzero entry in the pivot column, and the leaving row and the ratio
+test are found with array operations.  Every updated entry gets the same
+floating-point multiply and subtract as in a row-by-row Gauss-Jordan
+elimination, which leaves the other rows as they are, so the pivots and the
+optimum are those of the scalar algorithm.
 """
 
 from __future__ import annotations
@@ -118,11 +119,12 @@ def _dual_iterate(tableau: np.ndarray, basis: list, n_cols: int, pivots: list) -
 
 
 def _pivot(tableau: np.ndarray, basis: list, row: int, col: int) -> None:
-    """Gauss-Jordan step as one rank-1 update.  Each entry gets the same
-    multiply and subtract as in a row-by-row elimination; rows whose factor
-    is zero change at most in the sign of a zero."""
+    """Gauss-Jordan step as one rank-1 update of the rows whose factor is
+    nonzero.  Each of them gets the same multiply and subtract as in a
+    row-by-row elimination; the others are left untouched."""
     tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
+    factors = tableau[:, col]
+    rows = factors.nonzero()[0]
+    rows = rows[rows != row]
+    tableau[rows] -= factors[rows, None] * tableau[row]
     basis[row] = col
