@@ -111,8 +111,9 @@ class _Audit:
 def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
              tol: float = 1e-6) -> ValidationReport:
     """Audit *sol* against every row family.  A solution without a value
-    per request, or with a visit to a node outside *graph*, gets only its
-    ``plan`` violations and a NaN objective: nothing else can be read."""
+    per request, or with a visit to a node outside *graph* or to an agent's
+    start node, gets only its ``plan`` violations and a NaN objective:
+    nothing else can be read."""
     a = _Audit(inst, graph, sol, tol)
     g = graph
 
@@ -133,6 +134,9 @@ def validate(inst: Instance, graph: ExpandedGraph, sol: Solution,
     faults += [((plan.agent, rec.node), "visit to a node outside the graph")
                for plan in plans.values() for rec in plan.visits
                if rec.node not in range(g.n_nodes)]
+    # a route leaves its start node and never returns to one
+    faults += [((plan.agent, rec.node), "visit to an agent's start node")
+               for plan in plans.values() for rec in plan.visits if rec.node in g.h0]
     if faults:
         for index, note in faults:
             a.eq("plan", index, 1.0, 0.0, note)

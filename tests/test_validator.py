@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 import shlex
 import sys
@@ -104,12 +105,16 @@ def test_plans_read_by_agent(seed, n_requests):
      [(("request_slacks",), "request_slacks has 1 entries, needs 2")]),
     (1, 2, lambda s: setattr(s.plans[0].visits[0], "node", 999),
      [((0, 999), "visit to a node outside the graph")]),
+    (1, 2, lambda s: s.plans[0].visits.insert(1, dataclasses.replace(s.plans[0].visits[0], node=1)),
+     [((0, 1), "visit to an agent's start node")]),
 ], ids=["dropped", "repeated", "unknown", "short-accepted", "short-request-times",
-        "short-request-slacks", "node-out-of-range"])
+        "short-request-slacks", "node-out-of-range", "start-node-mid-route"])
 def test_plan_per_agent_flagged(seed, n_requests, tamper, want):
     # a missing, repeated or unknown agent, a list without a value per
-    # request and a node outside the graph are violations, not crashes (each
-    # but the repeated and unknown agent used to raise IndexError)
+    # request, a node outside the graph and a visit to a start node are
+    # violations, not crashes (each but the repeated and unknown agent used
+    # to raise IndexError; the start node, agent 1's, a ValueError from
+    # _request_of, which took it for a delivery)
     inst, g, sol, _ = _bnb_solved(seed, n_requests)
     report = validate(inst, g, _tamper(sol, tamper))
     assert [(v.index, v.note) for v in report.violations if v.tag == "plan"] == want
