@@ -147,7 +147,7 @@ class MilpModel:
     instance: Instance
     graph: ExpandedGraph
     catalog: VariableCatalog
-    constraints: list
+    constraints: list[Constraint]
     objective: dict
     objective_constant: float
     big_m: BigM

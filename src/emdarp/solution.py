@@ -57,7 +57,7 @@ class VisitRecord:
 @dataclass
 class RoutePlan:
     agent: int
-    visits: list  # VisitRecord, including the terminal depot when one is reached
+    visits: list[VisitRecord]  # including the terminal depot when one is reached
     duration: float = 0.0
 
     @property
@@ -69,7 +69,7 @@ class RoutePlan:
 class Solution:
     status: str
     objective: float
-    plans: list
+    plans: list[RoutePlan]
     accepted: list
     request_times: list
     request_slacks: list
