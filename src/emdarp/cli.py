@@ -180,7 +180,7 @@ def cmd_solve(args) -> int:
         sol, status = result.solution, result.status
         search = {"nodes": result.nodes, "leaves": result.leaves,
                   "leaf_lps": result.leaf_lps, "leaf_pivots": result.leaf_pivots,
-                  "leaf_screened": result.leaf_screened,
+                  "leaf_screened": result.leaf_screened, "leaf_cut": result.leaf_cut,
                   "energy_pruned": result.energy_pruned}
     else:
         sol, status = _solve_external(inst, args)

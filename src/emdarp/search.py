@@ -14,29 +14,47 @@ a partial chain's legs at their least costs, which a completion's route
 between two chain stops never undercuts, metric costs or not.  Charging
 stops and terminal depots are decided at the leaves.  There each agent's
 stop sets pass a best-case state-of-charge walk on their own, per depot;
-each depot that passes keeps the DP curve of its completed chain, each
-station taking the least charging time that walk allows.  Each (agent,
-chain) is walked once per solve.  The survivors are combined across agents and given
-duplicate slots, and each placement merges its agents' curves into a lower
-bound on its LP.  Where a station serves two or more agents, a later slot
-waits for the earlier one: ``scheduling.slot_releases`` gives each visit
-the earliest time its slot frees, and each agent that waits is re-timed
-from those releases.  Every LP schedule keeps the slot order and charges
-at least the least time, so this bound stays below the LP too.  A placement
-whose bound cannot beat the best plan so far is skipped
-(``leaf_screened``); the others run the full scheduling LP (``leaf_lps``,
-with their simplex pivots in ``leaf_pivots``), so the simplex runs only at
-the leaves.
+each depot that passes keeps the earliest return of its completed chain,
+each station taking the least charging time that walk allows.  Each (agent,
+chain) is walked once per solve.  The survivors are combined across agents
+and given duplicate slots, and each placement is screened cheapest first:
+
+1. Earliest return.  The agents' curves over their pickups and deliveries
+   (the node bound's), merged from the latest of their earliest returns on,
+   bound the placement.  From the latest of each agent's least earliest
+   return on they bound the whole leaf, which is skipped before any
+   placement is enumerated when that cannot beat the best plan so far
+   (``leaf_cut``).
+2. The DP curve of each completed chain, computed only for a placement that
+   passed step 1 and kept per (agent, routed chain), merged.
+3. Where a station serves two or more agents, a later slot waits for the
+   earlier one: ``scheduling.slot_releases`` gives each visit the earliest
+   time its slot frees, and each agent that waits is re-timed from those
+   releases.  Every LP schedule keeps the slot order and charges at least
+   the least time, so this bound stays below the LP too.
+
+A placement whose bound cannot beat the best plan so far is skipped
+(``leaf_screened``).  The others wait in one queue keyed by (bound,
+discovery order): after each leaf that queued one, the search solves the
+queued LP of least bound, and it solves the rest once the tree is done,
+skipping each whose bound has reached the incumbent (also
+``leaf_screened``).  The LPs solved are ``leaf_lps``, with their simplex
+pivots in ``leaf_pivots``, so the simplex runs only at the leaves.  Of two
+plans whose objectives tie within the tolerance, the one found first in
+depth-first order stays, whichever LP the queue solves first
+(``_Search._beats``), so every answer is the one that solving each LP as
+soon as it is found would give.
 
 The incumbent comes only from the tree: children are visited cheapest bound
 first, so the first dive reaches a complete plan within a few nodes, and
 each better leaf replaces it.  A node or time limit returns ``feasible``
-with the smallest bound left unexplored, or ``limit`` when no complete plan
-was found yet.
+with the smallest bound left unexplored, queued LPs included, or ``limit``
+when no complete plan was found yet.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -46,8 +64,8 @@ from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
 from .model import compute_big_m
 from .scheduling import (
-    ScheduleResult, agent_curve, load_violation, schedule_routes, slot_releases, soc_ceilings,
-    timing_bound,
+    ScheduleResult, agent_curve, earliest_return, load_violation, schedule_routes,
+    slot_releases, soc_ceilings, timing_bound,
 )
 from .solution import Solution
 
@@ -71,7 +89,8 @@ class SearchResult:
     leaves: int
     leaf_lps: int  # schedule_routes calls made at the leaves
     leaf_pivots: int  # simplex pivots of those calls' LPs
-    leaf_screened: int  # (placement, depots) pairs the timing screen skipped
+    leaf_screened: int  # (placement, depots) pairs the timing screens skipped
+    leaf_cut: int  # leaves the earliest-return screen ruled out before any placement
     energy_pruned: int  # children cut at insertion by the energy screen (_energy_ok)
 
 
@@ -103,11 +122,19 @@ class _Search:
         self.leaf_lps = 0
         self.leaf_pivots = 0
         self.leaf_screened = 0
+        self.leaf_cut = 0
         self.energy_pruned = 0
         self.best: ScheduleResult | None = None
         self.best_obj = math.inf
+        self.best_found = math.inf  # the incumbent's place in the discovery order
         self.open_bound = math.inf  # least bound of a subtree left unexplored
-        self.curves: dict = {}  # (agent, chain of pickups and deliveries) -> agent_curve
+        # (bound, discovery order, complete routing, accepted) of each leaf LP
+        # that passed every screen and is not solved yet
+        self.queue: list = []
+        self.found = 0  # leaf LPs queued so far: the next one's discovery order
+        # (agent, chain) -> agent_curve: of its pickups and deliveries at
+        # their least legs, or of a complete route charging at each station
+        self.curves: dict = {}
         self.stop_sets: dict = {}  # (agent, leaf chain) -> _agent_stop_sets
         # the depots each agent may end at: its pinned depot, else every depot
         self.hubs = [list(graph.hf) if agent.terminal_hub is None
@@ -148,14 +175,15 @@ class _Search:
         return timing_bound(self._known(self.curves, k, chain, self._curve)
                             for k, chain in enumerate(chains) if chain) + penalty
 
-    def _curve(self, k, chain):
-        return agent_curve(self.inst, self.graph, k, chain, self.big_m.horizon)
+    def _curve(self, k, chain, socs=()):
+        return agent_curve(self.inst, self.graph, k, chain, self.big_m.horizon, socs)
 
-    def _known(self, table: dict, k, chain, walk):
-        """``walk(k, chain)``, once per (agent, chain), kept in *table*."""
+    def _known(self, table: dict, k, chain, walk, *args):
+        """``walk(k, chain, *args)``, once per (agent, chain), kept in *table*;
+        *args* must follow from the chain."""
         key = (k, tuple(chain))
         if key not in table:
-            table[key] = walk(k, chain)
+            table[key] = walk(k, chain, *args)
         return table[key]
 
     def _energy_ok(self, k, chain, loads):
@@ -209,9 +237,9 @@ class _Search:
         """(stops, ends) for each set of (position, station) stops in the
         charging gaps of agent *k*'s *chain* whose best-case SoC walk
         (``soc_ceilings``) reaches some of the agent's depots (``hubs``), with
-        each such (depot, ``agent_curve`` of the completed chain, the walk)
-        in *ends*.  An idle agent has the one option ``([], [(None, None,
-        ())])``, or none when its depot is pinned.  A stop is walked and
+        each such (depot, ``earliest_return`` of the completed chain, the
+        walk) in *ends*.  An idle agent has the one option ``([], [(None,
+        None, ())])``, or none when its depot is pinned.  A stop is walked and
         timed as slot 0 of its station, which is exact: every duplicate has
         its station's base-node costs (``base_of``), and the DP has no
         slot-order or opening rows; ``evaluate_leaf`` adds the slot order."""
@@ -235,7 +263,7 @@ class _Search:
                     for full in (route + [hub] for hub in self.hubs[k]):
                         socs = soc_ceilings(inst, g, k, full, loads, floor)
                         if socs[-1] >= floor:
-                            ends.append((full[-1], agent_curve(inst, g, k, full, horizon, socs),
+                            ends.append((full[-1], earliest_return(inst, g, k, full, horizon, socs),
                                          socs))
                     if ends:
                         out.append((stops, ends))
@@ -279,19 +307,46 @@ class _Search:
                 yield [pair for part in parts for pair in part], ends
 
     def evaluate_leaf(self, chains, accepted):
-        """Price the placements and depots of the leaf *chains* that pass the
-        SoC walks; each feasible schedule that beats the incumbent replaces
-        it.  One whose timing bound (its agents' curves merged) plus the
+        """Screen the placements and depots of the leaf *chains* that pass the
+        SoC walks, cheapest screen first, and queue the leaf LP of each that
+        passes every screen (``_solve_next``).  A pair whose bound plus the
         rejection penalties cannot beat the incumbent is skipped and counted
-        in ``leaf_screened``.  So is one that uses a station from two or more
-        agents and whose bound cannot beat it once each agent that a slot
-        release delays (``slot_releases``) is re-timed from its releases
-        (``agent_curve``).  Every LP schedule reaches each station visit at
-        or after its release, so that bound is still at most the LP's
-        optimum less the penalties, and a skipped pair cannot beat the
-        incumbent: every answer is the one the LPs alone would give."""
+        in ``leaf_screened``, and a leaf whose least such bound cannot is
+        skipped whole and counted in ``leaf_cut``.
+
+        1. Earliest return.  Each agent's curve over its pickups and
+           deliveries (the node bound's, kept in ``curves``), merged with a
+           makespan no earlier than the latest ``earliest_return`` of the
+           pair's completed chains (``timing_bound``'s *earliest*), bounds
+           the pair.  No earlier than the latest of each agent's least
+           earliest return over its ends, it bounds every pair of the leaf.
+        2. The ``agent_curve`` of each agent's completed chain, computed only
+           here and kept per (agent, routed chain) in ``curves``, merged.
+        3. Where a station serves two or more agents, that bound with each
+           agent that a slot release delays (``slot_releases``) re-timed from
+           its releases (``_released_bound``).
+
+        Every bound is at most the pair's LP optimum less the penalties: the
+        first is at most the second (``timing_bound``), the second at most
+        the third, and every LP schedule reaches each station visit at or
+        after its release.  So a skipped pair cannot beat the incumbent, and
+        neither can a pair of a skipped leaf: each pair's first bound is at
+        least the leaf's, as ``timing_bound`` never falls when *earliest*
+        rises."""
         inst, g = self.inst, self.graph
         penalty = self._penalty(accepted, range(inst.n_requests))
+        per_agent = [self._known(self.stop_sets, k, chain, self._agent_stop_sets)
+                     for k, chain in enumerate(chains)]
+        if not all(per_agent):
+            return  # an agent reaches no depot: no placement
+        own = [self._known(self.curves, k, chain, self._curve)
+               for k, chain in enumerate(chains) if chain]
+        least = max((min(e for _, ends in sets for _, e, _ in ends)
+                     for sets, chain in zip(per_agent, chains) if chain), default=0.0)
+        if timing_bound(own, least) + penalty >= self.best_obj - _EPS:
+            self.leaf_cut += 1
+            return
+        before = self.found
         for placement, agent_ends in self._placements(chains):
             self._check_time()
             routed = [list(c) for c in chains]
@@ -301,33 +356,73 @@ class _Search:
             users = {(g.station_of(node)[0], k) for (k, _), node in placement}
             shared = len(users) > len({st for st, _ in users})
             for ends in itertools.product(*agent_ends):
-                screen = timing_bound(curve for hub, curve, _ in ends if hub is not None)
-                if screen + penalty >= self.best_obj - _EPS:
+                earliest = max((e for hub, e, _ in ends if hub is not None), default=0.0)
+                if timing_bound(own, earliest) + penalty >= self.best_obj - _EPS:
                     self.leaf_screened += 1
                     continue
                 full = [c if hub is None else c + [hub] for c, (hub, _, _) in zip(routed, ends)]
-                if shared and self._released_bound(full, ends) + penalty >= self.best_obj - _EPS:
+                curves = {k: self._known(self.curves, k, full[k], self._curve, socs)
+                          for k, (hub, _, socs) in enumerate(ends) if hub is not None}
+                bound = timing_bound(curves.values()) + penalty
+                if shared and bound < self.best_obj - _EPS:
+                    bound = max(bound, self._released_bound(full, ends, curves) + penalty)
+                if bound >= self.best_obj - _EPS:
                     self.leaf_screened += 1
                     continue
-                self.leaf_lps += 1
-                res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
-                self.leaf_pivots += res.pivots
-                if res.feasible and res.objective < self.best_obj - _EPS:
-                    self.best = res
-                    self.best_obj = res.objective
+                self._enqueue(bound, full, accepted)
+        if self.found > before:
+            self._solve_next()
 
-    def _released_bound(self, full, ends):
+    def _released_bound(self, full, ends, curves):
         """``timing_bound`` of the complete routing *full*, each agent that a
-        slot release delays re-timed from its releases; -inf when none does
-        or the releases never settle (the plain screen has run already)."""
+        slot release delays re-timed from its releases, the others taking
+        their *curves*; -inf when none does or the releases never settle (the
+        plain screen has run already)."""
         releases = slot_releases(self.inst, self.graph, full, [socs for _, _, socs in ends])
         if releases is None or not any(releases):
             return -math.inf
         return timing_bound(
-            curve if not released else agent_curve(self.inst, self.graph, k, full[k],
-                                                   self.big_m.horizon, socs, released)
-            for k, ((hub, curve, socs), released) in enumerate(zip(ends, releases))
-            if hub is not None)
+            curve if not releases[k] else agent_curve(self.inst, self.graph, k, full[k],
+                                                      self.big_m.horizon, ends[k][2],
+                                                      releases[k])
+            for k, curve in curves.items())
+
+    def _enqueue(self, bound, full, accepted):
+        heapq.heappush(self.queue, (bound, self.found, full, accepted))
+        self.found += 1
+
+    def _beats(self, value, found):
+        """Whether a plan of objective at least *value*, queued *found*-th,
+        may replace the incumbent: it is lower by more than the tolerance,
+        or it is no higher by more than the tolerance and was queued first.
+
+        Tie rule.  Leaves are visited depth-first and a leaf queues its
+        pairs in ``_placements`` order, so the discovery order is the order
+        in which the search would price every pair if it solved each LP as
+        soon as it is found, keeping a new plan only when it is lower by more
+        than the tolerance.  That keeps, of the plans within the tolerance
+        of the least objective, the first found; so does this rule, whatever
+        order the queue solves them in.  A pair being found now comes after
+        the incumbent in that order, so for it the rule is the plain test,
+        which the screens and the tree's node bounds apply."""
+        return (value < self.best_obj - _EPS
+                or (found < self.best_found and value <= self.best_obj + _EPS))
+
+    def _solve_next(self):
+        """Solve the queued leaf LP of least bound, ties by discovery order,
+        that can still beat the incumbent (``_beats``), and keep its plan if
+        it does; the ones popped before it cannot and count as screened."""
+        while self.queue:
+            bound, found, full, accepted = heapq.heappop(self.queue)
+            if not self._beats(bound, found):
+                self.leaf_screened += 1
+                continue
+            self.leaf_lps += 1
+            res = schedule_routes(self.inst, self.graph, full, accepted, big_m=self.big_m)
+            self.leaf_pivots += res.pivots
+            if res.feasible and self._beats(res.objective, found):
+                self.best, self.best_obj, self.best_found = res, res.objective, found
+            return
 
     # -- tree walk -----------------------------------------------------------
 
@@ -336,10 +431,15 @@ class _Search:
         accepted = [False] * self.inst.n_requests
         try:
             self._visit(chains, accepted, 0)
+            while self.queue:
+                self._check_time()
+                self._solve_next()
             status = "optimal" if self.best is not None else "infeasible"
             bound = self.best_obj
         except _LimitReached:
             status = "feasible" if self.best is not None else "limit"
+            # a queued LP is at least its bound
+            self.open_bound = min([self.open_bound, *(entry[0] for entry in self.queue)])
             # no open bound means the root never branched; every objective
             # term is nonnegative, so 0 is then the only bound
             bound = min(self.open_bound, self.best_obj) if self.open_bound < math.inf else 0.0
@@ -352,7 +452,7 @@ class _Search:
                             best_bound=bound, gap=gap, nodes=self.nodes,
                             leaves=self.leaves, leaf_lps=self.leaf_lps,
                             leaf_pivots=self.leaf_pivots,
-                            leaf_screened=self.leaf_screened,
+                            leaf_screened=self.leaf_screened, leaf_cut=self.leaf_cut,
                             energy_pruned=self.energy_pruned)
 
     def _visit(self, chains, accepted, depth):
@@ -518,4 +618,4 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
         solution.status = status
     return SearchResult(status=status, solution=solution, objective=objective,
                         best_bound=objective, gap=gap, nodes=0, leaves=0, leaf_lps=0,
-                        leaf_pivots=0, leaf_screened=0, energy_pruned=0)
+                        leaf_pivots=0, leaf_screened=0, leaf_cut=0, energy_pruned=0)

@@ -21,7 +21,7 @@ from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict, instance_to_dict
 from emdarp.model import build_model, compute_big_m
 from emdarp.mps import format_mps
-from emdarp.search import SearchConfig, branch_and_bound, exhaustive_oracle
+from emdarp.search import SearchConfig, _Search, branch_and_bound, exhaustive_oracle
 from emdarp.solution import encode_plan, run_external
 
 from conftest import make_doc
@@ -73,8 +73,8 @@ def test_criterion_1_oracle_equivalence(corpus):
 
 
 # (corpus configuration, status, objective, nodes, leaves, leaf LPs,
-# placements screened, children cut by the energy screen) of the builtin
-# branch-and-bound.  Any change to the simplex pivot path, the search order
+# placements screened, leaves cut whole by the earliest-return screen,
+# children cut by the energy screen) of the builtin branch-and-bound.  Any change to the simplex pivot path, the search order
 # or the leaf screen shows here first; move a value only with an
 # oracle-checked reason.
 # Every feasible configuration counts the leaf of its optimum: the search
@@ -95,31 +95,31 @@ def test_criterion_1_oracle_equivalence(corpus):
 # ends past a horizon that counted the service once and left the window
 # start out: with that horizon all three engines rejected it at 244.848.
 PINNED_CORPUS = [
-    (0, "infeasible", math.inf, 1, 0, 0, 0, 1),
-    (1, "optimal", 75.95090282199382, 5, 2, 2, 8, 0),
-    (2, "optimal", 46866.514517902186, 4, 1, 1, 0, 4),
-    (3, "optimal", 26.503600418424124, 2, 1, 1, 1, 0),
-    (4, "optimal", 102.6518700367318, 3, 1, 1, 0, 3),
-    (5, "optimal", 108.59203901496076, 6, 1, 1, 8, 0),
-    (6, "infeasible", math.inf, 1, 0, 0, 0, 1),
-    (7, "optimal", 31.912626748998253, 3, 1, 1, 4, 0),
-    (8, "optimal", 59478.56383295095, 6, 1, 1, 0, 10),
-    (9, "optimal", 53.998970166119065, 2, 1, 1, 1, 0),
-    (10, "optimal", 13136.895189141156, 3, 1, 1, 0, 2),
-    (11, "optimal", 97.6998197055721, 7, 2, 2, 8, 0),
-    (12, "infeasible", math.inf, 1, 0, 0, 0, 1),
-    (13, "optimal", 120.7954416165867, 4, 1, 1, 4, 0),
-    (14, "optimal", 42235.52106893448, 6, 1, 1, 0, 6),
-    (15, "optimal", 91.39680108513518, 2, 1, 1, 1, 0),
-    (16, "optimal", 77.51597279378826, 3, 1, 1, 0, 0),
-    (17, "optimal", 63.301546540667104, 7, 2, 2, 8, 0),
-    (18, "optimal", 71.01363988981916, 2, 1, 1, 0, 0),
-    (19, "optimal", 101.46247707021979, 4, 1, 1, 3, 0),
-    (20, "optimal", 37681.78037721325, 4, 1, 1, 0, 2),
-    (21, "optimal", 68.3296002992313, 2, 1, 1, 1, 0),
-    (22, "optimal", 38380.0, 3, 1, 1, 0, 2),
-    (23, "optimal", 98.37832032911805, 6, 1, 1, 8, 0),
-    (24, "optimal", 101.90012530862306, 2, 1, 1, 0, 0),
+    (0, "infeasible", math.inf, 1, 0, 0, 0, 0, 1),
+    (1, "optimal", 75.95090282199382, 5, 2, 2, 8, 0, 0),
+    (2, "optimal", 46866.514517902186, 4, 1, 1, 0, 0, 4),
+    (3, "optimal", 26.503600418424124, 2, 1, 1, 1, 0, 0),
+    (4, "optimal", 102.6518700367318, 3, 1, 1, 0, 0, 3),
+    (5, "optimal", 108.59203901496076, 6, 1, 1, 8, 0, 0),
+    (6, "infeasible", math.inf, 1, 0, 0, 0, 0, 1),
+    (7, "optimal", 31.912626748998253, 3, 1, 1, 4, 0, 0),
+    (8, "optimal", 59478.56383295095, 6, 1, 1, 0, 0, 10),
+    (9, "optimal", 53.998970166119065, 2, 1, 1, 1, 0, 0),
+    (10, "optimal", 13136.895189141156, 3, 1, 1, 0, 0, 2),
+    (11, "optimal", 97.6998197055721, 7, 2, 2, 8, 0, 0),
+    (12, "infeasible", math.inf, 1, 0, 0, 0, 0, 1),
+    (13, "optimal", 120.7954416165867, 4, 1, 1, 4, 0, 0),
+    (14, "optimal", 42235.52106893448, 6, 1, 1, 0, 0, 6),
+    (15, "optimal", 91.39680108513518, 2, 1, 1, 1, 0, 0),
+    (16, "optimal", 77.51597279378826, 3, 1, 1, 0, 0, 0),
+    (17, "optimal", 63.301546540667104, 7, 2, 2, 8, 0, 0),
+    (18, "optimal", 71.01363988981916, 2, 1, 1, 0, 0, 0),
+    (19, "optimal", 101.46247707021979, 4, 1, 1, 3, 0, 0),
+    (20, "optimal", 37681.78037721325, 4, 1, 1, 0, 0, 2),
+    (21, "optimal", 68.3296002992313, 2, 1, 1, 1, 0, 0),
+    (22, "optimal", 38380.0, 3, 1, 1, 0, 0, 2),
+    (23, "optimal", 98.37832032911805, 6, 1, 1, 8, 0, 0),
+    (24, "optimal", 101.90012530862306, 2, 1, 1, 0, 0, 0),
 ]
 
 
@@ -165,36 +165,53 @@ def _solution_sha256(result):
 
 
 @pytest.mark.parametrize(
-    "config, status, objective, nodes, leaves, leaf_lps, screened, energy_pruned, pivots", [
+    "config, status, objective, nodes, leaves, leaf_lps, screened, cut, energy_pruned, pivots",
+    [
         *[(corpus_config(seed), *rest, None) for seed, *rest in PINNED_CORPUS],
         # the criterion-5 make-up at 4 requests: 52 of 67 nodes are leaves.
         # Its 4 leaf LPs take 130 pivots, all in the dual phase.  Before the
         # leaf screen priced the slot releases it solved 9 (309 pivots; 802
-        # with an artificial column per row and a primal phase 1)
+        # with an artificial column per row and a primal phase 1).  The
+        # earliest-return screen rules out 46 of its leaves whole, so only
+        # 27 placements are screened one by one, not 263; no other count,
+        # the solution or a corpus row moved
         (GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
                    duplicate_visits=2, preset="high-discharge"),
-         "optimal", 148.93221199334377, 67, 52, 4, 263, 56, 130),
+         "optimal", 148.93221199334377, 67, 52, 4, 27, 46, 56, 130),
     ], ids=[f"corpus-{row[0]}" for row in PINNED_CORPUS] + ["c5-n4-s3"])
-def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps, screened,
+def test_bnb_output_pinned(config, status, objective, nodes, leaves, leaf_lps, screened, cut,
                            energy_pruned, pivots, request):
     result = branch_and_bound(generate(config))
     assert result.status == status
     assert _solution_sha256(result) == SOLUTION_SHA256[request.node.callspec.id]
     assert result.objective == pytest.approx(objective, rel=1e-12, abs=1e-12)
-    assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened,
-            result.energy_pruned) == (nodes, leaves, leaf_lps, screened, energy_pruned)
+    assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened, result.leaf_cut,
+            result.energy_pruned) == (nodes, leaves, leaf_lps, screened, cut, energy_pruned)
     if pivots is not None:
         assert result.leaf_pivots == pivots
 
 
 def test_bnb_prices_every_placement():
     # every (placement, depots) pair that passes the SoC walks either runs
-    # its leaf LP or is ruled out by the timing screen: a tighter screen
-    # moves pairs from one count to the other, never out of the total
-    result = branch_and_bound(generate(GenConfig(
-        seed=3, n_requests=4, n_agents=2, n_stations=1, duplicate_visits=2,
-        preset="high-discharge")))
-    assert result.leaf_lps + result.leaf_screened == 267
+    # its leaf LP, is ruled out by a timing screen, or belongs to a leaf the
+    # earliest-return screen ruled out whole, which enumerates none: a
+    # tighter screen moves pairs from one count to another, never out of
+    # the total
+    pairs = []  # (pairs of the leaf, whether the leaf was cut whole)
+
+    class Counting(_Search):
+        def evaluate_leaf(self, chains, accepted):
+            cut = self.leaf_cut
+            super().evaluate_leaf(chains, accepted)
+            pairs.append((sum(math.prod(map(len, ends)) for _, ends in self._placements(chains)),
+                          self.leaf_cut > cut))
+
+    inst = generate(GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
+                              duplicate_visits=2, preset="high-discharge"))
+    result = Counting(inst, expand_graph(inst), SearchConfig()).run()
+    assert result.leaf_cut == sum(cut for _, cut in pairs) > 0
+    assert result.leaf_lps + result.leaf_screened == sum(n for n, cut in pairs if not cut)
+    assert sum(n for n, _ in pairs) == 267
 
 
 def test_criterion_2_validator_gate(corpus):

@@ -240,7 +240,7 @@ def test_solve_then_check_clean(tmp_path, capsys):
     assert code == 0
     assert "status: optimal" in cap.out
     assert ("\nnodes: 2  leaves: 1  leaf_lps: 1  leaf_pivots: 6  leaf_screened: 0"
-            "  energy_pruned: 0\n") in cap.out
+            "  leaf_cut: 0  energy_pruned: 0\n") in cap.out
     assert "v0 -> p0 -> d0 -> h0" in routes.read_text().replace(
         "agent 0: ", "")
     code, cap = run(capsys, "check", path, str(sol_path))
@@ -267,6 +267,27 @@ def test_check_flags_tampered_soc(tmp_path, capsys):
     report = json.loads(cap.out)
     assert not report["ok"]
     assert any(v["tag"] == "40" for v in report["violations"])
+
+
+def test_check_flags_a_start_node_mid_route(tmp_path, capsys):
+    # another agent's start node inserted after the first visit of a clean
+    # plan is in range, so the solution reader lets it through; `check` used
+    # to end in a ValueError traceback from the checker, and now reports a
+    # plan violation and exits 1
+    path = str(tmp_path / "g.json")
+    assert run(capsys, "gen", "--seed", "1", "--requests", "2", "--agents", "2",
+               "--out", path)[0] == 0
+    sol_path = tmp_path / "plan.json"
+    assert run(capsys, "solve", path, "--out", str(sol_path))[0] == 0
+    doc = json.loads(sol_path.read_text())
+    visits = next(plan for plan in doc["plans"] if plan["agent"] == 0)["visits"]
+    visits.insert(1, {**visits[0], "node": 1, "label": "v1"})
+    sol_path.write_text(json.dumps(doc))
+    code, cap = run(capsys, "check", path, str(sol_path), "--format", "json")
+    assert code == 1
+    report = json.loads(cap.out)
+    assert [(v["tag"], v["index"], v["note"]) for v in report["violations"]] == [
+        ("plan", [0, 1], "visit to an agent's start node")]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -409,15 +430,16 @@ def test_solve_node_limit_exit_code(tmp_path, capsys):
     # the search's counts come with either outcome, and nodes counts only
     # the nodes visited, never more than the limit
     path = write_doc(tmp_path, n_requests=2, n_agents=2)
-    for limit, status, written, counts in (("1", "limit", False, (1, 0, 0, 0)),
-                                           ("3", "feasible", True, (3, 1, 1, 12))):
+    for limit, status, written, counts in (("1", "limit", False, (1, 0, 0, 0, 0)),
+                                           ("3", "feasible", True, (3, 1, 1, 12, 0))):
         out = tmp_path / f"s{limit}.json"
         code, cap = run(capsys, "solve", path, "--node-limit", limit, "--out", str(out),
                         "--format", "json")
         assert code == 3
         doc = json.loads(cap.out)
         assert doc["status"] == status
-        assert (doc["nodes"], doc["leaves"], doc["leaf_lps"], doc["leaf_pivots"]) == counts
+        assert (doc["nodes"], doc["leaves"], doc["leaf_lps"], doc["leaf_pivots"],
+                doc["leaf_cut"]) == counts
         assert out.exists() == written
         if written:
             assert doc["bound"] <= doc["objective"]

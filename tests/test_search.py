@@ -11,7 +11,7 @@ from emdarp.model import build_model
 from emdarp.mps import write_mps
 from emdarp import search
 from emdarp.model import compute_big_m
-from emdarp.scheduling import load_violation, schedule_routes, slot_releases
+from emdarp.scheduling import load_violation, schedule_routes, slot_releases, timing_bound
 from emdarp.checker import validate
 from emdarp.search import (
     SearchConfig, branch_and_bound, exhaustive_oracle, request_order, _charging_gaps, _Search,
@@ -433,14 +433,16 @@ def test_matrix_costs_bound_and_screen_pinned():
     # screen act on them too.  With the bound cut to the rejection penalties
     # and the screen off, the search took 833 nodes, 768 leaves and 21 leaf
     # LPs, and screened 789 placements.  The slot releases screen 2 of the
-    # 10 leaf LPs it took before them
+    # 10 leaf LPs it took before them.  Solving the queued LPs least bound
+    # first takes 7 instead of 8, and the earliest-return screen cuts 7
+    # leaves whole, so 210 placements are screened instead of 256
     inst = _matrix_instance(GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,
                                       duplicate_visits=2, preset="high-discharge"))
     result = branch_and_bound(inst)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(118.59501388943329, rel=1e-12)
     assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened,
-            result.energy_pruned) == (172, 137, 8, 256, 66)
+            result.leaf_cut, result.energy_pruned) == (172, 137, 7, 210, 7, 66)
 
 
 def test_forced_charging_stop():
@@ -488,6 +490,68 @@ def test_node_limit_reports_gap(seed):
             assert res.best_bound <= res.objective, where
             report = validate(inst, g, res.solution)
             assert report.ok, (where, report.violations)
+
+
+def test_limited_search_bounds_its_queued_lps():
+    # a leaf LP that passed every screen waits in the search's queue until
+    # it is the least; a search stopped with LPs queued reports a bound at
+    # most the least of their bounds, and at most the optimum.  The drain
+    # after the tree is stopped by its time check at its first LP, where
+    # only the queue and the incumbent are open
+    inst = generate(GenConfig(seed=11, n_requests=4, n_agents=2, n_stations=1,
+                              duplicate_visits=2, preset="high-discharge"))
+    g = expand_graph(inst)
+    full = branch_and_bound(inst, g)
+    queued = 0
+    for limit in range(full.nodes):
+        limited = _Search(inst, g, SearchConfig(node_limit=limit))
+        res = limited.run()
+        assert res.best_bound <= full.objective * (1 + 1e-9), limit
+        if limited.queue:
+            assert res.best_bound <= min(bound for bound, *_ in limited.queue), limit
+            queued += 1
+    assert queued >= 40, queued
+
+    class StoppedAfterTheTree(_Search):
+        def _visit(self, chains, accepted, depth):
+            super()._visit(chains, accepted, depth)
+            self.tree_done = depth == 0
+
+        def _check_time(self):
+            if getattr(self, "tree_done", False):
+                raise search._LimitReached
+
+    stopped = StoppedAfterTheTree(inst, g, SearchConfig())
+    res = stopped.run()
+    assert res.status == "feasible" and stopped.queue
+    least = min(bound for bound, *_ in stopped.queue)
+    assert res.best_bound == min(least, res.objective) <= full.objective
+    assert res.leaf_lps < full.leaf_lps
+
+
+def test_queue_keeps_the_first_found_plan_on_equal_objectives():
+    # the queue solves its LPs least bound first, so a plan found later may be
+    # solved first.  Of two plans with the same objective (two agents alike
+    # in every field, one request), the one found first stays: here it is
+    # queued first with the higher bound, solved second, and replaces the
+    # plan found later.  Queued the other way round, the later plan's LP is
+    # never solved: its bound is at least the incumbent's objective
+    doc = make_doc(n_agents=2)
+    doc["agents"][1]["start"] = doc["agents"][0]["start"]
+    inst = instance_from_dict(doc)
+    g = expand_graph(inst)
+    p, d, hub = g.pickup_node(0), g.delivery_node(0), g.hf[0]
+    routings = [[[p, d, hub], []], [[], [p, d, hub]]]
+    objective = schedule_routes(inst, g, routings[0], [True]).objective
+    for bounds, lps in (((objective, objective - 1.0), 2), ((objective - 1.0, objective), 1)):
+        queue = _Search(inst, g, SearchConfig())
+        for bound, routing in zip(bounds, routings):
+            queue._enqueue(bound, routing, [True])
+        while queue.queue:
+            queue._solve_next()
+        assert queue.best_obj == objective and queue.best_found == 0
+        assert queue.best.solution.plans[0].nodes == [p, d, hub]
+        assert (queue.leaf_lps, queue.leaf_screened) == (lps, 2 - lps)
 
 
 def test_solution_satisfies_full_model():
@@ -792,10 +856,10 @@ def test_energy_screen_keeps_every_optimal_subrouting():
 
 
 @pytest.mark.parametrize("n_requests, objective, counts", [
-    pytest.param(6, 11415.051676880359, (1689, 816, 6, 216), id="n6"),
-    pytest.param(7, 11617.38841906904, (8387, 5104, 8, 523), id="n7",
+    pytest.param(6, 11415.051676880359, (1689, 816, 4, 142, 46), id="n6"),
+    pytest.param(7, 11617.38841906904, (8387, 5104, 6, 401, 350), id="n7",
                  marks=pytest.mark.slow),
-    pytest.param(8, 43515.80693751369, (7844, 1892, 9, 686), id="n8",
+    pytest.param(8, 43515.80693751369, (7844, 1892, 7, 497, 493), id="n8",
                  marks=pytest.mark.slow),
 ])
 def test_criterion_5_reach(n_requests, objective, counts):
@@ -804,13 +868,16 @@ def test_criterion_5_reach(n_requests, objective, counts):
     # (5,061 of its 5,136 leaves energy-dead), and n = 8 ended a 180 s
     # search at 521,938 nodes with gap 0.9987.  The slot releases of the
     # leaf screen cut the leaf LPs from 15, 21 and 24 to 6, 8 and 9, and
-    # left the nodes, leaves and optima as they were
+    # left the nodes, leaves and optima as they were.  Solving the queued
+    # leaf LPs least bound first cut them to 4, 6 and 7, and the
+    # earliest-return screen rules out 46, 350 and 493 leaves whole
     inst = generate(GenConfig(seed=1, n_requests=n_requests, n_agents=2, n_stations=1,
                               duplicate_visits=2, preset="high-discharge"))
     result = branch_and_bound(inst, config=SearchConfig(node_limit=20_000))
     assert result.status == "optimal"
     assert result.objective == pytest.approx(objective, rel=1e-12)
-    assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened) == counts
+    assert (result.nodes, result.leaves, result.leaf_lps, result.leaf_screened,
+            result.leaf_cut) == counts
 
 
 @pytest.mark.parametrize("cfg", [
@@ -855,13 +922,17 @@ def _shares_a_station(g, chains):
 def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
     # the same on the criterion-5 make-up, where the oracle takes ~20 s: at every
     # leaf the search visits, each (placement, depots) pair it prices or
-    # screens, most with two or more stations in one chain.  The curve and
-    # the SoC walk the search holds for each end, walked and timed at slot 0,
-    # are the routed chain's own with its real slots.  On every pair the
-    # earliest-return bound is at or below the plain one, which is at or
-    # below the slot-release bound, which is at or below the LP; on pairs whose station serves
-    # both agents the one the screen takes is strictly tighter than the
-    # plain bound on at least *tighter_at_least* of them
+    # screens, most with two or more stations in one chain.  The earliest
+    # return and the SoC walk the search holds for each end, walked and timed
+    # at slot 0, are the routed chain's own with its real slots, and so is
+    # the curve it computes for the end on demand.  Its earliest-return
+    # screen (each agent's pickups' and deliveries' curve, merged from the
+    # largest earliest return on) is the bound of those curves each cut at
+    # its own agent's return.  On every pair the earliest-return bound is at
+    # or below the plain one, which is at or below the slot-release bound,
+    # which is at or below the LP; on pairs whose station serves both agents
+    # the one the screen takes is strictly tighter than the plain bound on at
+    # least *tighter_at_least* of them
     inst = generate(GenConfig(seed=seed, n_requests=4, n_agents=2, n_stations=1,
                               duplicate_visits=2, preset="high-discharge"))
     priced, later_slots, tighter = [], 0, 0
@@ -871,6 +942,8 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
             nonlocal later_slots, tighter
             g, horizon = self.graph, self.big_m.horizon
             penalty = self._penalty(accepted, range(inst.n_requests))
+            own = [fresh_curve(inst, g, k, chain, horizon) for k, chain in enumerate(chains)
+                   if chain]
             for placement, agent_ends in self._placements(chains):
                 routed = [list(c) for c in chains]
                 for (k, pos), node in sorted(placement, reverse=True):
@@ -878,10 +951,14 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
                 for ends in itertools.product(*agent_ends):
                     full = [c if hub is None else c + [hub]
                             for c, (hub, _, _) in zip(routed, ends)]
-                    for k, (hub, curve, socs) in enumerate(ends):
+                    curves = {}
+                    for k, (hub, earliest, socs) in enumerate(ends):
                         if hub is not None:
-                            assert curve == fresh_curve(inst, g, k, full[k], horizon), full
+                            curve = fresh_curve(inst, g, k, full[k], horizon)
+                            assert earliest == (math.inf if curve is None else curve[0][0]), full
                             assert socs == fresh_socs(inst, g, k, full[k]), full
+                            curves[k] = self._curve(k, full[k], socs)
+                            assert curves[k] == curve, full
                             later_slots += any(g.station_flag[node] and g.station_of(node)[1] > 0
                                                for node in full[k])
                     res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
@@ -891,8 +968,11 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
                         plain = routing_bound(inst, g, full, horizon) + penalty
                         released = release_bound(inst, g, full, horizon) + penalty
                         assert earliest <= plain <= released <= res.objective + tol, full
+                        latest = max(e for hub, e, _ in ends if hub is not None)
+                        assert timing_bound(own, latest) + penalty == pytest.approx(
+                            earliest, rel=1e-12), full
                         if _shares_a_station(g, full):
-                            screen = self._released_bound(full, ends) + penalty
+                            screen = self._released_bound(full, ends, curves) + penalty
                             assert screen in (released, -math.inf), full
                             tighter += screen > plain + tol
                         priced.append(full)
@@ -939,10 +1019,10 @@ def test_crossing_slot_orders_keep_the_plain_screen():
 
     def bounds(chains):
         socs = [fresh_socs(inst, g, k, chain) for k, chain in enumerate(chains)]
-        ends = [(chain[-1], fresh_curve(inst, g, k, chain, horizon), socs[k])
-                for k, chain in enumerate(chains)]
+        ends = [(chain[-1], None, socs[k]) for k, chain in enumerate(chains)]
+        curves = {k: fresh_curve(inst, g, k, chain, horizon) for k, chain in enumerate(chains)}
         return (slot_releases(inst, g, chains, socs), routing_bound(inst, g, chains, horizon),
-                search._released_bound(chains, ends))
+                search._released_bound(chains, ends, curves))
 
     crossing = [[p(0), d(0), f(0, 1), p(1), d(1), f(1, 0), hub],
                 [p(2), d(2), f(1, 1), p(3), d(3), f(0, 0), hub]]
