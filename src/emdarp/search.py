@@ -341,9 +341,9 @@ class _Search:
             return  # an agent reaches no depot: no placement
         own = [self._known(self.curves, k, chain, self._curve)
                for k, chain in enumerate(chains) if chain]
-        least = max((min(e for _, ends in sets for _, e, _ in ends)
-                     for sets, chain in zip(per_agent, chains) if chain), default=0.0)
-        if timing_bound(own, least) + penalty >= self.best_obj - _EPS:
+        leaf_earliest = max((min(e for _, ends in sets for _, e, _ in ends)
+                             for sets, chain in zip(per_agent, chains) if chain), default=0.0)
+        if timing_bound(own, leaf_earliest) + penalty >= self.best_obj - _EPS:
             self.leaf_cut += 1
             return
         before = self.found
