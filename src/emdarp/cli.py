@@ -18,7 +18,7 @@ from .checker import validate
 from .generate import GenConfig, generate
 from .graph import expand_graph
 from .instance import InstanceError, load_instance, save_instance
-from .model import build_model
+from .model import build_model, compute_big_m
 from .mps import write_mps
 from .search import SearchConfig, branch_and_bound
 from .solution import (DecodeError, ExternalSolverError, Solution, decode_solution,
@@ -46,12 +46,21 @@ def _emit(args, doc: dict, human: str) -> None:
 
 
 def _load(path: str):
+    """The instance at *path* and its expanded graph.  An instance whose time
+    horizon (``compute_big_m``) is not representable is rejected here, so no
+    subcommand, engine or solver child reads it."""
     try:
-        return load_instance(path)
+        inst = load_instance(path)
     except OSError as exc:
         raise _Exit(EXIT_CONFIG, f"cannot read instance: {exc}")
     except InstanceError as exc:
         raise _Exit(EXIT_VALIDATION, f"instance rejected: {exc}")
+    graph = expand_graph(inst)
+    try:
+        compute_big_m(inst, graph)
+    except OverflowError as exc:
+        raise _Exit(EXIT_VALIDATION, f"instance rejected: {exc}")
+    return inst, graph
 
 
 def _load_solution(path: str, inst, graph) -> Solution:
@@ -107,7 +116,7 @@ def _nonnegative(convert):
 
 
 def cmd_validate(args) -> int:
-    inst = _load(args.instance)
+    inst, _ = _load(args.instance)
     doc = {
         "ok": True,
         "requests": inst.n_requests,
@@ -125,8 +134,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    inst = _load(args.instance)
-    model = build_model(inst)
+    inst, graph = _load(args.instance)
+    model = build_model(inst, graph)
     try:
         write_mps(model, args.out)
     except OSError as exc:
@@ -152,8 +161,8 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _solve_external(inst, args):
-    model = build_model(inst)
+def _solve_external(inst, graph, args):
+    model = build_model(inst, graph)
     try:
         parsed = run_external(model, command=args.solver_cmd,
                               timeout=args.time_limit)
@@ -172,10 +181,10 @@ def _solve_external(inst, args):
 
 
 def cmd_solve(args) -> int:
-    inst = _load(args.instance)
+    inst, graph = _load(args.instance)
     search = {}  # the builtin search's effort, deterministic like its answer
     if args.engine == "builtin":
-        result = branch_and_bound(inst, config=SearchConfig(
+        result = branch_and_bound(inst, graph, SearchConfig(
             node_limit=args.node_limit, time_limit=args.time_limit))
         sol, status = result.solution, result.status
         search = {"nodes": result.nodes, "leaves": result.leaves,
@@ -183,7 +192,7 @@ def cmd_solve(args) -> int:
                   "leaf_screened": result.leaf_screened, "leaf_cut": result.leaf_cut,
                   "energy_pruned": result.energy_pruned}
     else:
-        sol, status = _solve_external(inst, args)
+        sol, status = _solve_external(inst, graph, args)
     search_line = "  ".join(f"{key}: {val}" for key, val in search.items())
     if sol is None:
         _emit(args, {"status": status, **search}, f"status: {status}\n{search_line}")
@@ -231,8 +240,7 @@ def format_routes(sol: Solution) -> str:
 
 
 def cmd_check(args) -> int:
-    inst = _load(args.instance)
-    graph = expand_graph(inst)
+    inst, graph = _load(args.instance)
     report = validate(inst, graph, _load_solution(args.solution, inst, graph), tol=args.tol)
     doc = report.to_dict()
     lines = [f"checked: {'clean' if report.ok else 'VIOLATIONS'}",
@@ -267,8 +275,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    inst = _load(args.instance)
-    graph = expand_graph(inst)
+    inst, graph = _load(args.instance)
     sol = _load_solution(args.solution, inst, graph) if args.solution else None
     try:
         write_svg(inst, graph, args.out, sol)

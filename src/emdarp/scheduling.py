@@ -12,11 +12,9 @@ slower and pins down the segment indicator values.
 of the LP, each station of a complete chain taking the least charging time
 that the state-of-charge rows allow it, and ``timing_bound`` merges the
 agents' curves; the branch-and-bound uses it as its node bound (legs at
-their least times) and as a screen before each leaf LP.  ``earliest_return``
-is a complete chain's curve's first breakpoint without the rest of the
-curve, for the leaf screen's cheapest step.  ``slot_releases`` brings the
-duplicate-slot order into that screen: the time each station visit's slot
-frees at the earliest, which the curves then respect.
+their least times) and as a screen before each leaf LP.  ``slot_releases``
+brings the duplicate-slot order into that screen: the time each station
+visit's slot frees at the earliest, which the curves then respect.
 """
 
 from __future__ import annotations
@@ -190,11 +188,11 @@ def timing_bound(curves, earliest: float = 0.0) -> float:
     raising *earliest* restricts every curve to ``T >= earliest``, as
     ``_release`` would, without copying one.  Given the curves of a leaf's
     pickups and deliveries (least legs, no depot) and, as *earliest*, the
-    largest ``earliest_return`` of their complete chains, the value is at
-    most the complete chains' bound: each complete schedule restricted to
-    the pickups and deliveries is one the pickups' curve allows, and it
-    returns no earlier than its chain's earliest return, so ``T`` is at
-    least the largest of them."""
+    largest first breakpoint ``xs[0]`` of their complete chains' curves (the
+    earliest return of each), the value is at most the complete chains'
+    bound: each complete schedule restricted to the pickups and deliveries
+    is one the pickups' curve allows, and it returns no earlier than its
+    chain's earliest return, so ``T`` is at least the largest of them."""
     curves = list(curves)
     if any(curve is None for curve in curves):
         return math.inf
@@ -305,30 +303,6 @@ def slot_releases(inst: Instance, graph: ExpandedGraph, routes, socs):
             return delayed
         release = settled
     return None
-
-
-def earliest_return(inst: Instance, graph: ExpandedGraph, k: int, route, horizon: float,
-                    socs) -> float:
-    """The first breakpoint of ``agent_curve(inst, graph, k, route, horizon,
-    socs)`` for a complete *route* (one that ends at a depot), or
-    ``math.inf`` where that is None: one forward pass over the same legs,
-    services and least charging times (``_least_charge``), added in the same
-    order and checked against the same caps, so it is the curve's ``xs[0]``
-    bit for bit.  No schedule of the route returns earlier."""
-    agent = inst.agents[k]
-    charge = _least_charge(inst, graph, k, route, socs)
-    leg_time, stop_load = graph.leg_time, graph.stop_load
-    t, prev, service = agent.initial_delay, graph.start_node(k), 0.0
-    for pos, node in enumerate(route[:-1]):
-        t += service + leg_time[prev][node]
-        if t > horizon + _EPS:
-            return math.inf
-        stop = stop_load[node]
-        service = (agent.station_service_time + charge.get(pos, 0.0) if stop is None
-                   else inst.requests[stop[0]].service_time)
-        prev = node
-    t += service + leg_time[prev][route[-1]]
-    return t if t <= min(agent.max_duration, horizon) + _EPS else math.inf
 
 
 def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float,

@@ -14,24 +14,22 @@ a partial chain's legs at their least costs, which a completion's route
 between two chain stops never undercuts, metric costs or not.  Charging
 stops and terminal depots are decided at the leaves.  There each agent's
 stop sets pass a best-case state-of-charge walk on their own, per depot;
-each depot that passes keeps the earliest return of its completed chain,
-each station taking the least charging time that walk allows.  Each (agent,
-chain) is walked once per solve.  The survivors are combined across agents
-and given duplicate slots, and each placement is screened cheapest first:
+each depot that passes keeps the DP curve of its completed chain, each
+station taking the least charging time that walk allows.  Each (agent,
+chain) is walked once per solve, so each curve serves every leaf that
+shares the chain and every slot order of its stations.
 
-1. Earliest return.  The agents' curves over their pickups and deliveries
-   (the node bound's), merged from the latest of their earliest returns on,
-   bound the placement.  From the latest of each agent's least earliest
-   return on they bound the whole leaf, which is skipped before any
-   placement is enumerated when that cannot beat the best plan so far
-   (``leaf_cut``).
-2. The DP curve of each completed chain, computed only for a placement that
-   passed step 1 and kept per (agent, routed chain), merged.
-3. Where a station serves two or more agents, a later slot waits for the
-   earlier one: ``scheduling.slot_releases`` gives each visit the earliest
-   time its slot frees, and each agent that waits is re-timed from those
-   releases.  Every LP schedule keeps the slot order and charges at least
-   the least time, so this bound stays below the LP too.
+A leaf is skipped whole before any placement is enumerated when the agents'
+curves over their pickups and deliveries (the node bound's), merged from
+the latest of each agent's earliest return on (the least first breakpoint
+of its end curves), cannot beat the best plan so far (``leaf_cut``).  The
+survivors are combined across agents and given duplicate slots, and each
+placement merges its agents' end curves into a lower bound on its LP.
+Where a station serves two or more agents, a later slot waits for the
+earlier one: ``scheduling.slot_releases`` gives each visit the earliest
+time its slot frees, and each agent that waits is re-timed from those
+releases.  Every LP schedule keeps the slot order and charges at least the
+least time, so this bound stays below the LP too.
 
 A placement whose bound cannot beat the best plan so far is skipped
 (``leaf_screened``).  The others wait in one queue keyed by (bound,
@@ -64,8 +62,8 @@ from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
 from .model import compute_big_m
 from .scheduling import (
-    ScheduleResult, agent_curve, earliest_return, load_violation, schedule_routes,
-    slot_releases, soc_ceilings, timing_bound,
+    ScheduleResult, agent_curve, load_violation, schedule_routes, slot_releases, soc_ceilings,
+    timing_bound,
 )
 from .solution import Solution
 
@@ -132,8 +130,7 @@ class _Search:
         # that passed every screen and is not solved yet
         self.queue: list = []
         self.found = 0  # leaf LPs queued so far: the next one's discovery order
-        # (agent, chain) -> agent_curve: of its pickups and deliveries at
-        # their least legs, or of a complete route charging at each station
+        # (agent, chain of pickups and deliveries) -> agent_curve, legs at their least
         self.curves: dict = {}
         self.stop_sets: dict = {}  # (agent, leaf chain) -> _agent_stop_sets
         # the depots each agent may end at: its pinned depot, else every depot
@@ -175,15 +172,14 @@ class _Search:
         return timing_bound(self._known(self.curves, k, chain, self._curve)
                             for k, chain in enumerate(chains) if chain) + penalty
 
-    def _curve(self, k, chain, socs=()):
-        return agent_curve(self.inst, self.graph, k, chain, self.big_m.horizon, socs)
+    def _curve(self, k, chain):
+        return agent_curve(self.inst, self.graph, k, chain, self.big_m.horizon)
 
-    def _known(self, table: dict, k, chain, walk, *args):
-        """``walk(k, chain, *args)``, once per (agent, chain), kept in *table*;
-        *args* must follow from the chain."""
+    def _known(self, table: dict, k, chain, walk):
+        """``walk(k, chain)``, once per (agent, chain), kept in *table*."""
         key = (k, tuple(chain))
         if key not in table:
-            table[key] = walk(k, chain, *args)
+            table[key] = walk(k, chain)
         return table[key]
 
     def _energy_ok(self, k, chain, loads):
@@ -237,9 +233,9 @@ class _Search:
         """(stops, ends) for each set of (position, station) stops in the
         charging gaps of agent *k*'s *chain* whose best-case SoC walk
         (``soc_ceilings``) reaches some of the agent's depots (``hubs``), with
-        each such (depot, ``earliest_return`` of the completed chain, the
-        walk) in *ends*.  An idle agent has the one option ``([], [(None,
-        None, ())])``, or none when its depot is pinned.  A stop is walked and
+        each such (depot, ``agent_curve`` of the completed chain, the walk)
+        in *ends*.  An idle agent has the one option ``([], [(None, None,
+        ())])``, or none when its depot is pinned.  A stop is walked and
         timed as slot 0 of its station, which is exact: every duplicate has
         its station's base-node costs (``base_of``), and the DP has no
         slot-order or opening rows; ``evaluate_leaf`` adds the slot order."""
@@ -263,24 +259,22 @@ class _Search:
                     for full in (route + [hub] for hub in self.hubs[k]):
                         socs = soc_ceilings(inst, g, k, full, loads, floor)
                         if socs[-1] >= floor:
-                            ends.append((full[-1], earliest_return(inst, g, k, full, horizon, socs),
+                            ends.append((full[-1], agent_curve(inst, g, k, full, horizon, socs),
                                          socs))
                     if ends:
                         out.append((stops, ends))
         return tuple(out)  # kept all solve long: a tuple is the smaller record
 
-    def _placements(self, chains):
-        """Every charging placement of the leaf *chains* that passes each
-        agent's SoC walk, as a list of ((agent, position) gap, station node)
-        pairs with the ends left to each agent: by stop count, then gap
-        subset, then the station of each picked gap, then the duplicate slots
-        of each station in order of first appearance.  A station takes its
-        slots from the front, and one agent's visits to it take increasing
-        slots: gaps are in route order, so only cross-agent interleavings are
-        choices."""
+    def _placements(self, per_agent):
+        """Every charging placement of a leaf whose agents have the
+        ``_agent_stop_sets`` *per_agent*, as a list of ((agent, position)
+        gap, station node) pairs with the ends left to each agent: by stop
+        count, then gap subset, then the station of each picked gap, then
+        the duplicate slots of each station in order of first appearance.  A
+        station takes its slots from the front, and one agent's visits to it
+        take increasing slots: gaps are in route order, so only cross-agent
+        interleavings are choices."""
         max_visits = self.inst.duplicate_visits + 1
-        per_agent = [self._known(self.stop_sets, k, chain, self._agent_stop_sets)
-                     for k, chain in enumerate(chains)]
         combos = []
         for parts in itertools.product(*per_agent):
             stops = [((k, pos), st) for k, (own, _) in enumerate(parts) for pos, st in own]
@@ -308,31 +302,29 @@ class _Search:
 
     def evaluate_leaf(self, chains, accepted):
         """Screen the placements and depots of the leaf *chains* that pass the
-        SoC walks, cheapest screen first, and queue the leaf LP of each that
-        passes every screen (``_solve_next``).  A pair whose bound plus the
-        rejection penalties cannot beat the incumbent is skipped and counted
-        in ``leaf_screened``, and a leaf whose least such bound cannot is
+        SoC walks, and queue the leaf LP of each that passes every screen
+        (``_solve_next``).  A pair whose bound plus the rejection penalties
+        cannot beat the incumbent is skipped and counted in
+        ``leaf_screened``, and a leaf whose least such bound cannot is
         skipped whole and counted in ``leaf_cut``.
 
-        1. Earliest return.  Each agent's curve over its pickups and
-           deliveries (the node bound's, kept in ``curves``), merged with a
-           makespan no earlier than the latest ``earliest_return`` of the
-           pair's completed chains (``timing_bound``'s *earliest*), bounds
-           the pair.  No earlier than the latest of each agent's least
-           earliest return over its ends, it bounds every pair of the leaf.
-        2. The ``agent_curve`` of each agent's completed chain, computed only
-           here and kept per (agent, routed chain) in ``curves``, merged.
-        3. Where a station serves two or more agents, that bound with each
-           agent that a slot release delays (``slot_releases``) re-timed from
-           its releases (``_released_bound``).
+        A pair's bound merges the ``agent_curve`` of each agent's completed
+        chain, which its end keeps (``_agent_stop_sets``).  Where a station
+        serves two or more agents, each agent that a slot release delays
+        (``slot_releases``) is re-timed from its releases
+        (``_released_bound``).  Every LP schedule reaches each station visit
+        at or after its release, so either bound is at most the pair's LP
+        optimum less the penalties, and a skipped pair cannot beat the
+        incumbent.
 
-        Every bound is at most the pair's LP optimum less the penalties: the
-        first is at most the second (``timing_bound``), the second at most
-        the third, and every LP schedule reaches each station visit at or
-        after its release.  So a skipped pair cannot beat the incumbent, and
-        neither can a pair of a skipped leaf: each pair's first bound is at
-        least the leaf's, as ``timing_bound`` never falls when *earliest*
-        rises."""
+        Leaf cut.  The agents' curves over their pickups and deliveries (the
+        node bound's, kept in ``curves``), merged with a makespan no earlier
+        than the latest of each agent's least earliest return over its ends
+        (an end curve's first breakpoint, ``timing_bound``'s *earliest*),
+        bound every pair of the leaf: ``timing_bound`` never falls when
+        *earliest* rises, and with the pair's own latest earliest return it
+        is at most the pair's merged end curves.  So no pair of a cut leaf
+        can beat the incumbent."""
         inst, g = self.inst, self.graph
         penalty = self._penalty(accepted, range(inst.n_requests))
         per_agent = [self._known(self.stop_sets, k, chain, self._agent_stop_sets)
@@ -341,13 +333,14 @@ class _Search:
             return  # an agent reaches no depot: no placement
         own = [self._known(self.curves, k, chain, self._curve)
                for k, chain in enumerate(chains) if chain]
-        leaf_earliest = max((min(e for _, ends in sets for _, e, _ in ends)
+        leaf_earliest = max((min(math.inf if curve is None else curve[0][0]
+                                 for _, ends in sets for _, curve, _ in ends)
                              for sets, chain in zip(per_agent, chains) if chain), default=0.0)
         if timing_bound(own, leaf_earliest) + penalty >= self.best_obj - _EPS:
             self.leaf_cut += 1
             return
         before = self.found
-        for placement, agent_ends in self._placements(chains):
+        for placement, agent_ends in self._placements(per_agent):
             self._check_time()
             routed = [list(c) for c in chains]
             for (k, pos), node in sorted(placement, reverse=True):
@@ -356,16 +349,10 @@ class _Search:
             users = {(g.station_of(node)[0], k) for (k, _), node in placement}
             shared = len(users) > len({st for st, _ in users})
             for ends in itertools.product(*agent_ends):
-                earliest = max((e for hub, e, _ in ends if hub is not None), default=0.0)
-                if timing_bound(own, earliest) + penalty >= self.best_obj - _EPS:
-                    self.leaf_screened += 1
-                    continue
                 full = [c if hub is None else c + [hub] for c, (hub, _, _) in zip(routed, ends)]
-                curves = {k: self._known(self.curves, k, full[k], self._curve, socs)
-                          for k, (hub, _, socs) in enumerate(ends) if hub is not None}
-                bound = timing_bound(curves.values()) + penalty
+                bound = timing_bound(curve for hub, curve, _ in ends if hub is not None) + penalty
                 if shared and bound < self.best_obj - _EPS:
-                    bound = max(bound, self._released_bound(full, ends, curves) + penalty)
+                    bound = max(bound, self._released_bound(full, ends) + penalty)
                 if bound >= self.best_obj - _EPS:
                     self.leaf_screened += 1
                     continue
@@ -373,19 +360,18 @@ class _Search:
         if self.found > before:
             self._solve_next()
 
-    def _released_bound(self, full, ends, curves):
+    def _released_bound(self, full, ends):
         """``timing_bound`` of the complete routing *full*, each agent that a
         slot release delays re-timed from its releases, the others taking
-        their *curves*; -inf when none does or the releases never settle (the
-        plain screen has run already)."""
+        the curves of their *ends*; -inf when none does or the releases never
+        settle (the plain screen has run already)."""
         releases = slot_releases(self.inst, self.graph, full, [socs for _, _, socs in ends])
         if releases is None or not any(releases):
             return -math.inf
         return timing_bound(
             curve if not releases[k] else agent_curve(self.inst, self.graph, k, full[k],
-                                                      self.big_m.horizon, ends[k][2],
-                                                      releases[k])
-            for k, curve in curves.items())
+                                                      self.big_m.horizon, socs, releases[k])
+            for k, (hub, curve, socs) in enumerate(ends) if hub is not None)
 
     def _enqueue(self, bound, full, accepted):
         heapq.heappush(self.queue, (bound, self.found, full, accepted))

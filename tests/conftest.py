@@ -114,6 +114,13 @@ def release_bound(inst, graph, chains, horizon):
                         for k, chain in enumerate(chains) if chain)
 
 
+def leaf_placements(search, chains):
+    """``search._placements`` of the leaf *chains*, given the stop sets the
+    search keeps for them, as ``evaluate_leaf`` gives them."""
+    return search._placements([search._known(search.stop_sets, k, chain, search._agent_stop_sets)
+                               for k, chain in enumerate(chains)])
+
+
 def earliest_bound(inst, graph, chains, horizon):
     """``timing_bound`` of a complete routing with each agent's curve over
     only its pickups and deliveries (legs at their least times, no depot)

@@ -24,7 +24,7 @@ from emdarp.mps import format_mps
 from emdarp.search import SearchConfig, _Search, branch_and_bound, exhaustive_oracle
 from emdarp.solution import encode_plan, run_external
 
-from conftest import make_doc
+from conftest import leaf_placements, make_doc
 
 SOLVER_CMD = f"{shlex.quote(sys.executable)} -m emdarp.tools.solve_mps {{model}} {{solution}}"
 
@@ -203,7 +203,8 @@ def test_bnb_prices_every_placement():
         def evaluate_leaf(self, chains, accepted):
             cut = self.leaf_cut
             super().evaluate_leaf(chains, accepted)
-            pairs.append((sum(math.prod(map(len, ends)) for _, ends in self._placements(chains)),
+            pairs.append((sum(math.prod(map(len, ends))
+                              for _, ends in leaf_placements(self, chains)),
                           self.leaf_cut > cut))
 
     inst = generate(GenConfig(seed=3, n_requests=4, n_agents=2, n_stations=1,

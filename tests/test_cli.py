@@ -50,6 +50,29 @@ def test_validate_rejects_bad_instance(tmp_path, capsys):
     assert "rejected" in out.err
 
 
+def test_overflowing_horizon_is_rejected(tmp_path, capsys):
+    # every field is in range, but the time horizon the model and the search
+    # derive from the window is past 1e15: each subcommand that reads the
+    # instance rejects it, and no solver child starts.  These used to pass
+    # validate and end build and solve in an OverflowError traceback
+    doc = make_doc(n_requests=1, n_agents=1)
+    doc["requests"][0].update(tw_lo=1e16, tw_hi=2e16)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    marker = tmp_path / "child-ran"
+    child = (f"{shlex.quote(sys.executable)} -c 'import sys; open(sys.argv[1], \"w\")' "
+             f"{shlex.quote(str(marker))} {{model}} {{solution}}")
+    for argv in (["validate"], ["build", "--out", str(tmp_path / "m.mps")],
+                 ["solve", "--out", str(tmp_path / "s.json")],
+                 ["solve", "--engine", "external", "--solver-cmd", child,
+                  "--out", str(tmp_path / "s.json")]):
+        code, out = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1, argv
+        assert "instance rejected" in out.err and "horizon" in out.err, argv
+    assert not marker.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
 NAN, INF = float("nan"), float("inf")
 
 

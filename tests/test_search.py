@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -20,8 +21,8 @@ from emdarp.solution import encode_plan
 from emdarp.tools.solve_mps import read_mps, solve
 
 from conftest import (
-    earliest_bound, fresh_curve, fresh_socs, make_doc, make_instance, release_bound,
-    routing_bound,
+    earliest_bound, fresh_curve, fresh_socs, leaf_placements, make_doc, make_instance,
+    release_bound, routing_bound,
 )
 from test_acceptance import corpus_config
 
@@ -174,7 +175,7 @@ def test_leaf_placements_match_brute_force(n_stations, dups, shapes, gaps):
                  "d": [g.delivery_node(r), g.delivery_node(r + 1)]}
         chains.append([nodes[kind].pop(0) for kind in shape])
     search = _Search(inst, g, SearchConfig())
-    placements = [p for p, _ in search._placements(chains)]
+    placements = [p for p, _ in leaf_placements(search, chains)]
     assert {gap for p in placements for gap, _ in p} == set(gaps)
     got = [frozenset(p) for p in placements]
     assert all(len(p) == len(q) for p, q in zip(placements, got))
@@ -307,7 +308,7 @@ def test_leaf_placements_keep_order(make, shows):
         reference = _reference_leaf_sequence(search, chains)
         hub_opts = _depot_options(inst, g, chains)
         got = [(placement, tuple(hub for hub, _, _ in ends))
-               for placement, agent_ends in search._placements(chains)
+               for placement, agent_ends in leaf_placements(search, chains)
                for ends in itertools.product(*agent_ends)]
         assert got == [(placement, hubs) for placement, hubs, ok in reference if ok]
         if any(not ok for _, _, ok in reference):
@@ -880,6 +881,52 @@ def test_criterion_5_reach(n_requests, objective, counts):
             result.leaf_cut) == counts
 
 
+def _relabelled(doc, rng):
+    """*doc* with its requests shuffled, its agents rotated by one (each
+    keeps its start, battery and depot) and both renumbered; every
+    coordinate stays, so every cost is the same float."""
+    doc = json.loads(json.dumps(doc))
+    rng.shuffle(doc["requests"])
+    doc["agents"] = doc["agents"][1:] + doc["agents"][:1]
+    for key in ("requests", "agents"):
+        for idx, item in enumerate(doc[key]):
+            item["id"] = idx
+    return doc
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cfg, nodes", [
+    *[(GenConfig(seed=s, n_requests=6, n_agents=2, n_stations=1, duplicate_visits=2,
+                 preset="high-discharge"), nodes)
+      for s, nodes in ((1, (1689, 1689, 1689)), (2, (316, 306, 306)), (3, (289, 289, 289)))],
+    (GenConfig(seed=1, n_requests=7, n_agents=2, n_stations=1, duplicate_visits=2,
+               preset="high-discharge"), (8387, 8387, 8387)),
+    (GenConfig(seed=3, n_requests=6, n_agents=2, n_stations=1, duplicate_visits=2,
+               preset="high-discharge", area=1000.0), (850, 850, 850)),
+], ids=["n6-s1", "n6-s2", "n6-s3", "n7-s1", "area1000-n6-s3"])
+def test_relabelled_makeup_keeps_its_optimum(cfg, nodes):
+    # relabelling the requests and the agents gives an isomorphic instance,
+    # so the same optimum, which the checker passes.  The search orders
+    # requests by priority, then index, and breaks bound ties by agent, so a
+    # copy may walk a different tree: at n = 6, seed 2 both copies take 306
+    # nodes against 316
+    doc = generate_document(cfg)
+    base = branch_and_bound(instance_from_dict(doc))
+    assert base.status == "optimal"
+    rng = random.Random(f"relabel:{cfg.seed}:{cfg.n_requests}:{cfg.area}")
+    walked = [base.nodes]
+    for _ in range(2):
+        copy = _relabelled(doc, rng)
+        inst = instance_from_dict(copy)
+        g = expand_graph(inst)
+        result = branch_and_bound(inst, g)
+        assert result.status == "optimal"
+        assert result.objective == pytest.approx(base.objective, rel=1e-9)
+        assert validate(inst, g, result.solution).ok
+        walked.append(result.nodes)
+    assert tuple(walked) == nodes
+
+
 @pytest.mark.parametrize("cfg", [
     *[pytest.param(corpus_config(i), id=f"corpus-{i}") for i in range(25)],
     *[p for p in _sweep() if p.values[0].n_requests == 2]])
@@ -922,17 +969,16 @@ def _shares_a_station(g, chains):
 def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
     # the same on the criterion-5 make-up, where the oracle takes ~20 s: at every
     # leaf the search visits, each (placement, depots) pair it prices or
-    # screens, most with two or more stations in one chain.  The earliest
-    # return and the SoC walk the search holds for each end, walked and timed
-    # at slot 0, are the routed chain's own with its real slots, and so is
-    # the curve it computes for the end on demand.  Its earliest-return
-    # screen (each agent's pickups' and deliveries' curve, merged from the
-    # largest earliest return on) is the bound of those curves each cut at
-    # its own agent's return.  On every pair the earliest-return bound is at
-    # or below the plain one, which is at or below the slot-release bound,
-    # which is at or below the LP; on pairs whose station serves both agents
-    # the one the screen takes is strictly tighter than the plain bound on at
-    # least *tighter_at_least* of them
+    # screens, most with two or more stations in one chain.  The curve and
+    # the SoC walk the search holds for each end, walked and timed at slot
+    # 0, are the routed chain's own with its real slots, bit for bit.  Its
+    # leaf cut (each agent's pickups' and deliveries' curve, merged from the
+    # largest first breakpoint of the end curves on) is the bound of those
+    # curves each cut at its own agent's return.  On every pair that bound
+    # is at or below the plain one, which is at or below the slot-release
+    # bound, which is at or below the LP; on pairs whose station serves both
+    # agents the one the screen takes is strictly tighter than the plain
+    # bound on at least *tighter_at_least* of them
     inst = generate(GenConfig(seed=seed, n_requests=4, n_agents=2, n_stations=1,
                               duplicate_visits=2, preset="high-discharge"))
     priced, later_slots, tighter = [], 0, 0
@@ -944,21 +990,18 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
             penalty = self._penalty(accepted, range(inst.n_requests))
             own = [fresh_curve(inst, g, k, chain, horizon) for k, chain in enumerate(chains)
                    if chain]
-            for placement, agent_ends in self._placements(chains):
+            for placement, agent_ends in leaf_placements(self, chains):
                 routed = [list(c) for c in chains]
                 for (k, pos), node in sorted(placement, reverse=True):
                     routed[k].insert(pos + 1, node)
                 for ends in itertools.product(*agent_ends):
                     full = [c if hub is None else c + [hub]
                             for c, (hub, _, _) in zip(routed, ends)]
-                    curves = {}
-                    for k, (hub, earliest, socs) in enumerate(ends):
+                    for k, (hub, curve, socs) in enumerate(ends):
                         if hub is not None:
-                            curve = fresh_curve(inst, g, k, full[k], horizon)
-                            assert earliest == (math.inf if curve is None else curve[0][0]), full
+                            fresh = fresh_curve(inst, g, k, full[k], horizon)
+                            assert repr(curve) == repr(fresh), full  # -0.0 too
                             assert socs == fresh_socs(inst, g, k, full[k]), full
-                            curves[k] = self._curve(k, full[k], socs)
-                            assert curves[k] == curve, full
                             later_slots += any(g.station_flag[node] and g.station_of(node)[1] > 0
                                                for node in full[k])
                     res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
@@ -968,11 +1011,11 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
                         plain = routing_bound(inst, g, full, horizon) + penalty
                         released = release_bound(inst, g, full, horizon) + penalty
                         assert earliest <= plain <= released <= res.objective + tol, full
-                        latest = max(e for hub, e, _ in ends if hub is not None)
+                        latest = max(curve[0][0] for hub, curve, _ in ends if hub is not None)
                         assert timing_bound(own, latest) + penalty == pytest.approx(
                             earliest, rel=1e-12), full
                         if _shares_a_station(g, full):
-                            screen = self._released_bound(full, ends, curves) + penalty
+                            screen = self._released_bound(full, ends) + penalty
                             assert screen in (released, -math.inf), full
                             tighter += screen > plain + tol
                         priced.append(full)
@@ -1019,10 +1062,10 @@ def test_crossing_slot_orders_keep_the_plain_screen():
 
     def bounds(chains):
         socs = [fresh_socs(inst, g, k, chain) for k, chain in enumerate(chains)]
-        ends = [(chain[-1], None, socs[k]) for k, chain in enumerate(chains)]
-        curves = {k: fresh_curve(inst, g, k, chain, horizon) for k, chain in enumerate(chains)}
+        ends = [(chain[-1], fresh_curve(inst, g, k, chain, horizon), socs[k])
+                for k, chain in enumerate(chains)]
         return (slot_releases(inst, g, chains, socs), routing_bound(inst, g, chains, horizon),
-                search._released_bound(chains, ends, curves))
+                search._released_bound(chains, ends))
 
     crossing = [[p(0), d(0), f(0, 1), p(1), d(1), f(1, 0), hub],
                 [p(2), d(2), f(1, 1), p(3), d(3), f(0, 0), hub]]
