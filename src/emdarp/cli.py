@@ -18,7 +18,7 @@ from .checker import validate
 from .generate import GenConfig, generate
 from .graph import expand_graph
 from .instance import InstanceError, load_instance, save_instance
-from .model import build_model, compute_big_m
+from .model import build_model
 from .mps import write_mps
 from .search import SearchConfig, branch_and_bound
 from .solution import (DecodeError, ExternalSolverError, Solution, decode_solution,
@@ -46,21 +46,16 @@ def _emit(args, doc: dict, human: str) -> None:
 
 
 def _load(path: str):
-    """The instance at *path* and its expanded graph.  An instance whose time
-    horizon (``compute_big_m``) is not representable is rejected here, so no
-    subcommand, engine or solver child reads it."""
+    """The instance at *path* and its expanded graph.  Validation rejects an
+    instance whose time horizon is not representable (``time_horizon``), so
+    no subcommand, engine or solver child reads it."""
     try:
         inst = load_instance(path)
     except OSError as exc:
         raise _Exit(EXIT_CONFIG, f"cannot read instance: {exc}")
     except InstanceError as exc:
         raise _Exit(EXIT_VALIDATION, f"instance rejected: {exc}")
-    graph = expand_graph(inst)
-    try:
-        compute_big_m(inst, graph)
-    except OverflowError as exc:
-        raise _Exit(EXIT_VALIDATION, f"instance rejected: {exc}")
-    return inst, graph
+    return inst, expand_graph(inst)
 
 
 def _load_solution(path: str, inst, graph) -> Solution:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import TW_PICKUP, Instance, base_positions, derive_costs
+from .instance import TW_PICKUP, Instance, base_positions, derive_costs, time_horizon
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class ExpandedGraph:
     stop_load: tuple[tuple[int, int, int] | None, ...]
     station_flag: tuple[bool, ...]             # per node: a station visit
     depot_flag: tuple[bool, ...]               # per node: a final depot
+    horizon: float                             # the instance's time_horizon
 
     # -- node classification ------------------------------------------------
 
@@ -188,6 +189,7 @@ def expand_graph(inst: Instance) -> ExpandedGraph:
         stop_load=tuple(stop_load),
         station_flag=tuple(i in f for i in range(n_nodes)),
         depot_flag=tuple(i in hf for i in range(n_nodes)),
+        horizon=time_horizon(inst),
     )
 
 

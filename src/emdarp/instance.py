@@ -235,12 +235,53 @@ def derive_costs(inst: Instance):
     return cost
 
 
+def time_horizon(inst: Instance) -> float:
+    """A route-length horizon: some optimal plan ends by it.  The MILP's
+    big-M values and the builtin engine's timing clip at it.
+
+    A stop gains from waiting only until its window opens (its slack
+    ``tau``), its station opens or its agent is released, so only until L,
+    the latest of those times.  Start every stop of an optimal plan as early
+    as its rows allow, but no earlier than the sooner of its old time and L:
+    no cost rises, and each stop then either starts by L or right after the
+    stop that holds it up (its predecessor on the route, or the visit before
+    it at the same station).  Following that chain back to a start by L,
+    every stop and return ends within L plus the chain's work: each
+    request's service at both of its stops, each station visit's service
+    and longest charge (which also bound a visit's queueing behind the one
+    before it), and one leg of at most ``max_c`` into each stop and into the
+    depot.  Every expanded node has a base node and a station's visits share
+    its own, so ``max_c``, the longest leg over base nodes, is the longest
+    leg of the expanded graph too.
+
+    Raises ValidationError when the horizon is not finite or exceeds 1e15.
+    """
+    b = inst.battery
+    n_f = inst.n_stations * (inst.duplicate_visits + 1)
+    cost, n = derive_costs(inst), base_node_count(inst)
+    max_c = max((cost(i, j) for i in range(n) for j in range(n)), default=0.0)
+    release = max([0.0, *(s.earliest_available for s in inst.stations),
+                   *(r.tw_lo for r in inst.requests),
+                   *(a.initial_delay for a in inst.agents)])
+    horizon = (
+        release
+        + 2 * sum(r.service_time for r in inst.requests)
+        + sum(a.station_service_time for a in inst.agents) * n_f
+        + (2 * inst.n_requests + n_f + 1) * max_c
+        + n_f * (b.caps[0] + b.caps[1] + b.CEILINGS[2] / b.beta3)
+    )
+    if not math.isfinite(horizon) or horizon > 1e15:
+        raise ValidationError("time horizon", f"{horizon} exceeds the representable range")
+    return horizon
+
+
 # --- invariant validation ----------------------------------------------------
 
 
 def validate_instance(inst: Instance) -> None:
-    """Check the rules that relate two or more fields, raising
-    ValidationError naming the field; ``instance_from_dict`` checks the rest."""
+    """Check the rules that relate two or more fields, the representable
+    ``time_horizon`` last, raising ValidationError naming the field;
+    ``instance_from_dict`` checks the rest."""
     for idx, r in enumerate(inst.requests):
         if not r.tw_hi > r.tw_lo:
             raise ValidationError(f"requests[{idx}].tw_hi", f"time window upper bound {r.tw_hi} must exceed lower bound {r.tw_lo}")
@@ -276,6 +317,8 @@ def validate_instance(inst: Instance) -> None:
                     raise ValidationError(f"costs.matrix[{i}][{j}]", "diagonal entries must be 0")
                 if i != j and not m[i][j] > 0:
                     raise ValidationError(f"costs.matrix[{i}][{j}]", "off-diagonal entries must be > 0")
+
+    time_horizon(inst)
 
 
 # --- document schema ---------------------------------------------------------

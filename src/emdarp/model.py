@@ -54,7 +54,6 @@ class Constraint:
 
 @dataclass
 class BigM:
-    horizon: float
     time: float
     obj: float
 
@@ -184,41 +183,13 @@ class MilpModel:
 
 
 def compute_big_m(inst: Instance, graph: ExpandedGraph) -> BigM:
-    """Per-family big-M values derived from a route-length horizon.
-
-    Some optimal plan ends by the horizon.  A stop gains from waiting only
-    until its window opens (its slack ``tau``), its station opens or its
-    agent is released, so only until L, the latest of those times.  Start
-    every stop of an optimal plan as early as its rows allow, but no earlier
-    than the sooner of its old time and L: no cost rises, and each stop then
-    either starts by L or right after the stop that holds it up (its
-    predecessor on the route, or the visit before it at the same station).
-    Following that chain back to a start by L, every stop and return ends
-    within L plus the chain's work: each request's service at both of its
-    stops, each station visit's service and longest charge (which also
-    bound a visit's queueing behind the one before it), and one leg of at
-    most ``max_c`` into each stop and into the depot.
-    """
-    b = inst.battery
-    n_f = len(graph.f)
-    max_c = max((c for row in graph.cost_matrix for c in row), default=0.0)
-    release = max([0.0, *(s.earliest_available for s in inst.stations),
-                   *(r.tw_lo for r in inst.requests),
-                   *(a.initial_delay for a in inst.agents)])
-    horizon = (
-        release
-        + 2 * sum(r.service_time for r in inst.requests)
-        + sum(a.station_service_time for a in inst.agents) * n_f
-        + (2 * inst.n_requests + n_f + 1) * max_c
-        + n_f * (b.caps[0] + b.caps[1] + b.CEILINGS[2] / b.beta3)
-    )
-    if not math.isfinite(horizon) or horizon > 1e15:
-        raise OverflowError(f"time horizon {horizon} exceeds the representable range")
-    m = BigM(horizon=horizon, time=horizon, obj=4.0 * horizon)
+    """Per-family big-M values: ``graph.horizon`` for the timing rows and
+    four times it for the objective aliases, or the instance's
+    ``big_m_override`` for both."""
     override = inst.weights.big_m_override
     if override is not None:
-        m.time = m.obj = override
-    return m
+        return BigM(time=override, obj=override)
+    return BigM(time=graph.horizon, obj=4.0 * graph.horizon)
 
 
 def earliest_pickup(inst: Instance, graph: ExpandedGraph, r: int) -> float:
@@ -234,7 +205,7 @@ def earliest_pickup(inst: Instance, graph: ExpandedGraph, r: int) -> float:
 def build_catalog(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> VariableCatalog:
     cat = VariableCatalog()
     b = inst.battery
-    H = big_m.horizon
+    H = graph.horizon
 
     for k in range(inst.n_agents):
         for (i, j) in graph.arcs_for_agent(k):
@@ -466,7 +437,7 @@ def build_timing(inst: Instance, graph: ExpandedGraph, big_m: BigM) -> list:
     # depot, no sooner than the least time to the nearest one (0 on open
     # routes).  So T >= t_d + s_r + ret_r when y_r = 1; with y_r = 0 the
     # right side drops to t_d - H <= 0.
-    H = big_m.horizon
+    H = graph.horizon
     for r, req in enumerate(inst.requests):
         d = graph.delivery_node(r)
         ret = min((graph.least_time[d][h] for h in graph.hf), default=0.0)

@@ -28,7 +28,6 @@ import numpy as np
 from .graph import ExpandedGraph
 from .instance import Instance
 from .lp import solve_lp
-from .model import compute_big_m
 from .solution import RoutePlan, Solution, VisitRecord
 
 _EPS = 1e-9
@@ -305,18 +304,17 @@ def slot_releases(inst: Instance, graph: ExpandedGraph, routes, socs):
     return None
 
 
-def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: float,
-                socs=(), releases=None):
+def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, socs=(), releases=None):
     """``G_k(x)``, the cheapest cost of agent *k*'s non-empty *chain* with
     ``Tk <= x`` under the rows of ``timing_bound``, as convex, nonincreasing
     breakpoints ``(xs, ys)`` from the earliest return to ``min(max_duration,
-    horizon)``, constant beyond; None when the chain does not fit.
+    graph.horizon)``, constant beyond; None when the chain does not fit.
 
     Method: the soft-time-window scheduling DP of Ibaraki et al.
     (Transportation Science 39(2), 2005) and Hashimoto et al. (Discrete
     Applied Mathematics 154(16), 2006): at each stop, shift by the previous
     service time plus the leg, take the prefix minimum, add the stop's cost
-    and clip at *horizon*.
+    and clip at ``graph.horizon``.
 
     Least charging time.  Given *socs*, the ``soc_ceilings`` of a complete
     chain (one that ends at a depot) at its ``load_violation`` loads, each
@@ -347,7 +345,7 @@ def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: fl
     xs, ys = [agent.initial_delay], [0.0]
     prev, service = graph.start_node(k), 0.0
     for pos, node in enumerate(chain if depot is None else chain[:-1]):
-        if not _advance(xs, ys, service + leg_time[prev][node], horizon):
+        if not _advance(xs, ys, service + leg_time[prev][node], graph.horizon):
             return None
         stop = stop_load[node]
         if stop is None:  # a station
@@ -363,7 +361,7 @@ def agent_curve(inst: Instance, graph: ExpandedGraph, k: int, chain, horizon: fl
             service = req.service_time
         prev = node
     leg = min((leg_time[prev][h] for h in (graph.hf if depot is None else [depot])), default=0.0)
-    if not _advance(xs, ys, service + leg, min(agent.max_duration, horizon)):
+    if not _advance(xs, ys, service + leg, min(agent.max_duration, graph.horizon)):
         return None
     return xs, ys
 
@@ -422,8 +420,7 @@ def _add_stop_cost(xs, ys, slope, zeta, lo, hi) -> None:
         ys[i] += slope * x + zeta * max(0.0, lo - x, x - hi)
 
 
-def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
-                    big_m=None) -> ScheduleResult:
+def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted) -> ScheduleResult:
     """Time and charge a complete routing: every chain ends at a depot.
 
     The LP minimises ``T + sum_r lambda_r (epsilon (t_p + t_d) + zeta tau)``
@@ -449,8 +446,6 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     if reason is not None:
         return ScheduleResult(feasible=False, reason=reason)
 
-    if big_m is None:
-        big_m = compute_big_m(inst, graph)
     b = inst.battery
     depot, station, stop_load = graph.depot_flag, graph.station_flag, graph.stop_load
     visited_by = {}
@@ -483,7 +478,7 @@ def schedule_routes(inst: Instance, graph: ExpandedGraph, chains, accepted,
     for k, chain in enumerate(chains):
         if chain:
             var("Tk", k, 0.0, inst.agents[k].max_duration)
-    i_t_total = var("T", None, 0.0, big_m.horizon)
+    i_t_total = var("T", None, 0.0, graph.horizon)
     c = [0.0] * len(cols)
     c[i_t_total] = 1.0
 

@@ -60,7 +60,6 @@ from dataclasses import dataclass
 
 from .graph import ExpandedGraph, expand_graph
 from .instance import Instance
-from .model import compute_big_m
 from .scheduling import (
     ScheduleResult, agent_curve, load_violation, schedule_routes, slot_releases, soc_ceilings,
     timing_bound,
@@ -113,7 +112,6 @@ class _Search:
         self.inst = inst
         self.graph = graph
         self.config = config
-        self.big_m = compute_big_m(inst, graph)
         self.order = request_order(inst)
         self.nodes = 0
         self.leaves = 0
@@ -173,7 +171,7 @@ class _Search:
                             for k, chain in enumerate(chains) if chain) + penalty
 
     def _curve(self, k, chain):
-        return agent_curve(self.inst, self.graph, k, chain, self.big_m.horizon)
+        return agent_curve(self.inst, self.graph, k, chain)
 
     def _known(self, table: dict, k, chain, walk):
         """``walk(k, chain)``, once per (agent, chain), kept in *table*."""
@@ -239,7 +237,7 @@ class _Search:
         timed as slot 0 of its station, which is exact: every duplicate has
         its station's base-node costs (``base_of``), and the DP has no
         slot-order or opening rows; ``evaluate_leaf`` adds the slot order."""
-        inst, g, horizon = self.inst, self.graph, self.big_m.horizon
+        inst, g = self.inst, self.graph
         agent = inst.agents[k]
         if not chain:
             return [] if agent.terminal_hub is not None else [([], [(None, None, ())])]
@@ -259,8 +257,7 @@ class _Search:
                     for full in (route + [hub] for hub in self.hubs[k]):
                         socs = soc_ceilings(inst, g, k, full, loads, floor)
                         if socs[-1] >= floor:
-                            ends.append((full[-1], agent_curve(inst, g, k, full, horizon, socs),
-                                         socs))
+                            ends.append((full[-1], agent_curve(inst, g, k, full, socs), socs))
                     if ends:
                         out.append((stops, ends))
         return tuple(out)  # kept all solve long: a tuple is the smaller record
@@ -369,8 +366,8 @@ class _Search:
         if releases is None or not any(releases):
             return -math.inf
         return timing_bound(
-            curve if not releases[k] else agent_curve(self.inst, self.graph, k, full[k],
-                                                      self.big_m.horizon, socs, releases[k])
+            curve if not releases[k]
+            else agent_curve(self.inst, self.graph, k, full[k], socs, releases[k])
             for k, (hub, curve, socs) in enumerate(ends) if hub is not None)
 
     def _enqueue(self, bound, full, accepted):
@@ -404,7 +401,7 @@ class _Search:
                 self.leaf_screened += 1
                 continue
             self.leaf_lps += 1
-            res = schedule_routes(self.inst, self.graph, full, accepted, big_m=self.big_m)
+            res = schedule_routes(self.inst, self.graph, full, accepted)
             self.leaf_pivots += res.pivots
             if res.feasible and self._beats(res.objective, found):
                 self.best, self.best_obj, self.best_found = res, res.objective, found
@@ -545,13 +542,12 @@ def exhaustive_oracle(inst: Instance, graph: ExpandedGraph | None = None):
             or n_station_nodes > ORACLE_MAX_STATION_NODES):
         raise ValueError("oracle caps exceeded")
 
-    big_m = compute_big_m(inst, graph)
     best = None
     best_key = None
 
     def consider(chains, accepted):
         nonlocal best, best_key
-        res = schedule_routes(inst, graph, chains, accepted, big_m=big_m)
+        res = schedule_routes(inst, graph, chains, accepted)
         if not res.feasible:
             return
         key = (round(res.objective, 9), tuple(tuple(c) for c in chains))

@@ -157,7 +157,8 @@ def run_external(model: MilpModel, command: str | None = None,
     """Export the model to MPS, run the configured solver command, parse its output.
 
     The command template must contain {model} and {solution} placeholders, e.g.
-    "python3 -m emdarp.tools.solve_mps {model} {solution}".
+    "python3 -m emdarp.tools.solve_mps {model} {solution}".  Only those two
+    are replaced; any other brace reaches the solver as written.
     """
     command = command or os.environ.get(DEFAULT_SOLVER_ENV)
     if not command:
@@ -169,7 +170,7 @@ def run_external(model: MilpModel, command: str | None = None,
         model_path = os.path.join(tmp, "model.mps")
         sol_path = os.path.join(tmp, "out.sol")
         write_mps(model, model_path)
-        argv = [a.format(model=model_path, solution=sol_path)
+        argv = [a.replace("{model}", model_path).replace("{solution}", sol_path)
                 for a in shlex.split(command)]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)

@@ -21,6 +21,7 @@ see, so its own objective is a large negative number and 1e-4 of it is wide.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -43,71 +44,91 @@ class MpsProblem:
         return -self.rhs.get(self.objective_row, 0.0)
 
 
+_SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA")
+# bound code -> the (lower, upper) it sets: None keeps that side, "v" takes the line's value
+_BOUNDS = {"UP": (None, "v"), "UI": (None, "v"), "LO": ("v", None), "LI": ("v", None),
+           "FX": ("v", "v"), "BV": (0.0, 1.0), "FR": (-math.inf, None),
+           "MI": (-math.inf, None), "PL": (None, math.inf)}
+
+
 def read_mps(path: str) -> MpsProblem:
-    prob = MpsProblem()
-    section = None
-    in_integer = False
+    """The problem in the free-format MPS file at *path*.  Raises ValueError
+    naming *path* and the line of the first entry it cannot read exactly:
+    a section, row sense or bound code it does not know (OBJSENSE and
+    RANGES among them), a line short of a field or with a value missing, a
+    second objective row or a row declared twice, an entry on a row or a
+    bound on a column that was not declared, or a value that is no number."""
+    prob, section, in_integer = MpsProblem(), None, False
     with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
-                continue
-            if not line[0].isspace():
-                fields = line.split()
-                section = fields[0].upper()
-                if section == "NAME" and len(fields) > 1:
-                    prob.name = fields[1]
-                if section == "ENDATA":
-                    break
-                continue
+        for number, line in enumerate(fh, start=1):
             fields = line.split()
-            if section == "ROWS":
-                sense, row = fields[0].upper(), fields[1]
-                if sense == "N":
-                    if not prob.objective_row:
-                        prob.objective_row = row
+            if not fields or fields[0].startswith("*"):
+                continue
+            try:
+                if not line[0].isspace():
+                    section = fields[0].upper()
+                    if section not in _SECTIONS:
+                        raise ValueError(f"unsupported section {fields[0]!r}")
+                    if section == "NAME" and len(fields) > 1:
+                        prob.name = fields[1]
+                    if section == "ENDATA":
+                        break
                 else:
-                    prob.row_sense[row] = sense
-                    prob.row_order.append(row)
-            elif section == "COLUMNS":
-                if len(fields) >= 3 and fields[1] == "'MARKER'":
-                    in_integer = fields[2] == "'INTORG'"
-                    continue
-                var = fields[0]
-                if var not in prob.columns:
-                    prob.columns[var] = {}
-                    prob.col_order.append(var)
-                    prob.integer[var] = in_integer
-                for row, coef in zip(fields[1::2], fields[2::2]):
-                    prob.columns[var][row] = prob.columns[var].get(row, 0.0) + float(coef)
-            elif section == "RHS":
-                for row, val in zip(fields[1::2], fields[2::2]):
-                    prob.rhs[row] = float(val)
-            elif section == "BOUNDS":
-                code, var = fields[0].upper(), fields[2]
-                val = float(fields[3]) if len(fields) > 3 else 0.0
-                if code == "UP" or code == "UI":
-                    prob.upper[var] = val
-                elif code == "LO" or code == "LI":
-                    prob.lower[var] = val
-                elif code == "FX":
-                    prob.lower[var] = prob.upper[var] = val
-                elif code == "BV":
-                    prob.lower[var], prob.upper[var] = 0.0, 1.0
-                    prob.integer[var] = True
-                elif code == "FR":
-                    prob.lower[var] = float("-inf")
-                elif code == "MI":
-                    prob.lower[var] = float("-inf")
-                elif code == "PL":
-                    prob.upper[var] = float("inf")
-                else:
-                    raise ValueError(f"unsupported bound code {code!r}")
-            elif section == "RANGES":
-                raise ValueError("RANGES sections are not supported")
+                    in_integer = _read_entry(prob, section, fields, in_integer)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
     if not prob.objective_row:
         raise ValueError(f"{path}: no objective (N) row found")
     return prob
+
+
+def _read_entry(prob: MpsProblem, section, fields, in_integer: bool) -> bool:
+    """Add the data line *fields* of *section* to *prob*; return whether the
+    columns after it are integer."""
+    head, n, text = fields[0], len(fields), " ".join(fields)
+    if section == "ROWS":
+        sense, row = head.upper(), fields[-1]
+        if n != 2 or sense not in ("N", "L", "G", "E"):
+            raise ValueError(f"not a sense (N, L, G or E) and a row: {text!r}")
+        if row == prob.objective_row or row in prob.row_sense or sense == "N" and prob.objective_row:
+            raise ValueError(f"a second objective (N) row or a row declared twice: {text!r}")
+        if sense == "N":
+            prob.objective_row = row
+        else:
+            prob.row_sense[row] = sense
+            prob.row_order.append(row)
+    elif section == "COLUMNS" and n == 3 and fields[1] == "'MARKER'":
+        return fields[2] == "'INTORG'"
+    elif section in ("COLUMNS", "RHS"):
+        if n < 3 or n % 2 == 0:
+            raise ValueError(f"not a name and (row, value) pairs: {text!r}")
+        pairs = [(row, float(val)) for row, val in zip(fields[1::2], fields[2::2])]
+        for row, _ in pairs:
+            if row != prob.objective_row and row not in prob.row_sense:
+                raise ValueError(f"row {row!r} is not declared in ROWS")
+        if section == "RHS":
+            prob.rhs.update(pairs)
+            return in_integer
+        if head not in prob.columns:
+            prob.columns[head], prob.integer[head] = {}, in_integer
+            prob.col_order.append(head)
+        for row, coef in pairs:
+            prob.columns[head][row] = prob.columns[head].get(row, 0.0) + coef
+    elif section == "BOUNDS":
+        code = head.upper()
+        if code not in _BOUNDS or n != 3 + ("v" in _BOUNDS[code]):
+            raise ValueError(f"not a known bound code, a set, a column and its value if any: {text!r}")
+        var = fields[2]
+        if var not in prob.columns:
+            raise ValueError(f"bound on column {var!r}, not declared in COLUMNS")
+        for side, new in zip((prob.lower, prob.upper), _BOUNDS[code]):
+            if new is not None:
+                side[var] = float(fields[3]) if new == "v" else new
+        if code == "BV":
+            prob.integer[var] = True
+    else:
+        raise ValueError("data line outside ROWS, COLUMNS, RHS and BOUNDS")
+    return in_integer
 
 
 def solve(prob: MpsProblem, info: dict | None = None):

@@ -91,26 +91,25 @@ def fresh_socs(inst, graph, k, chain):
     return soc_ceilings(inst, graph, k, chain, loads, -math.inf)
 
 
-def fresh_curve(inst, graph, k, chain, horizon, releases=None):
+def fresh_curve(inst, graph, k, chain, releases=None):
     """Agent *k*'s ``agent_curve`` walked from scratch: a chain that ends at
     a depot charges from its ``fresh_socs``."""
-    return agent_curve(inst, graph, k, chain, horizon,
-                       fresh_socs(inst, graph, k, chain), releases)
+    return agent_curve(inst, graph, k, chain, fresh_socs(inst, graph, k, chain), releases)
 
 
-def routing_bound(inst, graph, chains, horizon):
+def routing_bound(inst, graph, chains):
     """``timing_bound`` of a routing, over a fresh curve of each agent with
     stops."""
-    return timing_bound(fresh_curve(inst, graph, k, chain, horizon)
+    return timing_bound(fresh_curve(inst, graph, k, chain)
                         for k, chain in enumerate(chains) if chain)
 
 
-def release_bound(inst, graph, chains, horizon):
+def release_bound(inst, graph, chains):
     """``routing_bound`` of a complete routing with each agent timed from
     its ``slot_releases``; the plain one when they never settle."""
     socs = [fresh_socs(inst, graph, k, chain) for k, chain in enumerate(chains)]
     releases = slot_releases(inst, graph, chains, socs) or [None] * len(chains)
-    return timing_bound(fresh_curve(inst, graph, k, chain, horizon, releases[k])
+    return timing_bound(fresh_curve(inst, graph, k, chain, releases[k])
                         for k, chain in enumerate(chains) if chain)
 
 
@@ -121,7 +120,7 @@ def leaf_placements(search, chains):
                                for k, chain in enumerate(chains)])
 
 
-def earliest_bound(inst, graph, chains, horizon):
+def earliest_bound(inst, graph, chains):
     """``timing_bound`` of a complete routing with each agent's curve over
     only its pickups and deliveries (legs at their least times, no depot)
     cut at the earliest return of its complete chain: the leaf screen that
@@ -131,8 +130,8 @@ def earliest_bound(inst, graph, chains, horizon):
         if not chain:
             continue
         own = fresh_curve(inst, graph, k, [node for node in chain
-                                          if graph.stop_load[node] is not None], horizon)
-        full = fresh_curve(inst, graph, k, chain, horizon)
+                                          if graph.stop_load[node] is not None])
+        full = fresh_curve(inst, graph, k, chain)
         if own is not None and full is not None:
             _release(*own, full[0][0])
         curves.append(own if full is not None else None)

@@ -1,11 +1,13 @@
-import math
-
 import pytest
 
+from emdarp.generate import GenConfig, generate
 from emdarp.graph import expand_graph
+from emdarp.instance import ValidationError
 from emdarp.model import compute_big_m
 
 from conftest import make_instance
+from test_acceptance import corpus_config
+from test_search import _matrix_instance as _generated_on_matrix
 
 
 def _matrix_instance(**kw):
@@ -28,8 +30,9 @@ def test_horizon_hand_value():
         "pickup": [0.0, 0.0], "delivery": [0.0, 0.0], "passengers": 1,
         "service_time": 2.0, "tw_kind": "pickup", "tw_lo": 0.0, "tw_hi": 60.0,
     }]})
-    bm = compute_big_m(inst, expand_graph(inst))
-    assert bm.horizon == pytest.approx(34.0)
+    g = expand_graph(inst)
+    bm = compute_big_m(inst, g)
+    assert g.horizon == pytest.approx(34.0)
     assert bm.time == pytest.approx(34.0)
     assert bm.obj == pytest.approx(136.0)
 
@@ -37,7 +40,6 @@ def test_horizon_hand_value():
 def test_horizon_charge_terms():
     inst = make_instance(n_stations=1, dups=1)
     g = expand_graph(inst)
-    bm = compute_big_m(inst, g)
     b = inst.battery
     max_c = max(c for row in g.cost_matrix for c in row)
     expected = (
@@ -46,7 +48,7 @@ def test_horizon_charge_terms():
         + (2 * 1 + 2 + 1) * max_c
         + 2 * (0.85 / b.beta1 + 0.1 / b.beta2 + 1.0 / b.beta3)
     )
-    assert bm.horizon == pytest.approx(expected)
+    assert g.horizon == pytest.approx(expected)
 
 
 def test_initial_delay_enters_horizon():
@@ -56,9 +58,7 @@ def test_initial_delay_enters_horizon():
         conversion=2.0, max_duration=600.0, station_service_time=2.0,
         soc_min=0.25, soc_init=1.0, soc_target=0.85,
     )]})
-    g1, g2 = expand_graph(base), expand_graph(delayed)
-    assert compute_big_m(delayed, g2).horizon == pytest.approx(
-        compute_big_m(base, g1).horizon + 7.5)
+    assert expand_graph(delayed).horizon == pytest.approx(expand_graph(base).horizon + 7.5)
 
 
 def test_station_opening_enters_horizon():
@@ -68,8 +68,7 @@ def test_station_opening_enters_horizon():
         {"pos": [50.0, 150.0], "earliest_available": 40.0},
         {"pos": [90.0, 150.0], "earliest_available": 12.5},
     ]})
-    assert compute_big_m(late, expand_graph(late)).horizon == pytest.approx(
-        compute_big_m(base, expand_graph(base)).horizon + 40.0)
+    assert expand_graph(late).horizon == pytest.approx(expand_graph(base).horizon + 40.0)
 
 
 def test_latest_release_enters_horizon():
@@ -88,17 +87,17 @@ def test_latest_release_enters_horizon():
             "service_time": 1.0, "tw_kind": "delivery", "tw_lo": 30.0, "tw_hi": 60.0,
         }],
     })
-    assert compute_big_m(late, expand_graph(late)).horizon == pytest.approx(
-        compute_big_m(base, expand_graph(base)).horizon + 30.0)
+    assert expand_graph(late).horizon == pytest.approx(expand_graph(base).horizon + 30.0)
 
 
 def test_override_replaces_both_families():
     inst = _matrix_instance(over={"config": {"weights": {
         "epsilon": 0.001, "zeta": 1.0, "eta": 10000.0, "big_m": 500.0,
     }}})
-    bm = compute_big_m(inst, expand_graph(inst))
+    g = expand_graph(inst)
+    bm = compute_big_m(inst, g)
     assert bm.time == 500.0 and bm.obj == 500.0
-    assert bm.horizon == pytest.approx(32.0)  # service_time defaults to 1 here
+    assert g.horizon == pytest.approx(32.0)  # service_time defaults to 1 here
 
 
 def test_horizon_overflow_rejected():
@@ -107,10 +106,46 @@ def test_horizon_overflow_rejected():
         "beta1": 1e-18, "beta2": 1e-19, "beta3": 1e-20,
     }}, n_stations=0, dups=0)
     # no stations: tiny charge rates are harmless because |F| = 0
-    assert math.isfinite(compute_big_m(inst, expand_graph(inst)).horizon)
-    inst2 = make_instance(n_stations=1, dups=0, over={"battery": {
-        "alpha0": 0.002, "alpha1": 0.0002, "alpha2": 0.0001,
-        "beta1": 1e-18, "beta2": 1e-19, "beta3": 1e-20,
-    }})
-    with pytest.raises(OverflowError):
-        compute_big_m(inst2, expand_graph(inst2))
+    assert expand_graph(inst).horizon < 1e15
+    # one station: the horizon overflows, and validation rejects the instance
+    with pytest.raises(ValidationError, match="time horizon"):
+        make_instance(n_stations=1, dups=0, over={"battery": {
+            "alpha0": 0.002, "alpha1": 0.0002, "alpha2": 0.0001,
+            "beta1": 1e-18, "beta2": 1e-19, "beta3": 1e-20,
+        }})
+
+
+def _expanded_horizon(inst, graph):
+    """The horizon's formula over the expanded graph's own legs and station
+    visits, as the MILP builder took it: ``time_horizon`` takes the longest
+    leg over base nodes instead."""
+    b = inst.battery
+    n_f = len(graph.f)
+    max_c = max((c for row in graph.cost_matrix for c in row), default=0.0)
+    release = max([0.0, *(s.earliest_available for s in inst.stations),
+                   *(r.tw_lo for r in inst.requests),
+                   *(a.initial_delay for a in inst.agents)])
+    return (
+        release
+        + 2 * sum(r.service_time for r in inst.requests)
+        + sum(a.station_service_time for a in inst.agents) * n_f
+        + (2 * inst.n_requests + n_f + 1) * max_c
+        + n_f * (b.caps[0] + b.caps[1] + b.CEILINGS[2] / b.beta3)
+    )
+
+
+@pytest.mark.parametrize("cfg, matrix", [
+    *[pytest.param(corpus_config(i), False, id=f"corpus-{i}") for i in range(25)],
+    *[pytest.param(GenConfig(seed=7 + dups, n_requests=3, n_agents=2, n_stations=2,
+                             duplicate_visits=dups, preset="high-discharge", open_vrp=open_vrp),
+                   matrix, id=f"{'matrix' if matrix else 'euclidean'}-dups{dups}-"
+                              f"{'open' if open_vrp else 'closed'}")
+      for matrix in (False, True) for dups in range(3) for open_vrp in (False, True)],
+])
+def test_horizon_equals_expanded_formula(cfg, matrix):
+    # every expanded node has a base node and a station's visits share its
+    # own, so the longest base leg is the longest expanded one, and the
+    # horizon the MPS text carries is the same float, bit for bit
+    inst = _generated_on_matrix(cfg) if matrix else generate(cfg)
+    g = expand_graph(inst)
+    assert g.horizon.hex() == _expanded_horizon(inst, g).hex()

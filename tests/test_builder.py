@@ -75,7 +75,7 @@ def test_time_bounds_follow_shortest_paths(open_vrp, ret):
     inst = make_instance(over={"costs": {"mode": "matrix", "matrix": matrix},
                                "config": {"open_vrp": open_vrp}})
     model = build_model(inst)
-    g, H = model.graph, model.big_m.horizon
+    g, H = model.graph, model.graph.horizon
     assert model.catalog.variables[V.t(g.pickup_node(0))].lb == 5.0
     (row16,) = [c for c in model.constraints if c.tag == "16"]
     assert row16.rhs == -(1.0 + 3.0)

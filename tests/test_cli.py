@@ -502,6 +502,16 @@ def test_solve_external_matches_builtin(tmp_path, capsys):
     assert ob == pytest.approx(oe, abs=1e-5)
 
 
+def test_solver_command_keeps_literal_braces(tmp_path, capsys):
+    # only {model} and {solution} are placeholders: the dict literal reaches
+    # the child as written, and its exit code 3 reads as a resource limit
+    script = "import sys; d = {}; sys.exit(3 if sys.argv[1].endswith('model.mps') else 1)"
+    cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(script)} {{model}} {{solution}}"
+    code, cap = run(capsys, "solve", write_doc(tmp_path), "--engine", "external",
+                    "--solver-cmd", cmd, "--out", str(tmp_path / "s.json"))
+    assert code == 3, cap.err
+
+
 def test_solve_external_unconfigured(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("EMDARP_SOLVER_CMD", raising=False)
     path = write_doc(tmp_path)

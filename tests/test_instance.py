@@ -29,6 +29,17 @@ def test_tw_order_rejected():
     assert "requests[0]" in str(err.value)
 
 
+def test_unrepresentable_horizon_rejected():
+    # each window is a finite number in range, but the latest window start
+    # puts the time horizon past 1e15
+    doc = make_doc(n_requests=1, n_agents=1)
+    doc["requests"][0]["tw_lo"] = 1e16
+    doc["requests"][0]["tw_hi"] = 2e16
+    with pytest.raises(ValidationError) as err:
+        instance_from_dict(doc)
+    assert "time horizon" in str(err.value)
+
+
 def test_charging_rates_must_strictly_decrease():
     doc = make_doc()
     doc["battery"]["beta2"] = 0.05  # > beta1

@@ -109,6 +109,58 @@ def test_free_format_is_plain_ascii(small_model):
     assert sections == ["NAME EMDARP", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"]
 
 
+_HAND_MPS = """NAME HAND
+ROWS
+ N OBJ
+ L c0
+COLUMNS
+ x OBJ 1.0 c0 1.0
+RHS
+ RHS c0 4.0
+BOUNDS
+ UP BND x 3.0
+ENDATA
+"""
+
+
+def test_hand_written_mps_reads(tmp_path):
+    path = tmp_path / "hand.mps"
+    path.write_text(_HAND_MPS)
+    prob = read_mps(str(path))
+    assert (prob.objective_row, prob.row_sense, prob.col_order) == ("OBJ", {"c0": "L"}, ["x"])
+    assert (prob.columns, prob.rhs, prob.upper) == ({"x": {"OBJ": 1.0, "c0": 1.0}}, {"c0": 4.0},
+                                                    {"x": 3.0})
+
+
+@pytest.mark.parametrize("old, new, line", [
+    (" L c0\n", " L\n", 4),                        # a row without its name
+    (" L c0\n", " Q c0\n", 4),                     # a sense that is none of N, L, G, E
+    (" L c0\n", " L c0\n N OBJ2\n", 5),            # a second objective row
+    (" L c0\n", " L c0\n G c0\n", 5),              # a row declared twice
+    (" x OBJ 1.0 c0 1.0", " x OBJ 1.0 c9 1.0", 6),  # an entry on an undeclared row
+    (" x OBJ 1.0 c0 1.0", " x OBJ 1.0 c0", 6),      # a row without its value
+    (" RHS c0 4.0", " RHS c9 4.0", 8),              # a right-hand side on an undeclared row
+    (" UP BND x 3.0", " UP BND", 10),               # a bound short of its column
+    (" UP BND x 3.0", " UP BND y 3.0", 10),         # a bound on an undeclared column
+    (" UP BND x 3.0", " UP BND x 3.0x", 10),        # a value that is no number
+    *[(" UP BND x 3.0", f" {code} BND x", 10) for code in ("UP", "LO", "FX", "UI", "LI")],
+    ("ROWS\n", "OBJSENSE\n    MAX\nROWS\n", 2),   # a section the reader does not know
+    ("ROWS\n", " x\nROWS\n", 2),                   # a data line before any section
+], ids=["rows-one-field", "unknown-sense", "second-objective", "row-twice",
+        "columns-undeclared-row", "columns-odd-fields", "rhs-undeclared-row", "bounds-two-fields",
+        "bounds-undeclared-column", "bounds-not-a-number", "up-no-value", "lo-no-value",
+        "fx-no-value", "ui-no-value", "li-no-value", "objsense", "no-section"])
+def test_malformed_mps_exits_4(old, new, line, tmp_path, capsys):
+    # the reader referees the export path: a file it cannot read exactly is
+    # an error naming the line, never a traceback or a different problem
+    assert _HAND_MPS.count(old) == 1
+    model_path, sol_path = tmp_path / "bad.mps", tmp_path / "out.sol"
+    model_path.write_text(_HAND_MPS.replace(old, new))
+    assert main([str(model_path), str(sol_path)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {model_path}, line {line}: ")
+    assert not sol_path.exists()
+
+
 @pytest.mark.parametrize("cfg", [
     # at its default relative gap of 1e-4, HiGHS (scipy 1.17.1) stopped short and
     # called it optimal: 64.0234 for 61.7023, 117.8722 for 113.7190, 121.4659

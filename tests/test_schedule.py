@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import random
@@ -11,7 +12,6 @@ from emdarp.graph import expand_graph
 from emdarp.instance import instance_from_dict
 from emdarp import scheduling
 from emdarp.lp import solve_lp
-from emdarp.model import compute_big_m
 from emdarp.scheduling import check_routes, load_violation, schedule_routes, timing_bound
 from emdarp.search import branch_and_bound, exhaustive_oracle
 
@@ -159,8 +159,7 @@ def test_leaf_lp_states_each_condition_once(monkeypatch):
     # t at p0, d0, f0; tau at p0; three xi; phi at p0, d0, f0, h0; Tk; T
     assert len(c) == 13
     uppers = sorted(hi for _, hi in bounds if math.isfinite(hi))
-    horizon = compute_big_m(inst, g).horizon
-    assert uppers == sorted([*inst.battery.caps, inst.agents[0].max_duration, horizon])
+    assert uppers == sorted([*inst.battery.caps, inst.agents[0].max_duration, g.horizon])
 
 
 def test_charge_spills_into_second_segment():
@@ -220,7 +219,7 @@ def test_partial_bound_is_lower_bound():
     full = [_chain_ids(g, ["p0", "d0", "p1", "d1", "h0"])]
     part = [_chain_ids(g, ["p0", "d0", "p1", "d1"])]
     res_full = schedule_routes(inst, g, full, [True, True])
-    part_bound = routing_bound(inst, g, part, compute_big_m(inst, g).horizon)
+    part_bound = routing_bound(inst, g, part)
     assert res_full.feasible and math.isfinite(part_bound)
     assert part_bound <= res_full.objective + 1e-9
 
@@ -286,11 +285,10 @@ def test_partial_objective_carries_no_rejection_penalty():
     inst = make_instance(n_requests=2)
     g = expand_graph(inst)
     part = [_chain_ids(g, ["p0", "d0"])]
-    horizon = compute_big_m(inst, g).horizon
-    bound = routing_bound(inst, g, part, horizon)
+    bound = routing_bound(inst, g, part)
     assert math.isfinite(bound)
     assert bound < inst.weights.eta
-    assert routing_bound(inst, g, [[]], horizon) == 0.0
+    assert routing_bound(inst, g, [[]]) == 0.0
     full = schedule_routes(inst, g, [_chain_ids(g, ["p0", "d0", "h0"])], [True, False])
     assert bound <= full.objective - inst.weights.eta + 1e-9
 
@@ -306,10 +304,10 @@ def test_max_duration_enforced():
     assert not res.feasible
 
 
-def _timing_lp(inst, g, chains, horizon):
+def _timing_lp(inst, g, chains):
     """The timing rows of a routing, stations as service-only stops, written
     out and solved with the simplex: the referee for timing_bound."""
-    w = inst.weights
+    w, horizon = inst.weights, g.horizon
     bounds, c, rows, rhs = [], [], [], []
 
     def var(ub, cost=0.0):
@@ -405,12 +403,13 @@ def test_timing_bound_equals_timing_lp():
             doc["depots"].append([round(rng.uniform(0.0, 2000.0), 3), 0.0])
         inst = instance_from_dict(doc)
         g = expand_graph(inst)
-        full_horizon = compute_big_m(inst, g).horizon
         for _ in range(6):
             chains = _random_routing(rng, inst, g, complete=rng.random() < 0.5)
-            horizon = full_horizon if rng.random() < 0.5 else rng.uniform(10.0, 150.0)
-            want = _timing_lp(inst, g, chains, horizon)
-            got = routing_bound(inst, g, chains, horizon)
+            # a short horizon exercises the DP's clip
+            horizon = g.horizon if rng.random() < 0.5 else rng.uniform(10.0, 150.0)
+            clipped = dataclasses.replace(g, horizon=horizon)
+            want = _timing_lp(inst, clipped, chains)
+            got = routing_bound(inst, clipped, chains)
             charged = any(g.station_flag[node] for chain in chains for node in chain)
             if math.isinf(want):
                 assert got == math.inf, (case, chains, horizon)
@@ -421,7 +420,7 @@ def test_timing_bound_equals_timing_lp():
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (case, chains, horizon)
                 continue
             assert got >= want - 1e-9 * max(1.0, abs(want)), (case, chains, horizon)
-            if horizon != full_horizon:
+            if horizon != g.horizon:
                 continue
             accepted = [any(g.pickup_node(r) in chain for chain in chains)
                         for r in range(inst.n_requests)]
@@ -449,7 +448,7 @@ def test_timing_bound_prices_least_charge(soc_target, charge):
     g = expand_graph(inst)
     chains = [_chain_ids(g, ["p0", "d0", "f0^0", "h0"])]
     assert load_violation(inst, g, 0, chains[0], {}) is None
-    bound = routing_bound(inst, g, chains, compute_big_m(inst, g).horizon)
+    bound = routing_bound(inst, g, chains)
     assert bound == pytest.approx(27 + 2 + charge + 5 + 0.001 * (10 + 21), rel=1e-12)
     res = schedule_routes(inst, g, chains, [True])
     assert res.feasible and bound == pytest.approx(res.objective, rel=1e-9)
@@ -482,9 +481,8 @@ def test_timing_bound_cache_is_per_agent_chain():
     # case above)
     inst = _charging_instance(n_agents=2)
     g = expand_graph(inst)
-    horizon = compute_big_m(inst, g).horizon
-    curve = fresh_curve(inst, g, 0, _chain_ids(g, ["p0", "d0", "f0^0", "h0"]), horizon)
-    assert timing_bound([curve, fresh_curve(inst, g, 1, [g.hf[0]], horizon)]) == pytest.approx(
+    curve = fresh_curve(inst, g, 0, _chain_ids(g, ["p0", "d0", "f0^0", "h0"]))
+    assert timing_bound([curve, fresh_curve(inst, g, 1, [g.hf[0]])]) == pytest.approx(
         40 + 0.001 * (10 + 21), rel=1e-12)  # agent 1 returns at 40
     assert timing_bound([curve]) == pytest.approx(
         27 + 2 + 0.11 / 0.034 + 5 + 0.001 * (10 + 21), rel=1e-12)

@@ -11,7 +11,6 @@ from emdarp.instance import base_node_count, derive_costs, instance_from_dict
 from emdarp.model import build_model
 from emdarp.mps import write_mps
 from emdarp import search
-from emdarp.model import compute_big_m
 from emdarp.scheduling import load_violation, schedule_routes, slot_releases, timing_bound
 from emdarp.checker import validate
 from emdarp.search import (
@@ -938,18 +937,17 @@ def test_timing_bound_below_oracle_lps(cfg, monkeypatch):
     # the earliest return stay at or below the DP
     inst = generate(cfg)
     g = expand_graph(inst)
-    horizon = compute_big_m(inst, g).horizon
     priced = []
 
-    def audited(inst, graph, chains, accepted, big_m=None):
-        res = schedule_routes(inst, graph, chains, accepted, big_m=big_m)
+    def audited(inst, graph, chains, accepted):
+        res = schedule_routes(inst, graph, chains, accepted)
         if res.feasible:
             penalty = sum(req.priority * inst.weights.eta
                           for req, acc in zip(inst.requests, accepted) if not acc)
             tol = 1e-7 * max(1.0, abs(res.objective))
-            earliest = earliest_bound(inst, graph, chains, horizon) + penalty
-            plain = routing_bound(inst, graph, chains, horizon) + penalty
-            released = release_bound(inst, graph, chains, horizon) + penalty
+            earliest = earliest_bound(inst, graph, chains) + penalty
+            plain = routing_bound(inst, graph, chains) + penalty
+            released = release_bound(inst, graph, chains) + penalty
             assert earliest <= plain <= released <= res.objective + tol, chains
             priced.append(chains)
         return res
@@ -986,10 +984,9 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
     class Audited(_Search):
         def evaluate_leaf(self, chains, accepted):
             nonlocal later_slots, tighter
-            g, horizon = self.graph, self.big_m.horizon
+            g = self.graph
             penalty = self._penalty(accepted, range(inst.n_requests))
-            own = [fresh_curve(inst, g, k, chain, horizon) for k, chain in enumerate(chains)
-                   if chain]
+            own = [fresh_curve(inst, g, k, chain) for k, chain in enumerate(chains) if chain]
             for placement, agent_ends in leaf_placements(self, chains):
                 routed = [list(c) for c in chains]
                 for (k, pos), node in sorted(placement, reverse=True):
@@ -999,17 +996,17 @@ def test_timing_bound_below_leaf_lps(seed, tighter_at_least):
                             for c, (hub, _, _) in zip(routed, ends)]
                     for k, (hub, curve, socs) in enumerate(ends):
                         if hub is not None:
-                            fresh = fresh_curve(inst, g, k, full[k], horizon)
+                            fresh = fresh_curve(inst, g, k, full[k])
                             assert repr(curve) == repr(fresh), full  # -0.0 too
                             assert socs == fresh_socs(inst, g, k, full[k]), full
                             later_slots += any(g.station_flag[node] and g.station_of(node)[1] > 0
                                                for node in full[k])
-                    res = schedule_routes(inst, g, full, accepted, big_m=self.big_m)
+                    res = schedule_routes(inst, g, full, accepted)
                     if res.feasible:
                         tol = 1e-7 * max(1.0, abs(res.objective))
-                        earliest = earliest_bound(inst, g, full, horizon) + penalty
-                        plain = routing_bound(inst, g, full, horizon) + penalty
-                        released = release_bound(inst, g, full, horizon) + penalty
+                        earliest = earliest_bound(inst, g, full) + penalty
+                        plain = routing_bound(inst, g, full) + penalty
+                        released = release_bound(inst, g, full) + penalty
                         assert earliest <= plain <= released <= res.objective + tol, full
                         latest = max(curve[0][0] for hub, curve, _ in ends if hub is not None)
                         assert timing_bound(own, latest) + penalty == pytest.approx(
@@ -1057,21 +1054,20 @@ def test_crossing_slot_orders_keep_the_plain_screen():
     inst = make_instance(n_requests=4, n_agents=2, n_stations=2, dups=1)
     g = expand_graph(inst)
     p, d, f, hub = g.pickup_node, g.delivery_node, g.f_node, g.hf[0]
-    horizon = compute_big_m(inst, g).horizon
     search = _Search(inst, g, SearchConfig())
 
     def bounds(chains):
         socs = [fresh_socs(inst, g, k, chain) for k, chain in enumerate(chains)]
-        ends = [(chain[-1], fresh_curve(inst, g, k, chain, horizon), socs[k])
+        ends = [(chain[-1], fresh_curve(inst, g, k, chain), socs[k])
                 for k, chain in enumerate(chains)]
-        return (slot_releases(inst, g, chains, socs), routing_bound(inst, g, chains, horizon),
+        return (slot_releases(inst, g, chains, socs), routing_bound(inst, g, chains),
                 search._released_bound(chains, ends))
 
     crossing = [[p(0), d(0), f(0, 1), p(1), d(1), f(1, 0), hub],
                 [p(2), d(2), f(1, 1), p(3), d(3), f(0, 0), hub]]
     releases, plain, screen = bounds(crossing)
     assert releases is None and screen == -math.inf
-    assert release_bound(inst, g, crossing, horizon) == plain
+    assert release_bound(inst, g, crossing) == plain
     assert not schedule_routes(inst, g, crossing, [True] * 4).feasible
 
     settled = [[p(0), d(0), f(0, 0), p(1), d(1), f(1, 0), hub],
@@ -1080,7 +1076,7 @@ def test_crossing_slot_orders_keep_the_plain_screen():
     assert releases[0] == {} and list(releases[1]) == [2]  # agent 1's first station
     res = schedule_routes(inst, g, settled, [True] * 4)
     assert plain + 10.0 < screen <= res.objective
-    assert screen == release_bound(inst, g, settled, horizon)
+    assert screen == release_bound(inst, g, settled)
 
 
 def test_each_leaf_chain_walked_once():
