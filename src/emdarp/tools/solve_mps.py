@@ -76,7 +76,7 @@ def read_mps(path: str) -> MpsProblem:
                 else:
                     in_integer = _read_entry(prob, section, fields, in_integer)
             except ValueError as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from None
+                raise ValueError(f"{path}, line {number}: {exc} ({' '.join(fields)})") from None
     if not prob.objective_row:
         raise ValueError(f"{path}: no objective (N) row found")
     return prob
@@ -85,13 +85,13 @@ def read_mps(path: str) -> MpsProblem:
 def _read_entry(prob: MpsProblem, section, fields, in_integer: bool) -> bool:
     """Add the data line *fields* of *section* to *prob*; return whether the
     columns after it are integer."""
-    head, n, text = fields[0], len(fields), " ".join(fields)
+    head, n = fields[0], len(fields)
     if section == "ROWS":
         sense, row = head.upper(), fields[-1]
         if n != 2 or sense not in ("N", "L", "G", "E"):
-            raise ValueError(f"not a sense (N, L, G or E) and a row: {text!r}")
+            raise ValueError("not a sense (N, L, G or E) and a row")
         if row == prob.objective_row or row in prob.row_sense or sense == "N" and prob.objective_row:
-            raise ValueError(f"a second objective (N) row or a row declared twice: {text!r}")
+            raise ValueError("a second objective (N) row or a row declared twice")
         if sense == "N":
             prob.objective_row = row
         else:
@@ -101,7 +101,7 @@ def _read_entry(prob: MpsProblem, section, fields, in_integer: bool) -> bool:
         return fields[2] == "'INTORG'"
     elif section in ("COLUMNS", "RHS"):
         if n < 3 or n % 2 == 0:
-            raise ValueError(f"not a name and (row, value) pairs: {text!r}")
+            raise ValueError("not a name and (row, value) pairs")
         pairs = [(row, float(val)) for row, val in zip(fields[1::2], fields[2::2])]
         for row, _ in pairs:
             if row != prob.objective_row and row not in prob.row_sense:
@@ -117,7 +117,7 @@ def _read_entry(prob: MpsProblem, section, fields, in_integer: bool) -> bool:
     elif section == "BOUNDS":
         code = head.upper()
         if code not in _BOUNDS or n != 3 + ("v" in _BOUNDS[code]):
-            raise ValueError(f"not a known bound code, a set, a column and its value if any: {text!r}")
+            raise ValueError("not a known bound code, a set, a column and its value if any")
         var = fields[2]
         if var not in prob.columns:
             raise ValueError(f"bound on column {var!r}, not declared in COLUMNS")
