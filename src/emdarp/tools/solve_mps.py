@@ -2,15 +2,20 @@
 
 This module deliberately re-parses MPS on its own instead of reusing the model
 builder, so it doubles as an independent cross-check of the export path.  The
-actual optimization is delegated to scipy's HiGHS backend (install the
-"external" extra).  Usage:
+actual optimization is delegated to HiGHS through scipy's compiled binding
+(scipy 1.15 or later; install the "external" extra), without importing
+scipy.optimize itself.  Usage:
 
     python3 -m emdarp.tools.solve_mps MODEL.mps OUT.sol
 
-The solution file has one "name value" pair per line, preceded by an
-"objective <value>" line and "# status <status>" comment, then HiGHS's
-own account of the search as "# nodes", "# dual_bound" (with the objective
-constant added back) and "# gap" comments.
+The solution file starts with a "# status <status>" comment.  On "optimal"
+it goes on with HiGHS's own account of the search as "# nodes",
+"# dual_bound" (with the objective constant added back) and "# gap"
+comments (for a model with an integer column), then an "objective <value>"
+line and one "name value" pair per line.  Exit codes: 0 optimal, 2
+infeasible (as HiGHS proved it), 1 any other status HiGHS ends with
+("unbounded", or "error" with HiGHS's status name on stderr), 4 a file it
+cannot read.
 
 HiGHS is run at a zero relative MIP gap, so status "optimal" means HiGHS
 proved the incumbent optimal (up to its default absolute gap of 1e-6).  At
@@ -21,9 +26,12 @@ see, so its own objective is a large negative number and 1e-4 of it is wide.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 
 @dataclass
@@ -57,7 +65,8 @@ def read_mps(path: str) -> MpsProblem:
     a section, row sense or bound code it does not know (OBJSENSE and
     RANGES among them), a line short of a field or with a value missing, a
     second objective row or a row declared twice, an entry on a row or a
-    bound on a column that was not declared, or a value that is no number."""
+    bound on a column that was not declared, or a value that is no number or
+    not finite (an infinite bound is written as FR, MI or PL)."""
     prob, section, in_integer = MpsProblem(), None, False
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
@@ -82,6 +91,13 @@ def read_mps(path: str) -> MpsProblem:
     return prob
 
 
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"value {text!r} is not finite")
+    return value
+
+
 def _read_entry(prob: MpsProblem, section, fields, in_integer: bool) -> bool:
     """Add the data line *fields* of *section* to *prob*; return whether the
     columns after it are integer."""
@@ -102,7 +118,7 @@ def _read_entry(prob: MpsProblem, section, fields, in_integer: bool) -> bool:
     elif section in ("COLUMNS", "RHS"):
         if n < 3 or n % 2 == 0:
             raise ValueError("not a name and (row, value) pairs")
-        pairs = [(row, float(val)) for row, val in zip(fields[1::2], fields[2::2])]
+        pairs = [(row, _number(val)) for row, val in zip(fields[1::2], fields[2::2])]
         for row, _ in pairs:
             if row != prob.objective_row and row not in prob.row_sense:
                 raise ValueError(f"row {row!r} is not declared in ROWS")
@@ -123,7 +139,7 @@ def _read_entry(prob: MpsProblem, section, fields, in_integer: bool) -> bool:
             raise ValueError(f"bound on column {var!r}, not declared in COLUMNS")
         for side, new in zip((prob.lower, prob.upper), _BOUNDS[code]):
             if new is not None:
-                side[var] = float(fields[3]) if new == "v" else new
+                side[var] = _number(fields[3]) if new == "v" else new
         if code == "BV":
             prob.integer[var] = True
     else:
@@ -131,8 +147,47 @@ def _read_entry(prob: MpsProblem, section, fields, in_integer: bool) -> bool:
     return in_integer
 
 
+def _highs():
+    """scipy's compiled HiGHS binding, ``scipy.optimize._highspy._core``
+    (scipy 1.15 or later), loaded without running ``scipy.optimize``'s
+    package import, which is most of a solver child's start-up.
+
+    The module is loaded under its own name and registered in sys.modules
+    before it runs, as the import system would, so a later ``import
+    scipy.optimize`` in the same process finds this module instead of
+    initialising the extension again."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("scipy is not installed (install the 'external' extra)")
+    folder = os.path.join(spec.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.exists(path):
+            break
+    else:
+        raise ModuleNotFoundError(f"no HiGHS binding {name} in {folder} (scipy>=1.15 needed)")
+    loader = ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    sys.modules[name] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
 def solve(prob: MpsProblem, info: dict | None = None):
     """Return (status, objective, {var: value}); status in optimal/infeasible/unbounded/error.
+
+    HiGHS gets the model as scipy's own ``milp`` hands it over (columns in
+    file order, each column's rows sorted by row index), through scipy's
+    HiGHS binding (``_highs``).  Only HiGHS's "infeasible" is reported as
+    infeasible; "unbounded" is its unbounded, and every other status it
+    ends with is "error", whose HiGHS name goes to stderr.
 
     The MILP is solved to a zero relative gap: "optimal" means HiGHS closed
     the gap and proved the returned objective optimal.  Presolve is off:
@@ -143,67 +198,59 @@ def solve(prob: MpsProblem, info: dict | None = None):
     presolve, HiGHS matches the builtin engine on all 120 instances of that
     test's grid.
 
-    If *info* is a dict, it receives HiGHS's node count, its dual bound
-    (objective constant included) and its relative gap.  On an infeasible
-    model scipy (1.17.1) returns all three as None, so *info* stays empty.
+    If *info* is a dict and HiGHS proves a model with an integer column
+    optimal, it receives HiGHS's node count, its dual bound (objective
+    constant included) and its relative gap; otherwise it stays empty.
     """
-    import numpy as np
-    from scipy import optimize, sparse
-
-    n = len(prob.col_order)
-    col_of = {v: i for i, v in enumerate(prob.col_order)}
-    c = np.zeros(n)
-    for var, entries in prob.columns.items():
-        c[col_of[var]] = entries.get(prob.objective_row, 0.0)
-
+    h = _highs()
     row_of = {r: i for i, r in enumerate(prob.row_order)}
-    data, ri, ci = [], [], []
-    for var, entries in prob.columns.items():
-        for row, coef in entries.items():
-            if row == prob.objective_row:
-                continue
-            data.append(coef)
-            ri.append(row_of[row])
-            ci.append(col_of[var])
-    a = sparse.coo_matrix((data, (ri, ci)), shape=(len(prob.row_order), n))
-    lo = np.full(len(prob.row_order), -np.inf)
-    hi = np.full(len(prob.row_order), np.inf)
-    for row, i in row_of.items():
-        b = prob.rhs.get(row, 0.0)
-        sense = prob.row_sense[row]
-        if sense in ("L", "E"):
-            hi[i] = b
-        if sense in ("G", "E"):
-            lo[i] = b
+    cost, start, index, value = [], [0], [], []
+    for var in prob.col_order:
+        entries = prob.columns[var]
+        cost.append(entries.get(prob.objective_row, 0.0))
+        rows = sorted((row_of[row], coef) for row, coef in entries.items()
+                      if row != prob.objective_row)
+        index.extend(i for i, _ in rows)
+        value.extend(coef for _, coef in rows)
+        start.append(len(index))
+    row_lower, row_upper = [], []
+    for row in prob.row_order:
+        b, sense = prob.rhs.get(row, 0.0), prob.row_sense[row]
+        row_lower.append(b if sense in ("G", "E") else -math.inf)
+        row_upper.append(b if sense in ("L", "E") else math.inf)
 
-    lb = np.array([prob.lower.get(v, 0.0) for v in prob.col_order])
-    ub = np.array([prob.upper.get(v, np.inf) for v in prob.col_order])
-    integrality = np.array([1 if prob.integer.get(v) else 0 for v in prob.col_order])
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(prob.col_order)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(prob.row_order)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+    lp.col_cost_ = cost
+    lp.col_lower_ = [prob.lower.get(v, 0.0) for v in prob.col_order]
+    lp.col_upper_ = [prob.upper.get(v, math.inf) for v in prob.col_order]
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    integer = [1 if prob.integer.get(v) else 0 for v in prob.col_order]
+    lp.integrality_ = [h.HighsVarType(i) for i in integer]
 
-    res = optimize.milp(
-        c,
-        constraints=optimize.LinearConstraint(a, lo, hi),
-        integrality=integrality,
-        bounds=optimize.Bounds(lb, ub),
-        options={"mip_rel_gap": 0.0, "presolve": False},
-    )
-    if info is not None:
-        for key, attr, kind in (("nodes", "mip_node_count", int),
-                                ("dual_bound", "mip_dual_bound", float),
-                                ("gap", "mip_gap", float)):
-            value = getattr(res, attr, None)
-            if value is not None:
-                info[key] = kind(value)
-        if "dual_bound" in info:
-            info["dual_bound"] += prob.objective_constant
-    if res.status == 0:
-        values = {v: float(res.x[col_of[v]]) for v in prob.col_order}
-        return "optimal", float(res.fun) + prob.objective_constant, values
-    if res.status == 2:
+    highs, options = h._Highs(), h.HighsOptions()
+    options.log_to_console, options.mip_rel_gap, options.presolve = False, 0.0, "off"
+    model_status = h.HighsModelStatus.kModelError
+    if (highs.passOptions(options) != h.HighsStatus.kError
+            and highs.passModel(lp) != h.HighsStatus.kError):
+        highs.run()
+        model_status = highs.getModelStatus()
+    if model_status == h.HighsModelStatus.kOptimal:
+        hinfo = highs.getInfo()
+        if info is not None and any(integer):
+            info["nodes"] = int(hinfo.mip_node_count)
+            info["dual_bound"] = float(hinfo.mip_dual_bound) + prob.objective_constant
+            info["gap"] = float(hinfo.mip_gap)
+        x = highs.getSolution().col_value
+        return ("optimal", float(hinfo.objective_function_value) + prob.objective_constant,
+                {v: float(x[i]) for i, v in enumerate(prob.col_order)})
+    if model_status == h.HighsModelStatus.kInfeasible:
         return "infeasible", None, None
-    if res.status == 3:
-        return "unbounded", None, None
-    return "error", None, None
+    print(f"HiGHS: {highs.modelStatusToString(model_status)}", file=sys.stderr)
+    return ("unbounded" if model_status == h.HighsModelStatus.kUnbounded else "error"), None, None
 
 
 def write_solution(path: str, status: str, objective, values, info: dict) -> None:
@@ -231,11 +278,7 @@ def main(argv=None) -> int:
     info: dict = {}
     status, objective, values = solve(prob, info)
     write_solution(sol_path, status, objective, values, info)
-    if status == "optimal":
-        return 0
-    if status == "infeasible":
-        return 2
-    return 3
+    return {"optimal": 0, "infeasible": 2}.get(status, 1)
 
 
 if __name__ == "__main__":

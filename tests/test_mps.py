@@ -20,17 +20,61 @@ from conftest import make_instance
 from test_acceptance import corpus_config
 
 
-def test_solver_child_loads_only_its_module():
-    # a solver child imports emdarp.tools.solve_mps alone: the package
-    # resolves its exports on first use, and solve() imports numpy and scipy
+def _child(code, *args):
+    """The stdout of a fresh interpreter that runs *code* on this checkout."""
     src = str(Path(emdarp.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_solver_child_loads_only_its_module():
+    # a solver child imports emdarp.tools.solve_mps alone: the package
+    # resolves its exports on first use, and solve() loads scipy's HiGHS binding
     code = ("import sys, emdarp.tools.solve_mps; print(*sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('emdarp', 'numpy', 'scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["emdarp", "emdarp.tools", "emdarp.tools.solve_mps"]
+    assert _child(code).split() == ["emdarp", "emdarp.tools", "emdarp.tools.solve_mps"]
+
+
+def test_solver_child_skips_scipy_optimize(small_model, tmp_path):
+    # importing scipy.optimize was most of a solver child's start-up; solve()
+    # loads only the compiled HiGHS binding under it
+    pytest.importorskip("scipy")
+    model_path = tmp_path / "model.mps"
+    write_mps(small_model, str(model_path))
+    code = ("import sys; from emdarp.tools.solve_mps import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'scipy.optimize' in sys.modules, "
+            "'scipy.optimize._highspy._core' in sys.modules)")
+    assert _child(code, model_path, tmp_path / "out.sol").split() == ["0", "False", "True"]
+
+
+_ORDER_CHECK = """
+import sys
+from emdarp.tools.solve_mps import read_mps, solve
+def ours():
+    return solve(read_mps(sys.argv[1]))[:2]
+def scipys():
+    from scipy.optimize import milp
+    res = milp([-1.0, -2.0], integrality=[1, 0], bounds=(0, [2.5, 1.5]))
+    return res.status, res.fun
+done = {name: globals()[name]() for name in sys.argv[2:]}
+print(done["ours"], done["scipys"])
+"""
+
+
+@pytest.mark.parametrize("order", [("ours", "scipys"), ("scipys", "ours")],
+                         ids=["binding-first", "scipy-optimize-first"])
+def test_binding_loads_in_either_order(order, small_model, tmp_path):
+    # solve() loads the binding under its own name, so scipy.optimize
+    # imported after it still works, and solve() after scipy.optimize reuses
+    # scipy's
+    pytest.importorskip("scipy")
+    model_path = tmp_path / "model.mps"
+    write_mps(small_model, str(model_path))
+    expected = solve(read_mps(str(model_path)))[:2]
+    assert _child(_ORDER_CHECK, model_path, *order).strip() == f"{expected} (0, -5.0)"
 
 
 def test_package_exports_resolve_on_first_use():
@@ -146,10 +190,15 @@ def test_hand_written_mps_reads(tmp_path):
     *[(" UP BND x 3.0", f" {code} BND x", 10) for code in ("UP", "LO", "FX", "UI", "LI")],
     ("ROWS\n", "OBJSENSE\n    MAX\nROWS\n", 2),   # a section the reader does not know
     ("ROWS\n", " x\nROWS\n", 2),                   # a data line before any section
+    (" x OBJ 1.0 c0 1.0", " x OBJ nan c0 1.0", 6),  # a cost that is no finite number
+    (" x OBJ 1.0 c0 1.0", " x OBJ inf c0 1.0", 6),
+    (" RHS c0 4.0", " RHS c0 nan", 8),              # a right-hand side likewise
+    (" UP BND x 3.0", " UP BND x nan", 10),         # a bound likewise
 ], ids=["rows-one-field", "unknown-sense", "second-objective", "row-twice",
         "columns-undeclared-row", "columns-odd-fields", "rhs-undeclared-row", "bounds-two-fields",
         "bounds-undeclared-column", "bounds-not-a-number", "up-no-value", "lo-no-value",
-        "fx-no-value", "ui-no-value", "li-no-value", "objsense", "no-section"])
+        "fx-no-value", "ui-no-value", "li-no-value", "objsense", "no-section", "cost-nan",
+        "cost-inf", "rhs-nan", "bound-nan"])
 def test_malformed_mps_exits_4(old, new, line, tmp_path, capsys):
     # the reader referees the export path: a file it cannot read exactly is
     # an error naming the line, never a traceback or a different problem
@@ -159,6 +208,17 @@ def test_malformed_mps_exits_4(old, new, line, tmp_path, capsys):
     assert main([str(model_path), str(sol_path)]) == 4
     assert capsys.readouterr().err.startswith(f"error: {model_path}, line {line}: ")
     assert not sol_path.exists()
+
+
+def test_unbounded_model_exits_1(tmp_path, capsys):
+    # min -x over x >= 0: HiGHS says unbounded, which is neither a proven
+    # optimum nor a limit, so the child exits 1 with HiGHS's status name
+    pytest.importorskip("scipy")
+    model_path, sol_path = tmp_path / "unbounded.mps", tmp_path / "out.sol"
+    model_path.write_text("NAME UNBOUNDED\nROWS\n N OBJ\nCOLUMNS\n x OBJ -1.0\nENDATA\n")
+    assert main([str(model_path), str(sol_path)]) == 1
+    assert sol_path.read_text() == "# status unbounded\n"
+    assert capsys.readouterr().err == "HiGHS: Unbounded\n"
 
 
 @pytest.mark.parametrize("cfg", [
@@ -203,6 +263,89 @@ def test_solve_matches_bnb_without_presolve(cfg, tmp_path):
         assert objective == pytest.approx(bb.objective, abs=1e-5)
     if (cfg.seed, cfg.n_agents) == (54, 1):
         assert objective == pytest.approx(908.174, abs=1e-3)
+
+
+def _scipy_milp(prob, info):
+    """The solve of the parent design, through scipy.optimize.milp at the same
+    options: the referee for solve(), which hands HiGHS the same model through
+    scipy's binding alone."""
+    import numpy as np
+    from scipy import optimize, sparse
+
+    n = len(prob.col_order)
+    col_of = {v: i for i, v in enumerate(prob.col_order)}
+    c = np.zeros(n)
+    for var, entries in prob.columns.items():
+        c[col_of[var]] = entries.get(prob.objective_row, 0.0)
+
+    row_of = {r: i for i, r in enumerate(prob.row_order)}
+    data, ri, ci = [], [], []
+    for var, entries in prob.columns.items():
+        for row, coef in entries.items():
+            if row == prob.objective_row:
+                continue
+            data.append(coef)
+            ri.append(row_of[row])
+            ci.append(col_of[var])
+    a = sparse.coo_matrix((data, (ri, ci)), shape=(len(prob.row_order), n))
+    lo = np.full(len(prob.row_order), -np.inf)
+    hi = np.full(len(prob.row_order), np.inf)
+    for row, i in row_of.items():
+        b = prob.rhs.get(row, 0.0)
+        sense = prob.row_sense[row]
+        if sense in ("L", "E"):
+            hi[i] = b
+        if sense in ("G", "E"):
+            lo[i] = b
+
+    lb = np.array([prob.lower.get(v, 0.0) for v in prob.col_order])
+    ub = np.array([prob.upper.get(v, np.inf) for v in prob.col_order])
+    integrality = np.array([1 if prob.integer.get(v) else 0 for v in prob.col_order])
+
+    res = optimize.milp(
+        c,
+        constraints=optimize.LinearConstraint(a, lo, hi),
+        integrality=integrality,
+        bounds=optimize.Bounds(lb, ub),
+        options={"mip_rel_gap": 0.0, "presolve": False},
+    )
+    for key, attr, kind in (("nodes", "mip_node_count", int),
+                            ("dual_bound", "mip_dual_bound", float),
+                            ("gap", "mip_gap", float)):
+        value = getattr(res, attr, None)
+        if value is not None:
+            info[key] = kind(value)
+    if "dual_bound" in info:
+        info["dual_bound"] += prob.objective_constant
+    if res.status == 0:
+        values = {v: float(res.x[col_of[v]]) for v in prob.col_order}
+        return "optimal", float(res.fun) + prob.objective_constant, values
+    return {2: "infeasible", 3: "unbounded"}.get(res.status, "error"), None, None
+
+
+# corpus configurations whose two solves take 0.8-3.9 s (the other 20 take
+# about 4 s together)
+_SLOW_REFERENCE = (5, 11, 17, 20, 23)
+
+
+def _reference_cases():
+    # the acceptance corpus and the seed-54 presolve make-up
+    for i in range(25):
+        yield pytest.param(corpus_config(i), id=f"corpus-{i}",
+                           marks=pytest.mark.slow if i in _SLOW_REFERENCE else ())
+    yield pytest.param(GenConfig(seed=54, n_requests=3, n_agents=1, n_stations=1,
+                                 duplicate_visits=1, preset="high-discharge"), id="s54-a1")
+
+
+@pytest.mark.parametrize("cfg", list(_reference_cases()))
+def test_solve_equals_scipy_milp(cfg, tmp_path):
+    # same model, same options, same HiGHS: the answer, every value and
+    # HiGHS's account of the search must be equal, not merely close
+    pytest.importorskip("scipy")
+    prob = _write_and_read(build_model(generate(cfg)), tmp_path)
+    ours, theirs = {}, {}
+    assert solve(prob, ours) == _scipy_milp(prob, theirs)
+    assert ours == theirs
 
 
 def test_solution_file_reports_the_search(small_model, tmp_path):

@@ -1,10 +1,11 @@
+import dataclasses
 import shlex
 import sys
 
 import pytest
 
 from emdarp.graph import expand_graph
-from emdarp.model import build_model
+from emdarp.model import VariableCatalog, build_model
 from emdarp.scheduling import schedule_routes
 from emdarp.solution import (
     Solution, SolutionFormatError, decode_solution, encode_plan, parse_solution,
@@ -170,3 +171,16 @@ def test_run_external_with_bundled_tool():
     res = schedule_routes(inst, g, chains, [True])
     assert sol.objective == pytest.approx(res.objective, abs=1e-5)
     assert [p.nodes for p in sol.plans] == chains
+
+
+def test_run_external_unbounded_is_an_error():
+    # min -u over u >= 0: the bundled tool exits 1 with HiGHS's status, which
+    # the engine reports as a solver error, not as a resource limit
+    pytest.importorskip("scipy")
+    catalog = VariableCatalog()
+    catalog.add("u", 0.0, float("inf"))
+    model = dataclasses.replace(build_model(make_instance()), catalog=catalog, constraints=[],
+                                objective={"u": -1.0}, objective_constant=0.0)
+    cmd = f"{shlex.quote(sys.executable)} -m emdarp.tools.solve_mps {{model}} {{solution}}"
+    with pytest.raises(ExternalSolverError, match="code 1: HiGHS: Unbounded"):
+        run_external(model, command=cmd, timeout=120)
