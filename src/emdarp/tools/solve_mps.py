@@ -4,7 +4,9 @@ This module deliberately re-parses MPS on its own instead of reusing the model
 builder, so it doubles as an independent cross-check of the export path.  The
 actual optimization is delegated to HiGHS through scipy's compiled binding
 (scipy 1.15 or later; install the "external" extra), without importing
-scipy.optimize itself.  Usage:
+scipy.optimize itself.  The model is built in HiGHS by scalar binding calls
+(the rows, then each column in file order with its entries sorted by row
+index), so the child imports neither numpy nor scipy.optimize.  Usage:
 
     python3 -m emdarp.tools.solve_mps MODEL.mps OUT.sol
 
@@ -30,22 +32,25 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 
-@dataclass
 class MpsProblem:
-    name: str = ""
-    objective_row: str = ""
-    row_sense: dict = field(default_factory=dict)      # row -> 'L'|'G'|'E'
-    row_order: list = field(default_factory=list)
-    columns: dict = field(default_factory=dict)        # var -> {row: coef}
-    col_order: list = field(default_factory=list)
-    integer: dict = field(default_factory=dict)        # var -> bool
-    rhs: dict = field(default_factory=dict)            # row -> value
-    lower: dict = field(default_factory=dict)
-    upper: dict = field(default_factory=dict)
+    """What read_mps takes from an MPS file: rows and columns in file order,
+    each column's coefficients by row, and the right-hand sides and bounds
+    the file sets (a column's default bounds are 0 and infinity)."""
+
+    def __init__(self):
+        self.name = ""
+        self.objective_row = ""
+        self.row_sense = {}     # row -> 'L'|'G'|'E'
+        self.row_order = []
+        self.columns = {}       # var -> {row: coef}
+        self.col_order = []
+        self.integer = {}       # var -> bool
+        self.rhs = {}           # row -> value
+        self.lower = {}
+        self.upper = {}
 
     @property
     def objective_constant(self) -> float:
@@ -180,14 +185,49 @@ def _highs():
     return module
 
 
+def _hand_over(h, highs, prob: MpsProblem):
+    """Pass the options solve() explains (no log, zero relative gap, no
+    presolve) and *prob* to *highs*, one binding call at a time, and yield
+    each call's HighsStatus.  The rows go in first, with their bounds and no
+    columns; then each column in file order, with its bounds, cost, entries
+    in row-index order and integrality.  HiGHS ends up with the column-wise
+    matrix that one ``HighsLp`` would give it, and every value crosses the
+    binding as a Python float or list, so numpy is never imported."""
+    options = h.HighsOptions()
+    options.log_to_console, options.mip_rel_gap, options.presolve = False, 0.0, "off"
+    yield highs.passOptions(options)
+    row_lower, row_upper = [], []
+    for row in prob.row_order:
+        b, sense = prob.rhs.get(row, 0.0), prob.row_sense[row]
+        row_lower.append(b if sense in ("G", "E") else -math.inf)
+        row_upper.append(b if sense in ("L", "E") else math.inf)
+    lp = h.HighsLp()
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(prob.row_order)
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    yield highs.passModel(lp)
+    row_of = {r: i for i, r in enumerate(prob.row_order)}
+    for j, var in enumerate(prob.col_order):
+        entries = prob.columns[var]
+        yield highs.addVar(prob.lower.get(var, 0.0), prob.upper.get(var, math.inf))
+        yield highs.changeColCost(j, entries.get(prob.objective_row, 0.0))
+        for i, coef in sorted((row_of[row], coef) for row, coef in entries.items()
+                              if row != prob.objective_row):
+            yield highs.changeCoeff(i, j, coef)
+        if prob.integer.get(var):
+            yield highs.changeColIntegrality(j, h.HighsVarType(1))
+
+
 def solve(prob: MpsProblem, info: dict | None = None):
     """Return (status, objective, {var: value}); status in optimal/infeasible/unbounded/error.
 
-    HiGHS gets the model as scipy's own ``milp`` hands it over (columns in
-    file order, each column's rows sorted by row index), through scipy's
-    HiGHS binding (``_highs``).  Only HiGHS's "infeasible" is reported as
-    infeasible; "unbounded" is its unbounded, and every other status it
-    ends with is "error", whose HiGHS name goes to stderr.
+    HiGHS ends up with the column-wise model scipy's own ``milp`` would hand
+    it (columns in file order, each column's rows sorted by row index), built
+    by calls to scipy's HiGHS binding (``_highs``, ``_hand_over``) that pass
+    only Python numbers and lists, so no numpy is imported.  Only HiGHS's
+    "infeasible" is reported as infeasible; "unbounded" is its unbounded, and
+    every other status it ends with is "error", whose HiGHS name goes to
+    stderr.  A model that a binding call or run() refuses ends as HiGHS's
+    "Model error".
 
     The MILP is solved to a zero relative gap: "optimal" means HiGHS closed
     the gap and proved the returned objective optimal.  Presolve is off:
@@ -203,44 +243,17 @@ def solve(prob: MpsProblem, info: dict | None = None):
     constant included) and its relative gap; otherwise it stays empty.
     """
     h = _highs()
-    row_of = {r: i for i, r in enumerate(prob.row_order)}
-    cost, start, index, value = [], [0], [], []
-    for var in prob.col_order:
-        entries = prob.columns[var]
-        cost.append(entries.get(prob.objective_row, 0.0))
-        rows = sorted((row_of[row], coef) for row, coef in entries.items()
-                      if row != prob.objective_row)
-        index.extend(i for i, _ in rows)
-        value.extend(coef for _, coef in rows)
-        start.append(len(index))
-    row_lower, row_upper = [], []
-    for row in prob.row_order:
-        b, sense = prob.rhs.get(row, 0.0), prob.row_sense[row]
-        row_lower.append(b if sense in ("G", "E") else -math.inf)
-        row_upper.append(b if sense in ("L", "E") else math.inf)
-
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(prob.col_order)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(prob.row_order)
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
-    lp.col_cost_ = cost
-    lp.col_lower_ = [prob.lower.get(v, 0.0) for v in prob.col_order]
-    lp.col_upper_ = [prob.upper.get(v, math.inf) for v in prob.col_order]
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    integer = [1 if prob.integer.get(v) else 0 for v in prob.col_order]
-    lp.integrality_ = [h.HighsVarType(i) for i in integer]
-
-    highs, options = h._Highs(), h.HighsOptions()
-    options.log_to_console, options.mip_rel_gap, options.presolve = False, 0.0, "off"
+    highs = h._Highs()
     model_status = h.HighsModelStatus.kModelError
-    if (highs.passOptions(options) != h.HighsStatus.kError
-            and highs.passModel(lp) != h.HighsStatus.kError):
+    if all(status != h.HighsStatus.kError for status in _hand_over(h, highs, prob)):
         highs.run()
-        model_status = highs.getModelStatus()
+        # changeCoeff takes a value that passModel refuses (above HiGHS's
+        # large_matrix_value); run() then refuses the model and sets no status
+        if highs.getModelStatus() != h.HighsModelStatus.kNotset:
+            model_status = highs.getModelStatus()
     if model_status == h.HighsModelStatus.kOptimal:
         hinfo = highs.getInfo()
-        if info is not None and any(integer):
+        if info is not None and any(prob.integer.values()):
             info["nodes"] = int(hinfo.mip_node_count)
             info["dual_bound"] = float(hinfo.mip_dual_bound) + prob.objective_constant
             info["gap"] = float(hinfo.mip_gap)

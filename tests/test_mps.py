@@ -38,16 +38,21 @@ def test_solver_child_loads_only_its_module():
 
 
 def test_solver_child_skips_scipy_optimize(small_model, tmp_path):
-    # importing scipy.optimize was most of a solver child's start-up; solve()
-    # loads only the compiled HiGHS binding under it
+    # importing scipy.optimize was most of a solver child's start-up, and
+    # numpy most of the rest; solve() loads only the compiled HiGHS binding
+    # and hands it Python numbers, also for integer columns and nonzero costs
     pytest.importorskip("scipy")
     model_path = tmp_path / "model.mps"
     write_mps(small_model, str(model_path))
+    prob = read_mps(str(model_path))
+    assert any(prob.integer.values())
+    assert any(prob.columns[v].get(prob.objective_row) for v in prob.col_order)
     code = ("import sys; from emdarp.tools.solve_mps import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(code, 'scipy.optimize' in sys.modules, "
-            "'scipy.optimize._highspy._core' in sys.modules)")
-    assert _child(code, model_path, tmp_path / "out.sol").split() == ["0", "False", "True"]
+            "code = main(sys.argv[1:3])\n"
+            "print(code, *(name in sys.modules for name in sys.argv[3:]))")
+    names = ["scipy.optimize._highspy._core", "scipy.optimize", "numpy", "dataclasses"]
+    assert _child(code, model_path, tmp_path / "out.sol", *names).split() == [
+        "0", "True", "False", "False", "False"]
 
 
 _ORDER_CHECK = """
@@ -219,6 +224,23 @@ def test_unbounded_model_exits_1(tmp_path, capsys):
     assert main([str(model_path), str(sol_path)]) == 1
     assert sol_path.read_text() == "# status unbounded\n"
     assert capsys.readouterr().err == "HiGHS: Unbounded\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    (" x OBJ 1.0 c0 1.0", " x OBJ 1.0 c0 1e25"),  # changeCoeff takes it, run() refuses it
+    (" UP BND x 3.0", " LO BND x 1e25"),           # addVar refuses it
+    (" RHS c0 4.0", " RHS c0 -1e25"),              # passModel refuses the row's bounds
+], ids=["coefficient", "column-bound", "row-bound"])
+def test_value_highs_refuses_exits_1(old, new, tmp_path, capsys):
+    # a finite value beyond what HiGHS accepts is a model error, whichever
+    # binding call meets it, never a status HiGHS did not set
+    pytest.importorskip("scipy")
+    assert _HAND_MPS.count(old) == 1
+    model_path, sol_path = tmp_path / "huge.mps", tmp_path / "out.sol"
+    model_path.write_text(_HAND_MPS.replace(old, new))
+    assert main([str(model_path), str(sol_path)]) == 1
+    assert sol_path.read_text() == "# status error\n"
+    assert capsys.readouterr().err == "HiGHS: Model error\n"
 
 
 @pytest.mark.parametrize("cfg", [
